@@ -11,31 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import ERROR, Diagnostic
+from .vm import BUILTINS as KNOWN_BUILTINS
 
 IDENT_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.$-_:=<>+*"
 )
-
-KNOWN_BUILTINS = frozenset({
-    "write$", "newline$", "cite$", "empty$", "skip$", "if$", "while$",
-    "num.names$", "format.name$", "call.type$",
-    "*", ":=", "=", "<", ">", "+", "-",
-})
-
-# Recognized names from full BibTeX that this interpreter deliberately
-# does not provide; naming one is reported as such instead of "unknown".
-UNSUPPORTED_BUILTINS = frozenset({
-    "substring$", "change.case$", "purify$", "text.length$", "text.prefix$",
-    "add.period$", "preamble$", "type$", "duplicate$", "pop$", "swap$",
-    "stack$", "top$", "chr.to.int$", "int.to.str$", "width$", "warning$",
-    "quote$", "global.max$", "entry.max$", "missing$",
-})
-
-_COMMAND_KEYWORDS = frozenset({
-    "entry", "function", "read", "execute", "iterate", "sort",
-    "strings", "integers",
-})
-
 
 @dataclass
 class Token:

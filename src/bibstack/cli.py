@@ -2,11 +2,14 @@
 
 Subcommands mirror the classical build protocol: `latexpass` simulates
 one citation pass over <base>.tex, `bibtex` turns <base>.aux plus the
-named style and databases into <base>.bbl/<base>.blg, `pipeline` chains
-latexpass, bibtex, and further passes until the labels reach a fixpoint,
-and `lint` runs the static checks over <base>.bst.
+named style and databases into <base>.bbl/<base>.blg, `pipeline` scans
+<base>.tex once, runs one pass and bibtex, then hands the new .bbl to
+latexpass.fixpoint until the labels settle, and `lint` runs the static
+checks over <base>.bst.
 
-Exit codes: 0 success, 1 warnings under --strict, 2 errors.
+Exit codes: 0 success, 1 warnings under --strict, 2 errors.  Labels that
+do not settle within --max-passes are an error.  Any exception that
+escapes a command is reported as one stderr line, never a traceback.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .auxfile import AuxError, parse_aux, write_aux
+from .auxfile import AuxError, AuxFile, parse_aux, write_aux
 from .bstparse import parse_bst
 from .database import parse_bib
-from .diagnostics import ERROR, WARNING, Diagnostic
+from .diagnostics import ERROR
 from .emitter import BlgLog
-from .latexpass import PassResult, TexScanError, run_pass, scan_tex
+from .latexpass import PassResult, TexScan, TexScanError, fixpoint, run_pass, scan_tex
 from .lint import lint_program
 from .vm import run
 
@@ -37,6 +40,10 @@ class CliConfig:
     bib_dir: Path | None = None
     max_passes: int = 5
     strict: bool = False
+
+
+class _Fail(Exception):
+    """Ends a command: its message goes to stderr and the exit code is 2."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,13 +61,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     cfg = CliConfig(base=base, style_dir=args.style_dir, bib_dir=args.bib_dir,
                     max_passes=args.max_passes, strict=args.strict)
-    if args.command == "bibtex":
-        return cmd_bibtex(cfg)
-    if args.command == "latexpass":
-        return cmd_latexpass(cfg)
-    if args.command == "pipeline":
-        return cmd_pipeline(cfg)
-    return cmd_lint(cfg)
+    try:
+        if args.command == "bibtex":
+            return cmd_bibtex(cfg)
+        if args.command == "latexpass":
+            return cmd_latexpass(cfg)
+        if args.command == "pipeline":
+            return cmd_pipeline(cfg)
+        return cmd_lint(cfg)
+    except _Fail as err:
+        _err(str(err))
+    except Exception as err:  # a defect or an exhausted Python limit, e.g. RecursionError
+        _err(f"bibstack: internal error: {type(err).__name__}: {' '.join(str(err).split())}")
+    return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,60 +107,44 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_bibtex(cfg: CliConfig) -> int:
     aux_path = Path(cfg.base + ".aux")
     if not aux_path.exists():
-        _err(f"no aux file {aux_path}")
-        return 2
-    try:
-        aux = parse_aux(_read_text(aux_path))
-    except (AuxError, _ReadError) as err:
-        _err(f"{aux_path}: {err}")
-        return 2
+        raise _Fail(f"no aux file {aux_path}")
+    aux = _load(aux_path, parse_aux)
     if aux.style is None:
-        _err(f"no style declared in {aux_path}")
-        return 2
+        raise _Fail(f"no style declared in {aux_path}")
     if not aux.data:
-        _err(f"no database declared in {aux_path}")
-        return 2
+        raise _Fail(f"no database declared in {aux_path}")
 
     bst_path = _find_file(aux.style + ".bst", cfg.base, cfg.style_dir)
     if bst_path is None:
-        _err(f"style file {aux.style}.bst not found in {_searched(cfg.base, cfg.style_dir)}")
-        return 2
-    diagnostics: list[Diagnostic] = []
-    try:
-        program, bst_diags = parse_bst(_read_text(bst_path), bst_path.name)
-    except _ReadError as err:
-        _err(f"{bst_path}: {err}")
-        return 2
-    diagnostics.extend(bst_diags)
+        raise _Fail(f"style file {aux.style}.bst not found in {_searched(cfg.base, cfg.style_dir)}")
+    program, diagnostics = _load(bst_path, lambda text: parse_bst(text, bst_path.name))
 
     databases = []
     for data_name in aux.data:
         bib_path = _find_file(data_name + ".bib", cfg.base, cfg.bib_dir)
         if bib_path is None:
-            _err(f"database file {data_name}.bib not found in {_searched(cfg.base, cfg.bib_dir)}")
-            return 2
-        try:
-            db, bib_diags = parse_bib(_read_text(bib_path), bib_path.name)
-        except _ReadError as err:
-            _err(f"{bib_path}: {err}")
-            return 2
-        diagnostics.extend(bib_diags)
+            raise _Fail(f"database file {data_name}.bib not found in "
+                        f"{_searched(cfg.base, cfg.bib_dir)}")
+        db, bib_diags = _load(bib_path, lambda text: parse_bib(text, bib_path.name))
+        diagnostics += bib_diags
         databases.append(db)
 
-    log = BlgLog()
+    # the parse diagnostics come first in the log, then the VM's records
+    log = BlgLog([(d.severity, d.format()) for d in diagnostics])
     fatal = any(d.fatal for d in diagnostics)
     if not fatal:
-        doc, log = run(program, aux, databases)
+        doc, vm_log = run(program, aux, databases)
+        log.records += vm_log.records
         _atomic_write(Path(cfg.base + ".bbl"), doc.finalize())
-    _atomic_write(Path(cfg.base + ".blg"), _render_blg(diagnostics, log))
+    _atomic_write(Path(cfg.base + ".blg"), log.render())
 
     for diag in diagnostics:
         _err(diag.format())
-    for severity, message in log.records:
+    for severity, message in log.records[len(diagnostics):]:
         _err(message if severity == ERROR else f"warning: {message}")
 
-    n_errors = sum(1 for d in diagnostics if d.severity == ERROR) + len(log.errors())
-    n_warnings = sum(1 for d in diagnostics if d.severity == WARNING) + len(log.warnings())
+    n_errors = len(log.errors())
+    n_warnings = len(log.warnings())
     if not fatal:
         print(f"{cfg.base}: wrote {cfg.base}.bbl ({n_warnings} warning(s), {n_errors} error(s))")
     if n_errors:
@@ -157,106 +154,73 @@ def cmd_bibtex(cfg: CliConfig) -> int:
     return 0
 
 
-def _render_blg(diagnostics: list[Diagnostic], log: BlgLog) -> str:
-    lines = []
-    for diag in diagnostics:
-        if diag.severity == WARNING:
-            lines.append(f"Warning--{diag.format()}")
-        else:
-            lines.append(diag.format())
-    for severity, message in log.records:
-        lines.append(f"Warning--{message}" if severity == WARNING else message)
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 # ---------------------------------------------------------------------------
 # latexpass
 
 def cmd_latexpass(cfg: CliConfig) -> int:
-    rc, _result = _do_latexpass(cfg)
-    return rc
+    _first_pass(cfg, _scan_tex_file(cfg))
+    return 0
 
 
-def _do_latexpass(cfg: CliConfig) -> tuple[int, PassResult | None]:
+def _scan_tex_file(cfg: CliConfig) -> TexScan:
     tex_path = Path(cfg.base + ".tex")
     if not tex_path.exists():
-        _err(f"no tex file {tex_path}")
-        return 2, None
-    try:
-        tex = scan_tex(_read_text(tex_path))
-    except (TexScanError, _ReadError) as err:
-        _err(f"{tex_path}: {err}")
-        return 2, None
+        raise _Fail(f"no tex file {tex_path}")
+    return _load(tex_path, scan_tex)
 
+
+def _first_pass(cfg: CliConfig, tex: TexScan) -> PassResult:
+    """One pass from the .aux and .bbl on disk, written and reported."""
     aux_path = Path(cfg.base + ".aux")
-    old_aux = None
-    if aux_path.exists():
-        try:
-            old_aux = parse_aux(_read_text(aux_path))
-        except (AuxError, _ReadError) as err:
-            _err(f"{aux_path}: {err}")
-            return 2, None
+    old_aux = _load(aux_path, parse_aux) if aux_path.exists() else None
+    result = run_pass(tex, old_aux, base=cfg.base, bbl_items=_bbl_items(cfg, tex))
+    _report_passes(cfg, old_aux, [result])
+    return result
 
-    bbl_items = None
+
+def _bbl_items(cfg: CliConfig, tex: TexScan) -> list[str] | None:
+    """The \\bibitem keys of <base>.bbl in external mode, None if there are none to read."""
     bbl_path = Path(cfg.base + ".bbl")
-    if (tex.style is not None or tex.data) and bbl_path.exists():
-        try:
-            bbl_items = scan_tex(_read_text(bbl_path)).inline_bib
-        except (TexScanError, _ReadError) as err:
-            _err(f"{bbl_path}: {err}")
-            return 2, None
+    if (tex.style is None and not tex.data) or not bbl_path.exists():
+        return None
+    return _load(bbl_path, scan_tex).inline_bib
 
-    result = run_pass(tex, old_aux, base=cfg.base, bbl_items=bbl_items)
-    _atomic_write(aux_path, write_aux(result.new_aux))
-    _atomic_write(Path(cfg.base + ".rendered.txt"), result.rendered)
-    for warning in result.warnings:
-        _err(warning)
-    resolved = sum(1 for k in result.new_aux.citations if k in (old_aux.bibcites if old_aux else {}))
-    state = "changed" if result.labels_changed else "stable"
-    print(f"{cfg.base}: {len(result.new_aux.citations)} citation(s), "
-          f"{resolved} resolved, labels {state}")
-    return 0, result
+
+def _report_passes(cfg: CliConfig, old_aux: AuxFile | None, results: list[PassResult]) -> None:
+    """Write the last pass's .aux and .rendered.txt, then print each pass's
+    warnings and summary line; old_aux is the aux the first pass read."""
+    _atomic_write(Path(cfg.base + ".aux"), write_aux(results[-1].new_aux))
+    _atomic_write(Path(cfg.base + ".rendered.txt"), results[-1].rendered)
+    for result in results:
+        for warning in result.warnings:
+            _err(warning)
+        known = old_aux.bibcites if old_aux else {}
+        resolved = sum(1 for k in result.new_aux.citations if k in known)
+        state = "changed" if result.labels_changed else "stable"
+        print(f"{cfg.base}: {len(result.new_aux.citations)} citation(s), "
+              f"{resolved} resolved, labels {state}")
+        old_aux = result.new_aux
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 
 def cmd_pipeline(cfg: CliConfig) -> int:
-    tex_path = Path(cfg.base + ".tex")
-    if not tex_path.exists():
-        _err(f"no tex file {tex_path}")
-        return 2
-    try:
-        tex = scan_tex(_read_text(tex_path))
-    except (TexScanError, _ReadError) as err:
-        _err(f"{tex_path}: {err}")
-        return 2
+    tex = _scan_tex_file(cfg)
     if tex.style is None:
-        _err("no style declared")
-        return 2
+        raise _Fail("no style declared")
     if not tex.data:
-        _err("no database declared")
-        return 2
+        raise _Fail("no database declared")
 
-    rc, _ = _do_latexpass(cfg)
-    if rc:
-        return rc
+    first = _first_pass(cfg, tex)
     bibtex_rc = cmd_bibtex(cfg)
     if bibtex_rc == 2:
         return 2
-
-    converged = False
-    for _ in range(cfg.max_passes):
-        rc, result = _do_latexpass(cfg)
-        if rc:
-            return rc
-        if not result.labels_changed:
-            converged = True
-            break
-    if not converged:
-        _err(f"labels did not settle within {cfg.max_passes} pass(es)")
-        return 2
-    return bibtex_rc
+    # if the labels never settle, fixpoint adds the one message to the last pass's warnings
+    results, _ = fixpoint(tex, first.new_aux, cfg.max_passes, base=cfg.base,
+                          bbl_items=_bbl_items(cfg, tex))
+    _report_passes(cfg, first.new_aux, results)
+    return 2 if results[-1].labels_changed else bibtex_rc
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +229,8 @@ def cmd_pipeline(cfg: CliConfig) -> int:
 def cmd_lint(cfg: CliConfig) -> int:
     bst_path = _find_file(cfg.base + ".bst", cfg.base, cfg.style_dir)
     if bst_path is None:
-        _err(f"style file {cfg.base}.bst not found in {_searched(cfg.base, cfg.style_dir)}")
-        return 2
-    try:
-        program, diagnostics = parse_bst(_read_text(bst_path), bst_path.name)
-    except _ReadError as err:
-        _err(f"{bst_path}: {err}")
-        return 2
+        raise _Fail(f"style file {cfg.base}.bst not found in {_searched(cfg.base, cfg.style_dir)}")
+    program, diagnostics = _load(bst_path, lambda text: parse_bst(text, bst_path.name))
     if any(d.fatal for d in diagnostics):
         for diag in diagnostics:
             _err(diag.format())
@@ -292,16 +251,16 @@ def cmd_lint(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 # helpers
 
-class _ReadError(Exception):
-    pass
-
-
-def _read_text(path: Path) -> str:
-    data = path.read_bytes()
+def _load(path: Path, parse):
+    """parse(text of path); bad UTF-8 or an .aux/.tex syntax error ends the command."""
     try:
-        return data.decode("utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as err:
-        raise _ReadError(f"invalid UTF-8 at byte {err.start}") from err
+        raise _Fail(f"{path}: invalid UTF-8 at byte {err.start}") from None
+    try:
+        return parse(text)
+    except (AuxError, TexScanError) as err:
+        raise _Fail(f"{path}: {err}") from None
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -173,31 +173,38 @@ def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,
 
 
 def _read_group(text: str, pos: int, cmd_start: int, cmd: str) -> tuple[str, int]:
-    n = len(text)
-    while pos < n and text[pos].isspace():
-        pos += 1
-    if pos >= n or text[pos] != "{":
+    pos = _skip_space(text, pos)
+    if pos >= len(text) or text[pos] != "{":
         raise TexScanError(f"expected '{{' after \\{cmd}", _line_at(text, cmd_start))
+    end = _group_end(text, pos)
+    if end < 0:
+        raise TexScanError(f"unbalanced braces in \\{cmd}", _line_at(text, cmd_start))
+    return text[pos + 1 : end - 1], end
+
+
+def _group_end(text: str, pos: int) -> int:
+    """Offset just past the `}' that closes the `{' at pos, or -1 if it never closes."""
     depth = 0
-    start = pos + 1
-    while pos < n:
-        ch = text[pos]
+    for k in range(pos, len(text)):
+        ch = text[k]
         if ch == "{":
             depth += 1
         elif ch == "}":
             depth -= 1
             if depth == 0:
-                return text[start:pos], pos + 1
+                return k + 1
+    return -1
+
+
+def _skip_space(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
         pos += 1
-    raise TexScanError(f"unbalanced braces in \\{cmd}", _line_at(text, cmd_start))
+    return pos
 
 
 def _skip_optional_arg(text: str, pos: int) -> int:
-    n = len(text)
-    k = pos
-    while k < n and text[k].isspace():
-        k += 1
-    if k < n and text[k] == "[":
+    k = _skip_space(text, pos)
+    if k < len(text) and text[k] == "[":
         close = text.find("]", k)
         if close >= 0:
             return close + 1
@@ -205,20 +212,11 @@ def _skip_optional_arg(text: str, pos: int) -> int:
 
 
 def _skip_width_arg(text: str, pos: int) -> int:
-    n = len(text)
-    k = pos
-    while k < n and text[k].isspace():
-        k += 1
-    if k < n and text[k] == "{":
-        depth = 0
-        while k < n:
-            if text[k] == "{":
-                depth += 1
-            elif text[k] == "}":
-                depth -= 1
-                if depth == 0:
-                    return k + 1
-            k += 1
+    k = _skip_space(text, pos)
+    if k < len(text) and text[k] == "{":
+        end = _group_end(text, k)
+        if end >= 0:
+            return end
     return pos
 
 

@@ -11,25 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bstparse import KNOWN_BUILTINS, UNSUPPORTED_BUILTINS, BstProgram, Token
-
-# pops, pushes for builtins with a fixed arity; if$ and while$ are structural
-_SIMPLE_EFFECTS = {
-    "write$": (1, 0),
-    "newline$": (0, 0),
-    "cite$": (0, 1),
-    "empty$": (1, 1),
-    "skip$": (0, 0),
-    "*": (2, 1),
-    ":=": (2, 0),
-    "num.names$": (1, 1),
-    "format.name$": (3, 1),
-    "=": (2, 1),
-    "<": (2, 1),
-    ">": (2, 1),
-    "+": (2, 1),
-    "-": (2, 1),
-}
+from .bstparse import BstProgram, Token
+from .vm import BUILTINS, UNSUPPORTED_BUILTINS
 
 
 @dataclass
@@ -67,13 +50,13 @@ def lint_program(program: BstProgram) -> list[Finding]:
 
 class _Namespace:
     def __init__(self, program: BstProgram):
-        self.fields: set[str] = set()
+        self.fields: dict[str, None] = {}  # declaration order keeps the findings' order stable
         self.entry_vars: set[str] = {"sort.key$"}
         self.globals: set[str] = set()
         for cmd in program.commands:
             if cmd.kind == "entry":
                 fields, ints, strs = cmd.operand
-                self.fields.update(fields)
+                self.fields.update(dict.fromkeys(fields))
                 self.entry_vars.update(ints)
                 self.entry_vars.update(strs)
             elif cmd.kind in ("strings", "integers"):
@@ -85,7 +68,7 @@ class _Namespace:
             return "field"
         if name in self.entry_vars or name in self.globals:
             return "var"
-        if name in KNOWN_BUILTINS:
+        if name in BUILTINS:
             return "builtin"
         if name in self.functions:
             return "function"
@@ -130,10 +113,8 @@ class _EffectAnalyzer:
         if kind in ("field", "var"):
             return 1
         if kind == "builtin":
-            if name in _SIMPLE_EFFECTS:
-                pops, pushes = _SIMPLE_EFFECTS[name]
-                return pushes - pops
-            return None  # if$, while$, call.type$ depend on their operands
+            _fn, pops, pushes = BUILTINS[name]
+            return None if pops is None else pushes - pops
         if kind == "function":
             if name in self.memo:
                 return self.memo[name]
@@ -194,8 +175,8 @@ class _EffectAnalyzer:
                 if kind in ("field", "var"):
                     push(None)
                 elif kind == "builtin":
-                    if name in _SIMPLE_EFFECTS:
-                        pops, pushes = _SIMPLE_EFFECTS[name]
+                    _fn, pops, pushes = BUILTINS[name]
+                    if pops is not None:
                         for _ in range(pops):
                             pop()
                         for _ in range(pushes):

@@ -16,12 +16,15 @@ the last command finishes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import names
 from .auxfile import AuxFile, unique_citation_order
-from .bstparse import KNOWN_BUILTINS, UNSUPPORTED_BUILTINS, BstProgram, Token
 from .database import Database, lookup
 from .emitter import BblDocument, BlgLog
+
+if TYPE_CHECKING:  # bstparse imports the builtin table from here
+    from .bstparse import BstProgram, Token
 
 DEFAULT_WHILE_LIMIT = 1_000_000
 
@@ -172,8 +175,8 @@ class Vm:
             self.stack.append(self.globals_str[name])
         elif name in self.globals_int:
             self.stack.append(self.globals_int[name])
-        elif name in _BUILTINS:
-            _BUILTINS[name](self, line)
+        elif name in BUILTINS:
+            BUILTINS[name][0](self, line)
         elif name in self.program.functions:
             self.exec_tokens(self.program.functions[name])
         elif name in UNSUPPORTED_BUILTINS:
@@ -383,27 +386,36 @@ def _bi_call_type(vm: Vm, line: int) -> None:
     vm.exec_tokens(body)
 
 
-_BUILTINS = {
-    "write$": _bi_write,
-    "newline$": _bi_newline,
-    "cite$": _bi_cite,
-    "empty$": _bi_empty,
-    "skip$": _bi_skip,
-    "if$": _bi_if,
-    "while$": _bi_while,
-    "*": _bi_concat,
-    ":=": _bi_assign,
-    "num.names$": _bi_num_names,
-    "format.name$": _bi_format_name,
-    "=": _bi_eq,
-    "<": _make_int_op("<", lambda a, b: 1 if a < b else 0),
-    ">": _make_int_op(">", lambda a, b: 1 if a > b else 0),
-    "+": _make_int_op("+", lambda a, b: a + b),
-    "-": _make_int_op("-", lambda a, b: a - b),
-    "call.type$": _bi_call_type,
+# The one builtin table: name -> (function, pops, pushes).  pops and
+# pushes are None where the stack effect depends on the operands.
+BUILTINS = {
+    "write$": (_bi_write, 1, 0),
+    "newline$": (_bi_newline, 0, 0),
+    "cite$": (_bi_cite, 0, 1),
+    "empty$": (_bi_empty, 1, 1),
+    "skip$": (_bi_skip, 0, 0),
+    "if$": (_bi_if, None, None),
+    "while$": (_bi_while, None, None),
+    "*": (_bi_concat, 2, 1),
+    ":=": (_bi_assign, 2, 0),
+    "num.names$": (_bi_num_names, 1, 1),
+    "format.name$": (_bi_format_name, 3, 1),
+    "=": (_bi_eq, 2, 1),
+    "<": (_make_int_op("<", lambda a, b: 1 if a < b else 0), 2, 1),
+    ">": (_make_int_op(">", lambda a, b: 1 if a > b else 0), 2, 1),
+    "+": (_make_int_op("+", lambda a, b: a + b), 2, 1),
+    "-": (_make_int_op("-", lambda a, b: a - b), 2, 1),
+    "call.type$": (_bi_call_type, None, None),
 }
 
-assert set(_BUILTINS) == set(KNOWN_BUILTINS)
+# Recognized names from full BibTeX that this interpreter deliberately
+# does not provide; naming one is reported as such instead of "unknown".
+UNSUPPORTED_BUILTINS = frozenset({
+    "substring$", "change.case$", "purify$", "text.length$", "text.prefix$",
+    "add.period$", "preamble$", "type$", "duplicate$", "pop$", "swap$",
+    "stack$", "top$", "chr.to.int$", "int.to.str$", "width$", "warning$",
+    "quote$", "global.max$", "entry.max$", "missing$",
+})
 
 
 def run(program: BstProgram, aux: AuxFile, databases: list[Database], *,

@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import pytest
+
 from bibstack.cli import main
 
 from fixtures import (
@@ -99,6 +101,20 @@ class TestBibtex:
         assert main(["bibtex", "test3"]) == 2
         assert (workdir / "test3.bbl").read_text() == EXPECTED_BBL
 
+    def test_blg_lists_bib_diagnostics_before_vm_records(self, workdir):
+        bib = SAMPLE_BIB.replace('    year = "1964",\n', '    year = "1964",\n    year = "1965",\n')
+        write_files(workdir, {
+            "refs.bib": bib,
+            "guarded.bst": GUARDED_NUMBER_BST,
+            "t.aux": "\\relax\n\\citation{Ulam-1964}\n\\bibstyle{guarded}\n\\bibdata{refs}\n",
+        })
+        assert main(["bibtex", "t"]) == 0
+        assert (workdir / "t.blg").read_text() == (
+            "Warning--refs.bib, line 7: duplicate field `year' in entry `Ulam-1964'; "
+            "first value kept\n"
+            "Warning--`number' is a missing field, not a string, for entry Ulam-1964\n"
+        )
+
 
 class TestLatexpass:
     def test_first_and_second_pass(self, workdir, capsys):
@@ -166,6 +182,25 @@ class TestPipeline:
         assert main(["pipeline", "test2"]) == 0
         assert cite_marks((workdir / "test2.rendered.txt").read_text()) == ["[2]", "[1]"]
 
+    def test_readme_run_prints_four_lines(self, workdir, capsys):
+        write_files(workdir, self.files())
+        assert main(["pipeline", "test2"]) == 0
+        assert capsys.readouterr().out == (
+            "test2: 2 citation(s), 0 resolved, labels stable\n"
+            "test2: wrote test2.bbl (0 warning(s), 0 error(s))\n"
+            "test2: 2 citation(s), 0 resolved, labels changed\n"
+            "test2: 2 citation(s), 2 resolved, labels stable\n"
+        )
+
+    def test_unsettled_labels_exit_2_with_one_message(self, workdir, capsys):
+        write_files(workdir, self.files())
+        assert main(["pipeline", "test2", "--max-passes", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-2] == "Label(s) may have changed. Rerun to get cross-references right."
+        # the last line is the one non-convergence message, naming the pass cap
+        assert err[-1].startswith("labels ") and err[-1].endswith(" 1 pass(es)")
+        assert sum(line.startswith("labels ") for line in err) == 1
+
     def test_no_style_declared(self, workdir, capsys):
         write_files(workdir, {"plain.tex": "\\cite{x}\n\\bibliography{my}\n"})
         assert main(["pipeline", "plain"]) == 2
@@ -222,6 +257,35 @@ class TestLint:
 
     def test_missing_file(self, workdir):
         assert main(["lint", "ghost"]) == 2
+
+
+# styles deep enough to exhaust Python's recursion limit in the parser and in lint
+DEEP_NESTING = "FUNCTION {f} " + "{" * 3000 + "}" * 3000 + "\n"
+DEEP_CALLS = "FUNCTION {f0} { skip$ }\n" + "".join(
+    f"FUNCTION {{f{i}}} {{ f{i - 1} }}\n" for i in range(1, 3000)) + "EXECUTE {f2999}\n"
+
+
+class TestCrash:
+    """An exception escaping a command is one stderr line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("style", [DEEP_NESTING, DEEP_CALLS], ids=["nesting", "calls"])
+    def test_lint_on_deep_style(self, workdir, capsys, style):
+        write_files(workdir, {"deep.bst": style})
+        assert main(["lint", "deep"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "RecursionError" in err
+
+    def test_bibtex_on_deeply_nested_style(self, workdir, capsys):
+        write_files(workdir, {
+            "my.bib": SAMPLE_BIB,
+            "deep.bst": DEEP_NESTING,
+            "t.aux": "\\relax\n\\citation{Poincare}\n\\bibstyle{deep}\n\\bibdata{my}\n",
+        })
+        assert main(["bibtex", "t"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "RecursionError" in err
 
 
 class TestEncoding:

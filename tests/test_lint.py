@@ -42,6 +42,12 @@ class TestUnreadFields:
         assert any("`title' is declared but never read" in f.message for f in findings)
         assert not any("`author'" in f.message for f in findings)
 
+    def test_unread_fields_reported_in_declaration_order(self):
+        findings, _ = lint("ENTRY {zeta alpha mid omega}{}{}\n")
+        assert [f.message for f in findings] == [
+            f"field `{name}' is declared but never read" for name in ("zeta", "alpha", "mid", "omega")
+        ]
+
 
 class TestStackEffect:
     def test_execute_of_unbalanced_function(self):

@@ -5,7 +5,7 @@ import pytest
 from bibstack.auxfile import AuxFile, parse_aux
 from bibstack.bstparse import parse_bst
 from bibstack.database import parse_bib
-from bibstack.vm import FnRef, MissingField, Vm, VmError, run
+from bibstack.vm import BUILTINS, FnRef, MissingField, RuntimeEntry, Vm, VmError, run
 
 from fixtures import (
     AUTHOR_SORT_FRAGMENT,
@@ -505,3 +505,43 @@ class TestEntryVariables:
         vm = Vm(program, [parse_bib(SAMPLE_BIB)[0]])
         vm.execute(parse_aux(BIBTEX_AUX))
         assert [e.ints["count"] for e in vm.entries] == [5, 5]
+
+
+# operands for each fixed-arity builtin, bottom of the stack first
+_ARITY_OPERANDS = {
+    "write$": ["text"],
+    "newline$": [],
+    "cite$": [],
+    "empty$": [""],
+    "skip$": [],
+    "*": ["a", "b"],
+    ":=": [7, FnRef(name="counter")],
+    "num.names$": ["Doe, John and Roe, Jane"],
+    "format.name$": ["Doe, John", 1, "{ll}"],
+    "=": [1, 1],
+    "<": [1, 2],
+    ">": [1, 2],
+    "+": [1, 2],
+    "-": [1, 2],
+}
+
+
+class TestBuiltinTable:
+    @pytest.mark.parametrize("name", sorted(n for n, (_fn, pops, _) in BUILTINS.items()
+                                            if pops is not None))
+    def test_stack_depth_changes_by_declared_effect(self, name):
+        _fn, pops, pushes = BUILTINS[name]
+        operands = _ARITY_OPERANDS[name]
+        assert len(operands) == pops
+        vm = make_vm()
+        vm.globals_int["counter"] = 0
+        vm.current = RuntimeEntry(key="k", entry_type="article", fields={})
+        vm.stack = ["below"] + operands
+        vm.exec_ident(name, 0)
+        assert len(vm.stack) - (1 + len(operands)) == pushes - pops
+        assert vm.stack[0] == "below"
+
+    def test_only_control_builtins_have_operand_dependent_effects(self):
+        # lint special-cases exactly these three
+        unknown = {n for n, (_fn, pops, pushes) in BUILTINS.items() if pops is None or pushes is None}
+        assert unknown == {"if$", "while$", "call.type$"}
