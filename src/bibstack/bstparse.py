@@ -4,18 +4,19 @@ A program is a sequence of commands (ENTRY, FUNCTION, READ, EXECUTE,
 ITERATE, SORT, STRINGS, INTEGERS) whose order is the execution order.
 Function bodies are kept as token lists and interpreted by the vm module.
 Identifiers are case-insensitive and normalized to lowercase.
+
+The tokenizer is one pass of a single pattern; {...} groups are built on
+an explicit stack, so no nesting depth reaches Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .diagnostics import ERROR, Diagnostic
 from .vm import BUILTINS as KNOWN_BUILTINS
 
-IDENT_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.$-_:=<>+*"
-)
 
 @dataclass
 class Token:
@@ -49,102 +50,68 @@ def parse_bst(text: str, source_name: str = "<bst>") -> tuple[BstProgram, list[D
 # ---------------------------------------------------------------------------
 # tokenizer
 
+_IDENT = r"[a-zA-Z0-9.$\-_:=<>+*]"
+_TOKEN = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[^\S\n]+)"
+    r"|(?P<comment>%[^\n]*)"
+    r'|(?P<string>"[^"\n]*"?)'
+    r"|(?P<int>#[+-]?\d*)"
+    rf"|(?P<quoted>'{_IDENT}*)"
+    r"|(?P<open>\{)"
+    r"|(?P<close>\})"
+    rf"|(?P<id>{_IDENT}+)"
+    r"|(?P<other>.)"
+)
+
+
 def _tokenize(text: str, source: str, diags: list[Diagnostic]) -> list[Token]:
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    state = {"pos": 0, "line": 1}
-    n = len(text)
+    line = 1
+    # stack[-1] is the token list of the innermost open {...} group
+    stack: list[list[Token]] = [[]]
 
     def err(message: str, fatal: bool = False) -> None:
-        diags.append(Diagnostic(ERROR, message, state["line"], source, fatal=fatal))
+        diags.append(Diagnostic(ERROR, message, line, source, fatal=fatal))
 
-    def scan(stop_at_close: bool) -> list[Token]:
-        out: list[Token] = []
-        while state["pos"] < n:
-            ch = text[state["pos"]]
-            if ch == "\n":
-                state["line"] += 1
-                state["pos"] += 1
-            elif ch.isspace():
-                state["pos"] += 1
-            elif ch == "%":
-                j = text.find("\n", state["pos"])
-                state["pos"] = n if j < 0 else j
-            elif ch == '"':
-                out.append(_scan_string(text, state, err))
-            elif ch == "#":
-                tok = _scan_int(text, state, err)
-                if tok is not None:
-                    out.append(tok)
-            elif ch == "'":
-                line = state["line"]
-                state["pos"] += 1
-                name = _scan_ident(text, state)
-                if name:
-                    out.append(Token("quoted", name.lower(), line))
-                else:
-                    err("`'' must be followed by an identifier")
-            elif ch == "{":
-                line = state["line"]
-                state["pos"] += 1
-                body = scan(stop_at_close=True)
-                out.append(Token("block", body, line))
-            elif ch == "}":
-                if stop_at_close:
-                    state["pos"] += 1
-                    return out
-                err("unexpected `}'")
-                state["pos"] += 1
-            elif ch in IDENT_CHARS:
-                line = state["line"]
-                out.append(Token("id", _scan_ident(text, state).lower(), line))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok = m.group()
+        if kind == "newline":
+            line += 1
+        elif kind == "id":
+            stack[-1].append(Token("id", tok.lower(), line))
+        elif kind == "string":
+            if len(tok) > 1 and tok.endswith('"'):
+                stack[-1].append(Token("string", tok[1:-1], line))
             else:
-                err(f"unexpected character {ch!r}")
-                state["pos"] += 1
-        if stop_at_close:
-            err("unclosed `{' at end of file", fatal=True)
-        return out
-
-    return scan(stop_at_close=False)
-
-
-def _scan_ident(text: str, state: dict) -> str:
-    start = state["pos"]
-    while state["pos"] < len(text) and text[state["pos"]] in IDENT_CHARS:
-        state["pos"] += 1
-    return text[start:state["pos"]]
-
-
-def _scan_string(text: str, state: dict, err) -> Token:
-    line = state["line"]
-    state["pos"] += 1
-    start = state["pos"]
-    while state["pos"] < len(text):
-        ch = text[state["pos"]]
-        if ch == '"':
-            value = text[start:state["pos"]]
-            state["pos"] += 1
-            return Token("string", value, line)
-        if ch == "\n":
-            err("string literal does not close before end of line")
-            return Token("string", text[start:state["pos"]], line)
-        state["pos"] += 1
-    err("string literal does not close before end of file")
-    return Token("string", text[start:], line)
-
-
-def _scan_int(text: str, state: dict, err) -> Token | None:
-    line = state["line"]
-    state["pos"] += 1
-    start = state["pos"]
-    if state["pos"] < len(text) and text[state["pos"]] in "+-":
-        state["pos"] += 1
-    while state["pos"] < len(text) and text[state["pos"]].isdigit():
-        state["pos"] += 1
-    digits = text[start:state["pos"]]
-    if not digits or digits in ("+", "-"):
-        err("`#' must be followed by an integer literal")
-        return None
-    return Token("int", int(digits), line)
+                where = "line" if m.end() < len(text) else "file"
+                err(f"string literal does not close before end of {where}")
+                stack[-1].append(Token("string", tok[1:], line))
+        elif kind == "int":
+            if tok[1:] in ("", "+", "-"):
+                err("`#' must be followed by an integer literal")
+            else:
+                stack[-1].append(Token("int", int(tok[1:]), line))
+        elif kind == "quoted":
+            if len(tok) > 1:
+                stack[-1].append(Token("quoted", tok[1:].lower(), line))
+            else:
+                err("`'' must be followed by an identifier")
+        elif kind == "open":
+            block = Token("block", [], line)
+            stack[-1].append(block)
+            stack.append(block.value)
+        elif kind == "close":
+            if len(stack) > 1:
+                stack.pop()
+            else:
+                err("unexpected `}'")
+        elif kind == "other":
+            err(f"unexpected character {tok!r}")
+    for _ in stack[1:]:
+        err("unclosed `{' at end of file", fatal=True)
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------

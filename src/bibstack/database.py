@@ -5,15 +5,17 @@ citation keys are matched verbatim.  Field values accept both "..." and
 {...} delimiters, may span lines, and are whitespace-normalized.  The
 @string/@preamble/@comment constructs and `#` concatenation are rejected
 with a warning diagnostic and the offending block is skipped.
+
+The parser matches precompiled patterns at an integer offset.  group_end
+is the one brace-group scanner; latexpass uses it too.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-
-_KEY_FORBIDDEN = set(" \t\n,{}")
 
 
 def normalize_value(raw: str) -> str:
@@ -53,36 +55,35 @@ def get_field(entry: Entry, name: str) -> str | None:
     return entry.fields.get(name.lower())
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
+_SPACE = re.compile(r"\s*")
+_TYPE = re.compile(r"[^{(,\s]*")
+_KEY = re.compile(r"[^,}\s]*")
+_FIELD_NAME = re.compile(r"[^=,{}\"\s]*")
+_BARE_WORD = re.compile(r"[^,}#\s]*")
+_QUOTED_STOP = re.compile(r'[{}"]')
+_BRACE = re.compile(r"[{}]")
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        return self.text[self.pos]
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while not self.eof() and self.text[self.pos].isspace():
-            self.advance()
+def group_end(text: str, pos: int) -> int:
+    """Offset just past the `}' that closes the `{' at pos, or -1 if it never closes."""
+    depth = 0
+    for m in _BRACE.finditer(text, pos):
+        if m.group() == "{":
+            depth += 1
+        else:
+            depth -= 1
+            if depth == 0:
+                return m.end()
+    return -1
 
 
 class _EntryError(Exception):
-    """Internal: abandon the current entry and resync at the next `@`."""
+    """Internal: abandon the current entry at offset pos and resync at the next `@`."""
 
-    def __init__(self, severity: str, message: str):
+    def __init__(self, severity: str, message: str, pos: int):
         self.severity = severity
         self.message = message
+        self.pos = pos
 
 
 def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Diagnostic]]:
@@ -93,147 +94,109 @@ def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Dia
     resumes at the next `@`.
     """
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    cur = _Cursor(text)
     db = Database()
     diags: list[Diagnostic] = []
+    # diagnostics arrive in text order, so the line count only moves forward
+    counted, line = 0, 1
 
-    def diag(severity: str, message: str, line: int | None = None) -> None:
-        diags.append(Diagnostic(severity, message, line if line is not None else cur.line, source_name))
+    def diag(severity: str, message: str, pos: int) -> None:
+        nonlocal counted, line
+        line += text.count("\n", counted, pos)
+        counted = pos
+        diags.append(Diagnostic(severity, message, line, source_name))
 
-    while True:
-        while not cur.eof() and cur.peek() != "@":
-            cur.advance()
-        if cur.eof():
-            break
-        cur.advance()  # @
+    pos = text.find("@")
+    while pos >= 0:
         try:
-            _parse_entry(cur, db, diag)
+            pos = _parse_entry(text, pos + 1, db, diag)
         except _EntryError as err:
-            diag(err.severity, err.message)
-            _resync(cur)
+            diag(err.severity, err.message, err.pos)
+            pos = err.pos
+        pos = text.find("@", pos)
     return db, diags
 
 
-def _resync(cur: _Cursor) -> None:
-    while not cur.eof() and cur.peek() != "@":
-        cur.advance()
-
-
-def _parse_entry(cur: _Cursor, db: Database, diag) -> None:
-    cur.skip_ws()
-    etype = _read_word(cur, stop="{(, \t\n")
-    if not etype:
-        raise _EntryError(ERROR, "expected an entry type after `@'")
-    etype = etype.lower()
+def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
+    """Parse one entry whose `@' ends just before pos; returns the offset past it."""
+    pos = _SPACE.match(text, pos).end()
+    m = _TYPE.match(text, pos)
+    if not m.group():
+        raise _EntryError(ERROR, "expected an entry type after `@'", pos)
+    etype = m.group().lower()
+    pos = _SPACE.match(text, m.end()).end()
     if etype in ("string", "preamble", "comment"):
-        _skip_block(cur)
-        raise _EntryError(WARNING, f"`@{etype}' is not supported; block skipped")
-    cur.skip_ws()
-    if cur.eof() or cur.peek() != "{":
-        raise _EntryError(ERROR, f"expected `{{' after `@{etype}'")
-    cur.advance()
+        if text.startswith("{", pos):
+            end = group_end(text, pos)
+            pos = len(text) if end < 0 else end
+        raise _EntryError(WARNING, f"`@{etype}' is not supported; block skipped", pos)
+    if not text.startswith("{", pos):
+        raise _EntryError(ERROR, f"expected `{{' after `@{etype}'", pos)
 
-    cur.skip_ws()
-    key = _read_word(cur, stop=",}")
-    key = key.strip()
-    if not key or any(c in _KEY_FORBIDDEN for c in key):
-        raise _EntryError(ERROR, f"invalid entry key {key!r}")
+    m = _KEY.match(text, _SPACE.match(text, pos + 1).end())
+    pos = m.end()
+    key = m.group()
+    if not key or "{" in key:
+        raise _EntryError(ERROR, f"invalid entry key {key!r}", pos)
     entry = Entry(key=key, entry_type=etype)
 
     while True:
-        cur.skip_ws()
-        if cur.eof():
-            raise _EntryError(ERROR, f"unexpected end of file inside entry `{key}'")
-        ch = cur.peek()
+        pos = _SPACE.match(text, pos).end()
+        if pos == len(text):
+            raise _EntryError(ERROR, f"unexpected end of file inside entry `{key}'", pos)
+        ch = text[pos]
         if ch == "}":
-            cur.advance()
+            pos += 1
             break
         if ch == ",":
-            cur.advance()
+            pos += 1
             continue
-        name = _read_word(cur, stop="=,{}\"").strip().lower()
+        m = _FIELD_NAME.match(text, pos)
+        name = m.group().lower()
         if not name:
-            raise _EntryError(ERROR, f"expected a field name in entry `{key}'")
-        cur.skip_ws()
-        if cur.eof() or cur.peek() != "=":
-            raise _EntryError(ERROR, f"expected `=' after field `{name}' in entry `{key}'")
-        cur.advance()
-        cur.skip_ws()
-        value = _read_value(cur, name, key)
-        cur.skip_ws()
-        if not cur.eof() and cur.peek() == "#":
-            raise _EntryError(WARNING, f"string concatenation with `#' is not supported; entry `{key}' skipped")
+            raise _EntryError(ERROR, f"expected a field name in entry `{key}'", pos)
+        pos = _SPACE.match(text, m.end()).end()
+        if not text.startswith("=", pos):
+            raise _EntryError(ERROR, f"expected `=' after field `{name}' in entry `{key}'", pos)
+        value, pos = _read_value(text, _SPACE.match(text, pos + 1).end(), name, key)
+        pos = _SPACE.match(text, pos).end()
+        if text.startswith("#", pos):
+            raise _EntryError(WARNING, f"string concatenation with `#' is not supported; entry `{key}' skipped", pos)
         if name in entry.fields:
-            diag(WARNING, f"duplicate field `{name}' in entry `{key}'; first value kept")
+            diag(WARNING, f"duplicate field `{name}' in entry `{key}'; first value kept", pos)
         else:
             entry.fields[name] = normalize_value(value)
 
     if not db.add(entry):
-        diag(WARNING, f"duplicate entry key `{key}'; later entry dropped")
+        diag(WARNING, f"duplicate entry key `{key}'; later entry dropped", pos)
+    return pos
 
 
-def _read_word(cur: _Cursor, stop: str) -> str:
-    out = []
-    while not cur.eof():
-        ch = cur.peek()
-        if ch in stop or ch.isspace():
-            break
-        out.append(cur.advance())
-    return "".join(out)
-
-
-def _read_value(cur: _Cursor, field_name: str, key: str) -> str:
-    if cur.eof():
-        raise _EntryError(ERROR, f"missing value for field `{field_name}' in entry `{key}'")
-    ch = cur.peek()
+def _read_value(text: str, pos: int, field_name: str, key: str) -> tuple[str, int]:
+    """Read the value starting at pos; returns it and the offset past it."""
+    if pos == len(text):
+        raise _EntryError(ERROR, f"missing value for field `{field_name}' in entry `{key}'", pos)
+    ch = text[pos]
     if ch == '"':
-        cur.advance()
-        out = []
-        depth = 0
-        while not cur.eof():
-            c = cur.advance()
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                if depth == 0:
-                    raise _EntryError(ERROR, f"unbalanced braces in value of `{field_name}'; entry `{key}' skipped")
-                depth -= 1
-            elif c == '"' and depth == 0:
-                return "".join(out)
-            out.append(c)
-        raise _EntryError(ERROR, f"unterminated value of `{field_name}'; entry `{key}' skipped")
-    if ch == "{":
-        cur.advance()
-        out = []
-        depth = 1
-        while not cur.eof():
-            c = cur.advance()
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    return "".join(out)
-            out.append(c)
-        raise _EntryError(ERROR, f"unterminated value of `{field_name}'; entry `{key}' skipped")
-    if ch.isdigit():
-        # bare digit runs need no delimiter
-        return _read_word(cur, stop=",}#")
-    word = _read_word(cur, stop=",}#") or ch
-    raise _EntryError(WARNING, f"unquoted value `{word}' (macros are not supported); entry `{key}' skipped")
-
-
-def _skip_block(cur: _Cursor) -> None:
-    """Skip a balanced {...} group if one follows; used for @string and friends."""
-    cur.skip_ws()
-    if cur.eof() or cur.peek() != "{":
-        return
-    depth = 0
-    while not cur.eof():
-        c = cur.advance()
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return
+        # a quoted value ends at a `"' outside braces; a brace group inside is skipped whole
+        k = pos + 1
+        while (m := _QUOTED_STOP.search(text, k)) is not None:
+            k = m.end()
+            if m.group() == '"':
+                return text[pos + 1 : k - 1], k
+            if m.group() == "}":
+                raise _EntryError(ERROR, f"unbalanced braces in value of `{field_name}'; entry `{key}' skipped", k)
+            k = group_end(text, m.start())
+            if k < 0:
+                break
+    elif ch == "{":
+        end = group_end(text, pos)
+        if end >= 0:
+            return text[pos + 1 : end - 1], end
+    else:
+        m = _BARE_WORD.match(text, pos)
+        if ch.isdigit():
+            # bare digit runs need no delimiter
+            return m.group(), m.end()
+        word = m.group() or ch
+        raise _EntryError(WARNING, f"unquoted value `{word}' (macros are not supported); entry `{key}' skipped", m.end())
+    raise _EntryError(ERROR, f"unterminated value of `{field_name}'; entry `{key}' skipped", len(text))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .auxfile import AuxFile
+from .database import group_end
 
 
 class TexScanError(Exception):
@@ -176,24 +177,10 @@ def _read_group(text: str, pos: int, cmd_start: int, cmd: str) -> tuple[str, int
     pos = _skip_space(text, pos)
     if pos >= len(text) or text[pos] != "{":
         raise TexScanError(f"expected '{{' after \\{cmd}", _line_at(text, cmd_start))
-    end = _group_end(text, pos)
+    end = group_end(text, pos)
     if end < 0:
         raise TexScanError(f"unbalanced braces in \\{cmd}", _line_at(text, cmd_start))
     return text[pos + 1 : end - 1], end
-
-
-def _group_end(text: str, pos: int) -> int:
-    """Offset just past the `}' that closes the `{' at pos, or -1 if it never closes."""
-    depth = 0
-    for k in range(pos, len(text)):
-        ch = text[k]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return k + 1
-    return -1
 
 
 def _skip_space(text: str, pos: int) -> int:
@@ -214,7 +201,7 @@ def _skip_optional_arg(text: str, pos: int) -> int:
 def _skip_width_arg(text: str, pos: int) -> int:
     k = _skip_space(text, pos)
     if k < len(text) and text[k] == "{":
-        end = _group_end(text, k)
+        end = group_end(text, k)
         if end >= 0:
             return end
     return pos

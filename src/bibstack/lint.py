@@ -77,26 +77,31 @@ class _Namespace:
 
 def _walk_identifiers(tokens: list[Token], space: _Namespace, read_fields: set[str],
                       reported: set[str], findings: list[Finding]) -> None:
-    for tok in tokens:
-        if tok.kind == "block":
-            _walk_identifiers(tok.value, space, read_fields, reported, findings)
-            continue
-        if tok.kind not in ("id", "quoted"):
-            continue
-        name = tok.value
-        kind = space.kind_of(name)
-        if kind == "field" and tok.kind == "id":
-            read_fields.add(name)
-        if kind is not None or name in reported:
-            continue
-        reported.add(name)
-        if name in UNSUPPORTED_BUILTINS:
-            findings.append(Finding(f"`{name}' is not a supported builtin", tok.line))
+    # an explicit stack of open blocks keeps deep nesting off the Python call stack
+    stack = [iter(tokens)]
+    while stack:
+        for tok in stack[-1]:
+            if tok.kind == "block":
+                stack.append(iter(tok.value))
+                break
+            if tok.kind not in ("id", "quoted"):
+                continue
+            name = tok.value
+            kind = space.kind_of(name)
+            if kind == "field" and tok.kind == "id":
+                read_fields.add(name)
+            if kind is not None or name in reported:
+                continue
+            reported.add(name)
+            if name in UNSUPPORTED_BUILTINS:
+                findings.append(Finding(f"`{name}' is not a supported builtin", tok.line))
+            else:
+                findings.append(Finding(
+                    f"`{name}' does not resolve to a field, variable, builtin, or function",
+                    tok.line,
+                ))
         else:
-            findings.append(Finding(
-                f"`{name}' does not resolve to a field, variable, builtin, or function",
-                tok.line,
-            ))
+            stack.pop()
 
 
 class _EffectAnalyzer:

@@ -1,6 +1,11 @@
 import re
 
 import pytest
+from hypothesis import settings
+
+# the same examples on every run, and no per-example time limit
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 _CRITERIA = {
     1: "golden bibliography bytes from the minimal style",

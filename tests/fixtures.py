@@ -1,5 +1,14 @@
 """Shared input texts and small helpers for the test suite."""
 
+from hypothesis import strategies as st
+
+# any text, weighted toward the characters that drive .bib and .bst scanning
+SCANNER_TEXT = st.text(st.one_of(
+    st.sampled_from(list("@{}\"#'%,=\n\r \t")),
+    st.sampled_from(list("misc1")),
+    st.characters(),
+), max_size=200)
+
 SAMPLE_BIB = r'''@article{Ulam-1964,
     author = "Stein P. R. and  Ulam S. M.",
     title = "Non-linear transformation studies on

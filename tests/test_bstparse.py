@@ -1,8 +1,11 @@
 """Tests for .bst tokenizing and command parsing."""
 
-from bibstack.bstparse import format_program, format_tokens, parse_bst
+from hypothesis import given
 
-from fixtures import AUTHOR_SORT_FRAGMENT, HELLO_BST, with_sort_fragment
+from bibstack.bstparse import BstProgram, Token, format_program, format_tokens, parse_bst
+from bibstack.diagnostics import Diagnostic
+
+from fixtures import AUTHOR_SORT_FRAGMENT, HELLO_BST, SCANNER_TEXT, with_sort_fragment
 
 
 def shape(tokens):
@@ -142,6 +145,68 @@ class TestErrors:
         _, diags = parse_bst("READ\nEXECUTE {ghost}\n")
         assert diags[0].line == 2
 
+    def test_hash_then_non_decimal_digit_is_a_diagnostic(self):
+        # `²' counts for str.isdigit but not for int()
+        program, diags = parse_bst("FUNCTION {f} { #\u00b2 }")
+        assert [(d.message, d.line) for d in diags] == [
+            ("`#' must be followed by an integer literal", 1),
+            ("unexpected character '\u00b2'", 1),
+        ]
+        assert program.functions == {"f": []}
+
+    def test_deep_nesting_needs_no_recursion(self):
+        depth = 100_000
+        program, diags = parse_bst("FUNCTION {f} " + "{" * depth + "}" * depth)
+        assert diags == []
+        block, levels = program.functions["f"], 1
+        while block:
+            block, levels = block[0].value, levels + 1
+        assert levels == depth
+
+
+GOLDEN_BST = (
+    "}\n"
+    "FUNCTION {f} { ' }\r\n"
+    "FUNCTION {g} { # #+ #-3 }\n"
+    "FUNCTION {h} { \"open\n }\n"
+    "FUNCTION {k} { ! }\n"
+    "FUNCTION {m} { {\n  { 'x\n"
+    "\"tail"
+)
+
+
+class TestGoldenDiagnostics:
+    """Exact tokenizer diagnostics, in order, for one text that triggers each of them."""
+
+    def test_every_tokenizer_error_with_its_line(self):
+        program, diags = parse_bst(GOLDEN_BST, "g.bst")
+        assert [(d.severity, d.message, d.line, d.fatal) for d in diags] == [
+            ("error", "unexpected `}'", 1, False),
+            ("error", "`'' must be followed by an identifier", 2, False),
+            ("error", "`#' must be followed by an integer literal", 3, False),
+            ("error", "`#' must be followed by an integer literal", 3, False),
+            ("error", "string literal does not close before end of line", 4, False),
+            ("error", "unexpected character '!'", 6, False),
+            ("error", "string literal does not close before end of file", 9, False),
+            ("error", "unclosed `{' at end of file", 9, True),
+            ("error", "unclosed `{' at end of file", 9, True),
+            ("error", "unclosed `{' at end of file", 9, True),
+        ]
+        assert {d.source for d in diags} == {"g.bst"}
+        assert [(c.kind, c.operand, c.line) for c in program.commands] == [
+            ("function", "f", 2), ("function", "g", 3), ("function", "h", 4),
+            ("function", "k", 6), ("function", "m", 7),
+        ]
+        assert program.functions == {
+            "f": [],
+            "g": [Token("int", -3, 3)],
+            "h": [Token("string", "open", 4)],
+            "k": [],
+            "m": [Token("block", [
+                Token("block", [Token("quoted", "x", 8), Token("string", "tail", 9)], 8),
+            ], 7)],
+        }
+
 
 class TestStringsIntegers:
     def test_declarations(self):
@@ -167,3 +232,11 @@ class TestRoundTrip:
         reparsed, diags = parse_bst("FUNCTION {f} { %s }" % text)
         assert diags == []
         assert shape(reparsed.functions["f"]) == shape(program.functions["f"])
+
+
+@given(SCANNER_TEXT)
+def test_any_text_parses_with_diagnostics(text):
+    program, diags = parse_bst(text)
+    assert isinstance(program, BstProgram)
+    assert all(isinstance(d, Diagnostic) for d in diags)
+    assert all(1 <= d.line <= len(text.splitlines()) + 1 for d in diags)

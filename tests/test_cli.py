@@ -266,15 +266,23 @@ DEEP_CALLS = "FUNCTION {f0} { skip$ }\n" + "".join(
 
 
 class TestCrash:
-    """An exception escaping a command is one stderr line and exit 2, never a traceback."""
+    """Styles deep enough to break a recursive walker: a normal run, or one stderr
+    line and exit 2 for an exception that escapes a command; never a traceback."""
 
     @pytest.mark.parametrize("style", [DEEP_NESTING, DEEP_CALLS], ids=["nesting", "calls"])
     def test_lint_on_deep_style(self, workdir, capsys, style):
         write_files(workdir, {"deep.bst": style})
-        assert main(["lint", "deep"]) == 2
-        err = capsys.readouterr().err
+        code = main(["lint", "deep"])
+        out, err = capsys.readouterr()
         assert "Traceback" not in err
-        assert err.count("\n") == 1 and "RecursionError" in err
+        if style is DEEP_NESTING:
+            # the tokenizer and the identifier walker keep explicit stacks
+            assert code == 0
+            assert out == "deep: 0 finding(s)\n"
+        else:
+            # the effect analyzer still recurses once per call level
+            assert code == 2
+            assert err.count("\n") == 1 and "RecursionError" in err
 
     def test_bibtex_on_deeply_nested_style(self, workdir, capsys):
         write_files(workdir, {
@@ -282,10 +290,10 @@ class TestCrash:
             "deep.bst": DEEP_NESTING,
             "t.aux": "\\relax\n\\citation{Poincare}\n\\bibstyle{deep}\n\\bibdata{my}\n",
         })
-        assert main(["bibtex", "t"]) == 2
+        assert main(["bibtex", "t"]) == 0
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.count("\n") == 1 and "RecursionError" in err
+        assert (workdir / "t.bbl").exists()
 
 
 class TestEncoding:

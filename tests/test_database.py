@@ -2,6 +2,7 @@
 
 import string
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,7 +15,9 @@ from bibstack.database import (
     parse_bib,
 )
 
-from fixtures import EXTRA_BIB_ENTRY, SAMPLE_BIB
+from bibstack.diagnostics import Diagnostic
+
+from fixtures import EXTRA_BIB_ENTRY, SAMPLE_BIB, SCANNER_TEXT
 
 
 class TestParseBib:
@@ -129,6 +132,65 @@ class TestParseBib:
         assert diags and 1 <= diags[0].line <= text.count("\n") + 1
 
 
+GOLDEN_BIB = (
+    "prelude text, not an entry\r\n"
+    "@ {nokind, note = \"x\"}\r\n"
+    "@string{jan = \"January @misc{hidden, note = {x}}\"}\r\n"
+    "@misc(paren, note = \"x\")\n"
+    "@misc{bad{key, note = \"x\"}\n"
+    "@misc{nofield, = \"x\"}\n"
+    "@misc{noeq, note \"x\"}\n"
+    "@misc{macro, month = jan}\n"
+    "@misc{concat, note = \"a\"\n  # \"b\"}\n"
+    "@misc{unbal, note = \"a}b\"}\n"
+    "@Misc{dupfield,\r\n  note = \"first {\"quoted\"} part\",\r\n  NOTE = {second}\r\n}\n"
+    "@misc{dupfield, note = \"again\"}\n"
+    "@misc{good, year = 1984, title = {A {@nested} title}}\n"
+    "@misc{eof, note = {never\nclosed\n"
+)
+
+
+class TestGoldenDiagnostics:
+    """Exact diagnostics, in order, for one text that triggers each of them."""
+
+    def test_every_diagnostic_with_its_line(self):
+        db, diags = parse_bib(GOLDEN_BIB, "g.bib")
+        assert [(d.severity, d.message, d.line) for d in diags] == [
+            ("error", "expected an entry type after `@'", 2),
+            ("warning", "`@string' is not supported; block skipped", 3),
+            ("error", "expected `{' after `@misc'", 4),
+            ("error", "invalid entry key 'bad{key'", 5),
+            ("error", "expected a field name in entry `nofield'", 6),
+            ("error", "expected `=' after field `note' in entry `noeq'", 7),
+            ("warning", "unquoted value `jan' (macros are not supported); entry `macro' skipped", 8),
+            ("warning", "string concatenation with `#' is not supported; entry `concat' skipped", 10),
+            ("error", "unbalanced braces in value of `note'; entry `unbal' skipped", 11),
+            ("warning", "duplicate field `note' in entry `dupfield'; first value kept", 15),
+            ("warning", "duplicate entry key `dupfield'; later entry dropped", 16),
+            ("error", "unterminated value of `note'; entry `eof' skipped", 20),
+        ]
+        assert {d.source for d in diags} == {"g.bib"}
+        assert not any(d.fatal for d in diags)
+        assert [(e.key, e.entry_type, e.fields) for e in db.entries] == [
+            ("dupfield", "misc", {"note": 'first {"quoted"} part'}),
+            ("good", "misc", {"year": "1984", "title": "A {@nested} title"}),
+        ]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("@misc{k, note =", ("error", "missing value for field `note' in entry `k'", 1)),
+        ('@misc{k, note = "x",', ("error", "unexpected end of file inside entry `k'", 1)),
+        ("@misc{k", ("error", "unexpected end of file inside entry `k'", 1)),
+        ("@", ("error", "expected an entry type after `@'", 1)),
+        ("@misc", ("error", "expected `{' after `@misc'", 1)),
+        ("@string", ("warning", "`@string' is not supported; block skipped", 1)),
+        ("@comment{ {x}", ("warning", "`@comment' is not supported; block skipped", 1)),
+    ])
+    def test_end_of_file_inside_an_entry(self, text, expected):
+        db, diags = parse_bib(text)
+        assert db.entries == []
+        assert [(d.severity, d.message, d.line) for d in diags] == [expected]
+
+
 class TestLookup:
     def test_hit(self):
         db, _ = parse_bib(SAMPLE_BIB)
@@ -194,6 +256,16 @@ def test_round_trip_stability(entries):
     assert [(e.key, e.entry_type, e.fields) for e in reparsed.entries] == [
         (e.key, e.entry_type, e.fields) for e in db.entries
     ]
+
+
+@given(SCANNER_TEXT)
+def test_any_text_parses_with_diagnostics_in_text_order(text):
+    db, diags = parse_bib(text)
+    assert isinstance(db, Database)
+    assert all(isinstance(d, Diagnostic) for d in diags)
+    lines = [d.line for d in diags]
+    assert lines == sorted(lines)
+    assert all(1 <= n <= len(text.splitlines()) + 1 for n in lines)
 
 
 @given(_value_text)
