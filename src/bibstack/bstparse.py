@@ -122,7 +122,6 @@ def _parse_commands(tokens: list[Token], program: BstProgram, source: str,
     def err(message: str, line: int) -> None:
         diags.append(Diagnostic(ERROR, message, line, source))
 
-    defined: set[str] = set()
     have_entry = False
     i = 0
     while i < len(tokens):
@@ -162,7 +161,6 @@ def _parse_commands(tokens: list[Token], program: BstProgram, source: str,
                 err(f"function `{name}' is redefined; first definition kept", tok.line)
                 continue
             program.functions[name] = groups[1].value
-            defined.add(name)
             program.commands.append(BstCommand("function", name, tok.line))
         elif kw in ("execute", "iterate"):
             groups, i = _take_blocks(tokens, i, 1)
@@ -173,7 +171,7 @@ def _parse_commands(tokens: list[Token], program: BstProgram, source: str,
             if name is None:
                 err(f"{kw.upper()} target group must hold exactly one identifier", tok.line)
                 continue
-            if name not in defined and name not in KNOWN_BUILTINS:
+            if name not in program.functions and name not in KNOWN_BUILTINS:
                 err(f"{kw.upper()} target `{name}' should be already described", tok.line)
                 continue
             program.commands.append(BstCommand(kw, name, tok.line))
@@ -245,19 +243,34 @@ def _describe(tok: Token) -> str:
 # ---------------------------------------------------------------------------
 # serialization (round-trip support and diagnostics)
 
+def walk_tokens(tokens: list[Token]):
+    """Tokens in source order, a block before its contents and None after them."""
+    # an explicit stack of open blocks keeps deep nesting off the Python call stack
+    stack = [iter(tokens)]
+    while stack:
+        for tok in stack[-1]:
+            yield tok
+            if tok.kind == "block":
+                stack.append(iter(tok.value))
+                break
+        else:
+            stack.pop()
+            if stack:
+                yield None
+
+
+_FORMATS = {"string": '"%s"', "int": "#%s", "quoted": "'%s", "id": "%s"}
+
+
 def format_tokens(tokens: list[Token]) -> str:
     parts = []
-    for tok in tokens:
-        if tok.kind == "string":
-            parts.append(f'"{tok.value}"')
-        elif tok.kind == "int":
-            parts.append(f"#{tok.value}")
-        elif tok.kind == "quoted":
-            parts.append(f"'{tok.value}")
+    for tok in walk_tokens(tokens):
+        if tok is None:
+            parts.append("}")
         elif tok.kind == "block":
-            parts.append("{ " + format_tokens(tok.value) + " }")
+            parts.append("{")
         else:
-            parts.append(str(tok.value))
+            parts.append(_FORMATS[tok.kind] % tok.value)
     return " ".join(parts)
 
 

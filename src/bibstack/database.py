@@ -32,22 +32,24 @@ class Entry:
 
 @dataclass
 class Database:
-    entries: list[Entry] = field(default_factory=list)
-    index: dict[str, int] = field(default_factory=dict)
+    by_key: dict[str, Entry] = field(default_factory=dict)
+
+    @property
+    def entries(self) -> list[Entry]:
+        """The entries in the order they were added."""
+        return list(self.by_key.values())
 
     def add(self, entry: Entry) -> bool:
         """Append an entry; returns False (and stores nothing) on a duplicate key."""
-        if entry.key in self.index:
+        if entry.key in self.by_key:
             return False
-        self.index[entry.key] = len(self.entries)
-        self.entries.append(entry)
+        self.by_key[entry.key] = entry
         return True
 
 
 def lookup(db: Database, key: str) -> Entry | None:
     """Exact, case-sensitive key lookup; absence is a value, not an error."""
-    pos = db.index.get(key)
-    return db.entries[pos] if pos is not None else None
+    return db.by_key.get(key)
 
 
 def get_field(entry: Entry, name: str) -> str | None:

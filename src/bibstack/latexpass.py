@@ -51,6 +51,8 @@ class PassResult:
 def scan_tex(text: str) -> TexScan:
     scan = TexScan(text=text)
     i, n = 0, len(text)
+    # commands arrive in text order, so the line count only moves forward
+    counted, line = 0, 1
     while i < n:
         ch = text[i]
         if ch == "%":
@@ -65,27 +67,29 @@ def scan_tex(text: str) -> TexScan:
                 # escaped single character such as \% or \{
                 i = min(j + 1, n)
                 continue
+            line += text.count("\n", counted, i)
+            counted = i
             if name == "cite":
-                content, end = _read_group(text, j, i, name)
+                content, end = _read_group(text, j, line, name)
                 keys = [k.strip() for k in content.split(",")]
-                scan.cite_spans.append(CiteSpan(i, end, keys, _line_at(text, i)))
+                scan.cite_spans.append(CiteSpan(i, end, keys, line))
                 scan.cites.extend(keys)
                 i = end
             elif name == "bibitem":
                 j = _skip_optional_arg(text, j)
-                content, end = _read_group(text, j, i, name)
+                content, end = _read_group(text, j, line, name)
                 scan.inline_bib.append(content.strip())
                 i = end
             elif name == "bibliographystyle":
-                content, end = _read_group(text, j, i, name)
+                content, end = _read_group(text, j, line, name)
                 scan.style = content.strip()
                 i = end
             elif name == "bibliography":
-                content, end = _read_group(text, j, i, name)
+                content, end = _read_group(text, j, line, name)
                 scan.data = [d.strip() for d in content.split(",")]
                 i = end
             elif name == "begin":
-                content, end = _read_group(text, j, i, name)
+                content, end = _read_group(text, j, line, name)
                 if content.strip() == "thebibliography":
                     end = _skip_width_arg(text, end)
                 i = end
@@ -173,13 +177,13 @@ def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,
     return results, len(results)
 
 
-def _read_group(text: str, pos: int, cmd_start: int, cmd: str) -> tuple[str, int]:
+def _read_group(text: str, pos: int, line: int, cmd: str) -> tuple[str, int]:
     pos = _skip_space(text, pos)
     if pos >= len(text) or text[pos] != "{":
-        raise TexScanError(f"expected '{{' after \\{cmd}", _line_at(text, cmd_start))
+        raise TexScanError(f"expected '{{' after \\{cmd}", line)
     end = group_end(text, pos)
     if end < 0:
-        raise TexScanError(f"unbalanced braces in \\{cmd}", _line_at(text, cmd_start))
+        raise TexScanError(f"unbalanced braces in \\{cmd}", line)
     return text[pos + 1 : end - 1], end
 
 
@@ -205,7 +209,3 @@ def _skip_width_arg(text: str, pos: int) -> int:
         if end >= 0:
             return end
     return pos
-
-
-def _line_at(text: str, pos: int) -> int:
-    return text.count("\n", 0, pos) + 1

@@ -7,6 +7,9 @@ deduplicated citation list against the databases, EXECUTE runs a
 function with no current entry, ITERATE runs it once per entry, and
 SORT stably reorders entries by their sort.key$ string.
 
+Each identifier's kind comes from one name table (name_kinds, extended
+by declare as each ENTRY, STRINGS or INTEGERS command runs).
+
 Reading a declared field that an entry does not have pushes a
 MissingField and logs the missing-field warning; write$ on such a value
 logs the same warning and emits nothing.  The stack must be empty when
@@ -24,7 +27,7 @@ from .database import Database, lookup
 from .emitter import BblDocument, BlgLog
 
 if TYPE_CHECKING:  # bstparse imports the builtin table from here
-    from .bstparse import BstProgram, Token
+    from .bstparse import BstCommand, BstProgram, Token
 
 DEFAULT_WHILE_LIMIT = 1_000_000
 
@@ -75,6 +78,7 @@ class Vm:
         self.globals_str: dict[str, str] = {}
         self.entries: list[RuntimeEntry] = []
         self.current: RuntimeEntry | None = None
+        self.kinds = name_kinds(program)
 
     # -- top level ----------------------------------------------------------
 
@@ -94,6 +98,7 @@ class Vm:
             self.log.error(f"stack not empty at end: [{shown}]")
 
     def _exec_command(self, cmd, aux: AuxFile) -> None:
+        declare(self.kinds, cmd)
         if cmd.kind == "entry":
             fields, ints, strs = cmd.operand
             self.field_names = list(fields)
@@ -146,9 +151,7 @@ class Vm:
             self.exec_token(tok)
 
     def exec_token(self, tok: Token) -> None:
-        if tok.kind == "string":
-            self.stack.append(tok.value)
-        elif tok.kind == "int":
+        if tok.kind in ("string", "int"):
             self.stack.append(tok.value)
         elif tok.kind == "quoted":
             self.stack.append(FnRef(name=tok.value))
@@ -158,7 +161,13 @@ class Vm:
             self.exec_ident(tok.value, tok.line)
 
     def exec_ident(self, name: str, line: int) -> None:
-        if name in self.field_names:
+        kind = self.kinds.get(name)
+        # the commonest kinds first; which kind a name has is settled in self.kinds
+        if kind == BUILTIN:
+            BUILTINS[name][0](self, line)
+        elif kind == FUNCTION:
+            self.exec_tokens(self.program.functions[name])
+        elif kind == FIELD:
             entry = self._need_entry(name, line)
             value = entry.fields.get(name)
             if value is None:
@@ -166,19 +175,15 @@ class Vm:
                 self.stack.append(MissingField(name, entry.key))
             else:
                 self.stack.append(value)
-        elif name in self.entry_str_names:
+        elif kind == ENTRY_STR:
             # .get: an ENTRY command after READ leaves older entries without storage
             self.stack.append(self._need_entry(name, line).strs.get(name, ""))
-        elif name in self.entry_int_names:
+        elif kind == ENTRY_INT:
             self.stack.append(self._need_entry(name, line).ints.get(name, 0))
-        elif name in self.globals_str:
+        elif kind == GLOBAL_STR:
             self.stack.append(self.globals_str[name])
-        elif name in self.globals_int:
+        elif kind == GLOBAL_INT:
             self.stack.append(self.globals_int[name])
-        elif name in BUILTINS:
-            BUILTINS[name][0](self, line)
-        elif name in self.program.functions:
-            self.exec_tokens(self.program.functions[name])
         elif name in UNSUPPORTED_BUILTINS:
             raise VmError(f"unsupported builtin `{name}' (line {line})")
         else:
@@ -300,19 +305,18 @@ def _bi_assign(vm: Vm, line: int) -> None:
         raise VmError(f":=: expected a quoted variable name, got {vm._show(ref)} (line {line})")
     value = vm.pop(":=", line)
     name = ref.name
-    if name in vm.field_names:
+    kind = vm.kinds.get(name)
+    if kind == FIELD:
         raise VmError(f":=: cannot assign to field `{name}' (line {line})")
-    if name in vm.entry_str_names:
-        if vm.current is None:
-            raise VmError(f":=: `{name}' assigned outside ITERATE (line {line})")
+    if kind in (ENTRY_STR, ENTRY_INT) and vm.current is None:
+        raise VmError(f":=: `{name}' assigned outside ITERATE (line {line})")
+    if kind == ENTRY_STR:
         vm.current.strs[name] = _as_str(value, name, line)
-    elif name in vm.entry_int_names:
-        if vm.current is None:
-            raise VmError(f":=: `{name}' assigned outside ITERATE (line {line})")
+    elif kind == ENTRY_INT:
         vm.current.ints[name] = _as_int(value, name, line, vm)
-    elif name in vm.globals_str:
+    elif kind == GLOBAL_STR:
         vm.globals_str[name] = _as_str(value, name, line)
-    elif name in vm.globals_int:
+    elif kind == GLOBAL_INT:
         vm.globals_int[name] = _as_int(value, name, line, vm)
     else:
         raise VmError(f":=: `{name}' is not a declared variable (line {line})")
@@ -416,6 +420,34 @@ UNSUPPORTED_BUILTINS = frozenset({
     "stack$", "top$", "chr.to.int$", "int.to.str$", "width$", "warning$",
     "quote$", "global.max$", "entry.max$", "missing$",
 })
+
+
+# The kinds an identifier can have, in precedence order: a name that
+# declarations give several kinds keeps the first of them in this order.
+FIELD, ENTRY_STR, ENTRY_INT, GLOBAL_STR, GLOBAL_INT, BUILTIN, FUNCTION = range(7)
+
+
+def name_kinds(program: BstProgram) -> dict[str, int]:
+    """The one name -> kind table, as it stands before any declaration runs."""
+    kinds = dict.fromkeys(program.functions, FUNCTION)
+    kinds.update(dict.fromkeys(BUILTINS, BUILTIN))
+    kinds["sort.key$"] = ENTRY_STR
+    return kinds
+
+
+def declare(kinds: dict[str, int], cmd: BstCommand) -> None:
+    """Record the names an ENTRY, STRINGS or INTEGERS command declares."""
+    if cmd.kind == "entry":
+        groups = zip((FIELD, ENTRY_INT, ENTRY_STR), cmd.operand)  # fields, ints, strs
+    elif cmd.kind == "strings":
+        groups = [(GLOBAL_STR, cmd.operand)]
+    elif cmd.kind == "integers":
+        groups = [(GLOBAL_INT, cmd.operand)]
+    else:
+        return
+    for kind, declared in groups:
+        for name in declared:
+            kinds[name] = min(kind, kinds.get(name, kind))
 
 
 def run(program: BstProgram, aux: AuxFile, databases: list[Database], *,

@@ -19,6 +19,22 @@ def shape(tokens):
     return out
 
 
+def flat(tokens):
+    """Token tree as a (depth, kind, value) list in source order, without recursion."""
+    out = []
+    stack = [iter(tokens)]
+    while stack:
+        for tok in stack[-1]:
+            if tok.kind == "block":
+                out.append((len(stack), "block", None))
+                stack.append(iter(tok.value))
+                break
+            out.append((len(stack), tok.kind, tok.value))
+        else:
+            stack.pop()
+    return out
+
+
 class TestHelloStyle:
     def test_command_sequence(self):
         program, diags = parse_bst(HELLO_BST)
@@ -224,6 +240,15 @@ class TestRoundTrip:
         assert [c.kind for c in reparsed.commands] == [c.kind for c in program.commands]
         for name, body in program.functions.items():
             assert shape(reparsed.functions[name]) == shape(body)
+
+    def test_deep_nesting_round_trips(self):
+        depth = 3000
+        program, _ = parse_bst("FUNCTION {f} " + "{" * depth + "}" * depth)
+        reparsed, diags = parse_bst(format_program(program))
+        assert diags == []
+        assert [(c.kind, c.operand) for c in reparsed.commands] == [("function", "f")]
+        assert flat(reparsed.functions["f"]) == flat(program.functions["f"])
+        assert len(flat(program.functions["f"])) == depth - 1  # the outer group is the body
 
     def test_token_serialization_round_trips(self):
         source = 'FUNCTION {f} { #1 "x y" \'g { skip$ { cite$ } } }'

@@ -53,6 +53,17 @@ class TestScanTex:
         scan = scan_tex("\\bibitem[Poi92]{Poincare} text")
         assert scan.inline_bib == ["Poincare"]
 
+    def test_cite_lines_on_a_long_document(self):
+        # 2000 cites, zero to three line breaks apart, some sharing a line
+        gaps = ["", " ", "\n", "\n\n", " text\n", "\n%\\cite{no}\n\n"]
+        text = "".join(f"\\cite{{k{i}}}" + gaps[i * 7 % len(gaps)] for i in range(2000))
+        scan = scan_tex(text)
+        assert len(scan.cite_spans) == 2000
+        assert [span.line for span in scan.cite_spans] == [
+            text.count("\n", 0, span.start) + 1 for span in scan.cite_spans
+        ]
+        assert scan.cite_spans[-1].line > 1000
+
     def test_unbalanced_cite_raises_with_line(self):
         with pytest.raises(TexScanError) as err:
             scan_tex("line one\n\\cite{oops")

@@ -1,7 +1,14 @@
 """Tests for the static style checks."""
 
+import re
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bibstack.auxfile import AuxFile
 from bibstack.bstparse import parse_bst
 from bibstack.lint import lint_program
+from bibstack.vm import BUILTINS, RuntimeEntry, Vm, VmError
 
 from fixtures import HELLO_BST
 
@@ -102,3 +109,71 @@ class TestStackEffect:
         assert [f.message for f in findings] == [
             "`main' has net stack effect +1 when run by EXECUTE"
         ]
+
+
+# a small pool, so that random declarations often give one name several kinds
+_POOL = ["a", "b", "title", "sort.key$", "cite$", "skip$", "purify$", "ghost"]
+_NAME_SETS = st.lists(st.sampled_from(_POOL), max_size=3, unique=True)
+
+
+@given(
+    fields=_NAME_SETS, ints=_NAME_SETS, strs=_NAME_SETS,
+    globals_=st.lists(st.tuples(st.sampled_from(["STRINGS", "INTEGERS"]), _NAME_SETS), max_size=3),
+    functions=_NAME_SETS,
+)
+def test_lint_and_vm_agree_on_what_resolves(fields, ints, strs, globals_, functions):
+    source = "ENTRY {%s}{%s}{%s}\n" % (" ".join(fields), " ".join(ints), " ".join(strs))
+    source += "".join("%s {%s}\n" % (kw, " ".join(names)) for kw, names in globals_)
+    source += "".join("FUNCTION {%s} { }\n" % name for name in functions)
+    source += "FUNCTION {uses.all} { %s }\n" % " ".join("'" + name for name in _POOL)
+    findings, diags = lint(source)
+    assert diags == []
+    lint_unresolved = {name for name in _POOL
+                       if f"`{name}' does not resolve to a field, variable, builtin, or function"
+                       in [f.message for f in findings]}
+    lint_unsupported = {name for name in _POOL
+                        if f"`{name}' is not a supported builtin" in [f.message for f in findings]}
+
+    vm = Vm(parse_bst(source)[0], [])
+    vm.execute(AuxFile())
+    vm.current = RuntimeEntry(key="k", entry_type="misc", fields={})
+    vm_unresolved, vm_unsupported = set(), set()
+    for name in _POOL:
+        vm.stack = []
+        try:
+            vm.exec_ident(name, 0)
+        except VmError as err:
+            if str(err).startswith(f"unknown identifier `{name}'"):
+                vm_unresolved.add(name)
+            elif str(err).startswith(f"unsupported builtin `{name}'"):
+                vm_unsupported.add(name)
+    assert lint_unresolved == vm_unresolved
+    assert lint_unsupported == vm_unsupported
+
+
+_DECLARATIONS = "ENTRY {title}{n}{s}\nSTRINGS {gs}\nINTEGERS {gi}\n"
+_FIXED_ARITY = sorted(name for name, (_fn, pops, _) in BUILTINS.items() if pops is not None)
+_BODY_TOKENS = st.sampled_from(
+    ['"x"', '"Doe, John and Roe, Jane"', '"{ff}"', "#0", "#1", "#2",
+     "title", "n", "s", "gs", "gi", "'n", "'s", "'gs", "'gi"] + _FIXED_ARITY
+)
+_VALUES = st.sampled_from(["", "y", "Doe, John", "{vv~}{ll}", 0, 1, 3])
+
+
+@given(body=st.lists(_BODY_TOKENS, max_size=8), below=st.lists(_VALUES, max_size=4))
+def test_constant_stack_effect_matches_vm_stack_delta(body, below):
+    source = _DECLARATIONS + "FUNCTION {body} { %s }\nITERATE {body}\n" % " ".join(body)
+    findings, diags = lint(source)
+    assert diags == []
+    effects = [re.search(r"net stack effect ([-+]\d+)", f.message) for f in findings]
+    effect = sum(int(m.group(1)) for m in effects if m)
+
+    vm = Vm(parse_bst(source)[0], [])
+    vm.execute(AuxFile())
+    vm.current = RuntimeEntry(key="k", entry_type="misc", fields={"title": "T. Itle"})
+    vm.stack = list(below)
+    try:
+        vm.exec_ident("body", 0)
+    except VmError:
+        return
+    assert len(vm.stack) - len(below) == effect

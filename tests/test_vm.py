@@ -533,8 +533,8 @@ class TestBuiltinTable:
         _fn, pops, pushes = BUILTINS[name]
         operands = _ARITY_OPERANDS[name]
         assert len(operands) == pops
-        vm = make_vm()
-        vm.globals_int["counter"] = 0
+        vm = make_vm("INTEGERS { counter }\n")
+        vm.execute(AuxFile())
         vm.current = RuntimeEntry(key="k", entry_type="article", fields={})
         vm.stack = ["below"] + operands
         vm.exec_ident(name, 0)
@@ -545,3 +545,71 @@ class TestBuiltinTable:
         # lint special-cases exactly these three
         unknown = {n for n, (_fn, pops, pushes) in BUILTINS.items() if pops is None or pushes is None}
         assert unknown == {"if$", "while$", "call.type$"}
+
+
+def _resolve(source: str, name: str, value) -> tuple:
+    """What reading `name' pushes, and what `value 'name :=' stores, after `source' runs.
+
+    Each side is ("pushed", value), ("stored", storage) or ("error", message).
+    """
+    vm = make_vm(source + "READ\n", bibs=(SAMPLE_BIB,))
+    vm.execute(parse_aux(BIBTEX_AUX))
+    assert vm.log.records == []
+    vm.current = vm.entries[0]
+    try:
+        vm.exec_ident(name, 0)
+        read = ("pushed", vm.stack)
+    except VmError as err:
+        read = ("error", str(err))
+    vm.stack = [value, FnRef(name=name)]
+    try:
+        vm.exec_ident(":=", 0)
+        entry = vm.current
+        write = ("stored", {"globals_str": vm.globals_str, "globals_int": vm.globals_int,
+                            "strs": entry.strs, "ints": entry.ints})
+    except VmError as err:
+        write = ("error", str(err))
+    return read, write
+
+
+class TestNameResolution:
+    """One name declared in two places: which kind wins for a read and for `:='."""
+
+    def test_field_beats_global_string(self):
+        read, write = _resolve("ENTRY {year}{}{}\nSTRINGS {year}\n", "year", "x")
+        assert read == ("pushed", ["1964"])
+        assert write == ("error", ":=: cannot assign to field `year' (line 0)")
+
+    def test_entry_string_beats_global_integer(self):
+        read, write = _resolve("ENTRY {}{}{label}\nINTEGERS {label}\n", "label", "L")
+        assert read == ("pushed", [""])
+        assert write == ("stored", {"globals_str": {}, "globals_int": {"label": 0},
+                                    "strs": {"sort.key$": "", "label": "L"}, "ints": {}})
+        _, write = _resolve("ENTRY {}{}{label}\nINTEGERS {label}\n", "label", 3)
+        assert write == ("error", ":=: `label' is a string variable, got 3 (line 0)")
+
+    @pytest.mark.parametrize("source", ["STRINGS {x}\nINTEGERS {x}\n",
+                                        "INTEGERS {x}\nSTRINGS {x}\n"])
+    def test_global_string_beats_global_integer_in_either_order(self, source):
+        read, write = _resolve(source, "x", "s")
+        assert read == ("pushed", [""])
+        assert write == ("stored", {"globals_str": {"x": "s"}, "globals_int": {"x": 0},
+                                    "strs": {"sort.key$": ""}, "ints": {}})
+        _, write = _resolve(source, "x", 3)
+        assert write == ("error", ":=: `x' is a string variable, got 3 (line 0)")
+
+    def test_integer_variable_beats_builtin(self):
+        read, write = _resolve("INTEGERS {cite$}\n", "cite$", 4)
+        assert read == ("pushed", [0])
+        assert write == ("stored", {"globals_str": {}, "globals_int": {"cite$": 4},
+                                    "strs": {"sort.key$": ""}, "ints": {}})
+
+    def test_builtin_beats_function(self):
+        read, write = _resolve('FUNCTION {cite$} { "function" }\n', "cite$", "x")
+        assert read == ("pushed", ["Ulam-1964"])
+        assert write == ("error", ":=: `cite$' is not a declared variable (line 0)")
+
+    def test_function_beats_unsupported_builtin(self):
+        read, write = _resolve('FUNCTION {purify$} { "function" }\n', "purify$", "x")
+        assert read == ("pushed", ["function"])
+        assert write == ("error", ":=: `purify$' is not a declared variable (line 0)")
