@@ -69,7 +69,13 @@ def lint_program(program: BstProgram) -> list[Finding]:
 
 
 class _EffectAnalyzer:
-    """Net stack effect per function where it is a data-independent constant."""
+    """Net stack effect per function where it is a data-independent constant.
+
+    A body is walked by a generator that yields what it needs the effect
+    of: a function name, or a body (a block, or a quoted name as a one-token
+    body) run by if$ or while$.  effect_of_name keeps the open walks on an
+    explicit stack, so a call chain of any depth stays off Python's stack.
+    """
 
     def __init__(self, program: BstProgram, kinds: dict[str, int]):
         self.program = program
@@ -78,26 +84,38 @@ class _EffectAnalyzer:
         self.active: set[str] = set()
 
     def effect_of_name(self, name: str) -> int | None:
-        if self.kinds.get(name) != FUNCTION:
-            return self.effect_of_tokens([Token("id", name)])
-        if name in self.memo:
-            return self.memo[name]
-        if name in self.active:
-            return None  # recursion
-        self.active.add(name)
-        effect = self.effect_of_tokens(self.program.functions[name])
-        self.active.discard(name)
-        self.memo[name] = effect
-        return effect
+        # (the function a walk is for, or None for any other body; the walk)
+        walks = [(None, self._walk([Token("id", name)]))]
+        effect = None  # what the innermost walk is sent next
+        while True:
+            fname, walk = walks[-1]
+            try:
+                needed = walk.send(effect)
+            except StopIteration as done:
+                walks.pop()
+                effect = done.value
+                if fname is not None:
+                    self.active.discard(fname)
+                    self.memo[fname] = effect
+                if not walks:
+                    return effect
+                continue
+            effect = None
+            if not isinstance(needed, str):
+                walks.append((None, self._walk(needed)))
+            elif needed in self.memo:
+                effect = self.memo[needed]
+            elif needed not in self.active:  # an active one is recursion: unknown
+                self.active.add(needed)
+                walks.append((needed, self._walk(self.program.functions[needed])))
 
-    def effect_of_ref(self, item) -> int | None:
+    @staticmethod
+    def _effect_of_ref(item):
         if item is None:
             return None
-        if item.kind == "block":
-            return self.effect_of_tokens(item.value)
-        return self.effect_of_name(item.value)  # a quoted name
+        return (yield item.value if item.kind == "block" else [Token("id", item.value)])
 
-    def effect_of_tokens(self, tokens: list[Token]) -> int | None:
+    def _walk(self, tokens: list[Token]):
         # items mirrors the positive part of the stack; deficit counts pops
         # that reached below the function's own frame
         items: list[Token | None] = []
@@ -141,22 +159,22 @@ class _EffectAnalyzer:
                         for _ in range(pushes):
                             items.append(None)
                     elif name == "if$":
-                        else_e = self.effect_of_ref(pop())
-                        then_e = self.effect_of_ref(pop())
+                        else_e = yield from self._effect_of_ref(pop())
+                        then_e = yield from self._effect_of_ref(pop())
                         pop()  # condition
                         if else_e is None or else_e != then_e:
                             return None
                         apply_opaque(else_e)
                     elif name == "while$":
-                        body_e = self.effect_of_ref(pop())
-                        pred_e = self.effect_of_ref(pop())
+                        body_e = yield from self._effect_of_ref(pop())
+                        pred_e = yield from self._effect_of_ref(pop())
                         if pred_e != 1 or body_e != 0:
                             return None
                         apply_opaque(0)
                     else:
                         return None  # call.type$
                 else:
-                    effect = self.effect_of_name(name)
+                    effect = yield name
                     if effect is None:
                         return None
                     apply_opaque(effect)

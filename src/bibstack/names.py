@@ -14,11 +14,21 @@ uppercase-initial.  Templates are sequences of pieces such as {ff} or
 {l.}: a doubled letter renders the full part, a single letter abbreviates
 each token to its first character, and any trailing characters in the
 piece are a literal suffix appended when the part is non-empty.
+
+split_names, parse_name and parse_template keep small LRU caches: a
+style asks for the count and then for each name of the same list, one
+entry at a time, so nearly every repeat is a hit while memory stays
+bounded.  Their results are shared between callers and must not be
+mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+# entries per cache; a few entries' author lists and their names fit
+_CACHE_SIZE = 64
 
 
 class NameParseError(ValueError):
@@ -44,6 +54,7 @@ class TemplatePiece:
     suffix: str
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def split_names(author: str) -> list[str]:
     """Split a name list on the word "and" at brace depth zero."""
     words = _words(author)
@@ -66,6 +77,7 @@ def count_names(author: str) -> int:
     return len(split_names(author))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def parse_name(name: str) -> NameParts:
     sections = _split_commas(name)
     if len(sections) > 3:
@@ -105,6 +117,7 @@ def format_name(name: str, template: str) -> str:
     return "".join(out)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def parse_template(template: str) -> list[TemplatePiece]:
     pieces = []
     i, n = 0, len(template)

@@ -8,7 +8,14 @@ function with no current entry, ITERATE runs it once per entry, and
 SORT stably reorders entries by their sort.key$ string.
 
 Each identifier's kind comes from one name table (name_kinds, extended
-by declare as each ENTRY, STRINGS or INTEGERS command runs).
+by declare as each ENTRY, STRINGS or INTEGERS command runs).  The first
+time a body runs, its tokens are resolved against that table into
+(handler, operand) pairs: a literal or reference to push, a builtin to
+call, a function body to enter, a global variable to read, or
+exec_ident for fields and entry variables.
+The resolved bodies are dropped whenever a declaration changes the table.
+Every body entered, and every quoted name that if$ or while$ runs,
+counts one call level, up to CALL_DEPTH_LIMIT.
 
 Reading a declared field that an entry does not have pushes a
 MissingField and logs the missing-field warning; write$ on such a value
@@ -30,6 +37,10 @@ if TYPE_CHECKING:  # bstparse imports the builtin table from here
     from .bstparse import BstCommand, BstProgram, Token
 
 DEFAULT_WHILE_LIMIT = 1_000_000
+# Each level costs at most three Python frames (a body, if$ or while$,
+# call_ref), so the limit trips well inside Python's default recursion
+# limit of 1000 frames, leaving room for the caller and the builtins.
+CALL_DEPTH_LIMIT = 200
 
 
 @dataclass
@@ -79,6 +90,9 @@ class Vm:
         self.entries: list[RuntimeEntry] = []
         self.current: RuntimeEntry | None = None
         self.kinds = name_kinds(program)
+        self.depth = 0
+        # id(body) -> (body, resolved ops); holding the body keeps its id unique
+        self._resolved: dict[int, tuple[list[Token], list[tuple]]] = {}
 
     # -- top level ----------------------------------------------------------
 
@@ -90,15 +104,13 @@ class Vm:
         except VmError as err:
             self.log.error(str(err))
             return
-        except RecursionError:
-            self.log.error("function call depth exceeded")
-            return
         if self.stack:
             shown = ", ".join(self._show(v) for v in self.stack)
             self.log.error(f"stack not empty at end: [{shown}]")
 
     def _exec_command(self, cmd, aux: AuxFile) -> None:
-        declare(self.kinds, cmd)
+        if declare(self.kinds, cmd):
+            self._resolved.clear()
         if cmd.kind == "entry":
             fields, ints, strs = cmd.operand
             self.field_names = list(fields)
@@ -146,19 +158,47 @@ class Vm:
 
     # -- token execution ----------------------------------------------------
 
-    def exec_tokens(self, tokens: list[Token]) -> None:
-        for tok in tokens:
-            self.exec_token(tok)
+    def exec_tokens(self, tokens: list[Token], line: int = 0) -> None:
+        """Run a body (entered from `line') as one more call level."""
+        resolved = self._resolved.get(id(tokens))
+        ops = resolved[1] if resolved is not None else self._resolve(tokens)
+        self._enter(line)
+        try:
+            for handler, operand in ops:
+                handler(self, operand)
+        finally:
+            self.depth -= 1
+
+    def _resolve(self, tokens: list[Token]) -> list[tuple]:
+        ops = [self._resolve_token(tok) for tok in tokens]
+        self._resolved[id(tokens)] = (tokens, ops)
+        return ops
+
+    def _resolve_token(self, tok: Token) -> tuple:
+        """The (handler, operand) pair that runs tok as self.kinds stands now."""
+        if tok.kind in ("string", "int"):
+            return _push, tok.value
+        if tok.kind == "quoted":
+            return _push, FnRef(name=tok.value)
+        if tok.kind == "block":
+            return _push, FnRef(body=tok.value)
+        name = tok.value
+        kind = self.kinds.get(name)
+        if kind == BUILTIN:
+            return BUILTINS[name][0], tok.line
+        if kind == FUNCTION:
+            return _call, (self.program.functions[name], tok.line)
+        if kind == GLOBAL_INT:
+            return _push_item, (self.globals_int, name)
+        if kind == GLOBAL_STR:
+            return _push_item, (self.globals_str, name)
+        # fields and entry variables read the current entry; an unknown name
+        # raises its error only if it runs
+        return _ident, (name, tok.line)
 
     def exec_token(self, tok: Token) -> None:
-        if tok.kind in ("string", "int"):
-            self.stack.append(tok.value)
-        elif tok.kind == "quoted":
-            self.stack.append(FnRef(name=tok.value))
-        elif tok.kind == "block":
-            self.stack.append(FnRef(body=tok.value))
-        else:
-            self.exec_ident(tok.value, tok.line)
+        handler, operand = self._resolve_token(tok)
+        handler(self, operand)
 
     def exec_ident(self, name: str, line: int) -> None:
         kind = self.kinds.get(name)
@@ -166,7 +206,7 @@ class Vm:
         if kind == BUILTIN:
             BUILTINS[name][0](self, line)
         elif kind == FUNCTION:
-            self.exec_tokens(self.program.functions[name])
+            self.exec_tokens(self.program.functions[name], line)
         elif kind == FIELD:
             entry = self._need_entry(name, line)
             value = entry.fields.get(name)
@@ -190,12 +230,25 @@ class Vm:
             raise VmError(f"unknown identifier `{name}' (line {line})")
 
     def call_ref(self, ref: FnRef, line: int) -> None:
-        if ref.body is not None:
-            self.exec_tokens(ref.body)
-        else:
+        body = ref.body
+        if body is None and self.kinds.get(ref.name) == FUNCTION:
+            body = self.program.functions[ref.name]
+        if body is not None:
+            self.exec_tokens(body, line)
+            return
+        # a quoted builtin or variable is a level too, so a chain of 'if$ stays bounded
+        self._enter(line)
+        try:
             self.exec_ident(ref.name, line)
+        finally:
+            self.depth -= 1
 
     # -- helpers ------------------------------------------------------------
+
+    def _enter(self, line: int) -> None:
+        if self.depth >= CALL_DEPTH_LIMIT:
+            raise VmError(f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line {line})")
+        self.depth += 1
 
     def _need_entry(self, name: str, line: int) -> RuntimeEntry:
         if self.current is None:
@@ -203,9 +256,10 @@ class Vm:
         return self.current
 
     def pop(self, who: str, line: int):
-        if not self.stack:
-            raise VmError(f"{who}: stack underflow (line {line})")
-        return self.stack.pop()
+        try:
+            return self.stack.pop()
+        except IndexError:
+            raise VmError(f"{who}: stack underflow (line {line})") from None
 
     def pop_int(self, who: str, line: int) -> int:
         value = self.pop(who, line)
@@ -238,6 +292,26 @@ class Vm:
         if value.name is not None:
             return f"'{value.name}"
         return "{...}"
+
+
+# ---------------------------------------------------------------------------
+# handlers of resolved bodies
+
+def _push(vm: Vm, value) -> None:
+    vm.stack.append(value)
+
+
+def _push_item(vm: Vm, operand: tuple) -> None:
+    mapping, name = operand
+    vm.stack.append(mapping[name])
+
+
+def _call(vm: Vm, operand: tuple) -> None:
+    vm.exec_tokens(*operand)
+
+
+def _ident(vm: Vm, operand: tuple) -> None:
+    vm.exec_ident(*operand)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +461,7 @@ def _bi_call_type(vm: Vm, line: int) -> None:
     if body is None:
         vm.log.warning(f"no handler function for entry type `{entry.entry_type}'")
         return
-    vm.exec_tokens(body)
+    vm.exec_tokens(body, line)
 
 
 # The one builtin table: name -> (function, pops, pushes).  pops and
@@ -435,8 +509,11 @@ def name_kinds(program: BstProgram) -> dict[str, int]:
     return kinds
 
 
-def declare(kinds: dict[str, int], cmd: BstCommand) -> None:
-    """Record the names an ENTRY, STRINGS or INTEGERS command declares."""
+def declare(kinds: dict[str, int], cmd: BstCommand) -> bool:
+    """Record the names an ENTRY, STRINGS or INTEGERS command declares.
+
+    True when cmd is such a command: a name in it may have changed kind.
+    """
     if cmd.kind == "entry":
         groups = zip((FIELD, ENTRY_INT, ENTRY_STR), cmd.operand)  # fields, ints, strs
     elif cmd.kind == "strings":
@@ -444,10 +521,11 @@ def declare(kinds: dict[str, int], cmd: BstCommand) -> None:
     elif cmd.kind == "integers":
         groups = [(GLOBAL_INT, cmd.operand)]
     else:
-        return
+        return False
     for kind, declared in groups:
         for name in declared:
             kinds[name] = min(kind, kinds.get(name, kind))
+    return True
 
 
 def run(program: BstProgram, aux: AuxFile, databases: list[Database], *,

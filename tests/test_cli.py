@@ -3,6 +3,7 @@
 import pytest
 
 from bibstack.cli import main
+from bibstack.vm import CALL_DEPTH_LIMIT
 
 from fixtures import (
     BIBTEX_AUX,
@@ -266,8 +267,8 @@ DEEP_CALLS = "FUNCTION {f0} { skip$ }\n" + "".join(
 
 
 class TestCrash:
-    """Styles deep enough to break a recursive walker: a normal run, or one stderr
-    line and exit 2 for an exception that escapes a command; never a traceback."""
+    """Styles deep enough to break a recursive walker: a normal run, or the VM's
+    call-depth error in the .blg and exit 2; never a traceback."""
 
     @pytest.mark.parametrize("style", [DEEP_NESTING, DEEP_CALLS], ids=["nesting", "calls"])
     def test_lint_on_deep_style(self, workdir, capsys, style):
@@ -275,14 +276,9 @@ class TestCrash:
         code = main(["lint", "deep"])
         out, err = capsys.readouterr()
         assert "Traceback" not in err
-        if style is DEEP_NESTING:
-            # the tokenizer and the identifier walker keep explicit stacks
-            assert code == 0
-            assert out == "deep: 0 finding(s)\n"
-        else:
-            # the effect analyzer still recurses once per call level
-            assert code == 2
-            assert err.count("\n") == 1 and "RecursionError" in err
+        # the tokenizer, the identifier walker and the effect analyzer keep explicit stacks
+        assert code == 0
+        assert out == "deep: 0 finding(s)\n"
 
     def test_bibtex_on_deeply_nested_style(self, workdir, capsys):
         write_files(workdir, {
@@ -294,6 +290,19 @@ class TestCrash:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert (workdir / "t.bbl").exists()
+
+    def test_bibtex_on_deep_call_chain(self, workdir, capsys):
+        write_files(workdir, {
+            "my.bib": SAMPLE_BIB,
+            "deep.bst": DEEP_CALLS,
+            "t.aux": "\\relax\n\\citation{Poincare}\n\\bibstyle{deep}\n\\bibdata{my}\n",
+        })
+        assert main(["bibtex", "t"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        # EXECUTE enters f2999 from line 3001; each body calls the next from its own line
+        line = 3001 - CALL_DEPTH_LIMIT
+        assert (workdir / "t.blg").read_text() == (
+            f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line {line})\n")
 
 
 class TestEncoding:

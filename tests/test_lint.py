@@ -110,6 +110,16 @@ class TestStackEffect:
             "`main' has net stack effect +1 when run by EXECUTE"
         ]
 
+    def test_effects_carry_up_a_deep_call_chain(self):
+        # each level adds one and runs the level below from an if$ block and
+        # a quoted name, deeper than Python's recursion limit
+        chain = "".join(
+            f"FUNCTION {{f{i}}} {{ #1 {{ f{i - 1} }} 'f{i - 1} if$ #1 }}\n" for i in range(1, 3000))
+        findings, _ = lint("FUNCTION {f0} { skip$ }\n" + chain + "EXECUTE {f2999}\n")
+        assert [f.message for f in findings] == [
+            "`f2999' has net stack effect +2999 when run by EXECUTE"
+        ]
+
 
 # a small pool, so that random declarations often give one name several kinds
 _POOL = ["a", "b", "title", "sort.key$", "cite$", "skip$", "purify$", "ghost"]

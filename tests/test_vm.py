@@ -5,7 +5,17 @@ import pytest
 from bibstack.auxfile import AuxFile, parse_aux
 from bibstack.bstparse import parse_bst
 from bibstack.database import parse_bib
-from bibstack.vm import BUILTINS, FnRef, MissingField, RuntimeEntry, Vm, VmError, run
+from bibstack.diagnostics import ERROR
+from bibstack.vm import (
+    BUILTINS,
+    CALL_DEPTH_LIMIT,
+    FnRef,
+    MissingField,
+    RuntimeEntry,
+    Vm,
+    VmError,
+    run,
+)
 
 from fixtures import (
     AUTHOR_SORT_FRAGMENT,
@@ -613,3 +623,129 @@ class TestNameResolution:
         read, write = _resolve('FUNCTION {purify$} { "function" }\n', "purify$", "x")
         assert read == ("pushed", ["function"])
         assert write == ("error", ":=: `purify$' is not a declared variable (line 0)")
+
+
+def _run_style(source: str) -> tuple:
+    """The stack left at the end, the .bbl text and the .blg records of a run over SAMPLE_BIB."""
+    vm = make_vm(source, bibs=(SAMPLE_BIB,))
+    vm.execute(parse_aux(BIBTEX_AUX))
+    return vm.stack, vm.doc.finalize(), vm.log.records
+
+
+class TestRedeclaration:
+    """A body run both before and after a declaration that changes a name in it."""
+
+    def test_function_later_declared_integer(self):
+        stack, bbl, records = _run_style(
+            'FUNCTION {g} { "function" }\n'
+            "FUNCTION {main} { g }\n"
+            "FUNCTION {set} { #7 'g := }\n"
+            "EXECUTE {main}\n"
+            "INTEGERS {g}\n"
+            "EXECUTE {main}\n"
+            "EXECUTE {set}\n"
+            "EXECUTE {main}\n"
+        )
+        assert stack == ["function", 0, 7]
+        assert bbl == ""
+        assert records == [(ERROR, 'stack not empty at end: ["function", 0, 7]')]
+
+    def test_builtin_later_hidden_by_strings(self):
+        stack, bbl, records = _run_style(
+            "ENTRY {author}{}{}\n"
+            "READ\n"
+            "FUNCTION {show} { cite$ write$ newline$ }\n"
+            "FUNCTION {set} { \"hidden\" 'cite$ := }\n"
+            "ITERATE {show}\n"
+            "STRINGS {cite$}\n"
+            "ITERATE {show}\n"
+            "EXECUTE {set}\n"
+            "ITERATE {show}\n"
+        )
+        assert stack == []
+        assert bbl == "Ulam-1964\nPoincare\n\n\nhidden\nhidden\n"
+        assert records == []
+
+    def test_field_declared_after_first_execute(self):
+        stack, bbl, records = _run_style(
+            'FUNCTION {year} { "no field yet" }\n'
+            "FUNCTION {show} { year write$ newline$ }\n"
+            "EXECUTE {show}\n"
+            "ENTRY {year}{}{}\n"
+            "READ\n"
+            "ITERATE {show}\n"
+        )
+        assert stack == []
+        assert bbl == "no field yet\n1964\n1892\n"
+        assert records == []
+
+    def test_quoted_name_and_block_run_by_if(self):
+        stack, bbl, records = _run_style(
+            'FUNCTION {g} { "ran g" write$ newline$ }\n'
+            "FUNCTION {by.name} { #1 'g 'skip$ if$ }\n"
+            "FUNCTION {by.block} { #0 { skip$ } { g } if$ }\n"
+            "EXECUTE {by.name}\n"
+            "EXECUTE {by.block}\n"
+            "INTEGERS {g}\n"
+            "EXECUTE {by.name}\n"
+            "EXECUTE {by.block}\n"
+        )
+        assert stack == [0, 0]
+        assert bbl == "ran g\nran g\n"
+        assert records == [(ERROR, "stack not empty at end: [0, 0]")]
+
+    def test_quoted_name_and_block_run_by_while(self):
+        stack, bbl, records = _run_style(
+            "INTEGERS {n}\n"
+            'FUNCTION {tick} { "tick" write$ newline$ }\n'
+            "FUNCTION {more} { n #0 > }\n"
+            "FUNCTION {loop} { #2 'n := 'more { n #1 - 'n := tick } while$ }\n"
+            'FUNCTION {set} { "s" \'tick := }\n'
+            "EXECUTE {loop}\n"
+            "STRINGS {tick}\n"
+            "EXECUTE {set}\n"
+            "EXECUTE {loop}\n"
+            "INTEGERS {more}\n"
+            "EXECUTE {loop}\n"
+        )
+        assert stack == ["s", "s"]
+        assert bbl == "tick\ntick\n"
+        assert records == [(ERROR, 'stack not empty at end: ["s", "s"]')]
+
+
+def _deep_style(levels: int) -> str:
+    """One line of style whose EXECUTE enters `levels' bodies, one inside the other:
+    every fourth a FUNCTION call, the others blocks run by if$."""
+    body = '"bottom" write$ newline$'
+    functions = []
+    for i in range(levels - 1):
+        if i % 4 == 3:
+            functions.append(f"FUNCTION {{f{i}}} {{ {body} }}")
+            body = f"f{i}"
+        else:
+            body = f"#1 {{ {body} }} 'skip$ if$"
+    functions.append(f"FUNCTION {{main}} {{ {body} }}")
+    return " ".join(functions) + " EXECUTE {main}\n"
+
+
+class TestCallDepth:
+    def test_limit_deep_runs_within_pythons_recursion_limit(self):
+        stack, bbl, records = _run_style(_deep_style(CALL_DEPTH_LIMIT))
+        assert (stack, bbl, records) == ([], "bottom\n", [])
+
+    def test_one_level_past_the_limit_is_an_error(self):
+        stack, bbl, records = _run_style(_deep_style(CALL_DEPTH_LIMIT + 1))
+        assert bbl == ""
+        assert records == [
+            (ERROR, f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 1)")]
+
+    def test_chain_of_quoted_if_is_bounded(self):
+        # a while$ loop stacks 1000 (#1, 'if$, 'skip$) triples; one if$ then runs
+        # each 'if$ from the one above it, with no FUNCTION or block between
+        _, bbl, records = _run_style(
+            "INTEGERS {n} FUNCTION {main} { #1 { skip$ } 'skip$ #1000 'n := "
+            "{ n #0 > } { #1 'if$ 'skip$ n #1 - 'n := } while$ if$ } EXECUTE {main}\n"
+        )
+        assert bbl == ""
+        assert records == [
+            (ERROR, f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 1)")]
