@@ -27,10 +27,13 @@ class AuxFile:
 
 
 _RECOGNIZED = re.compile(r"\\(citation|bibstyle|bibdata|bibcite)(?![a-zA-Z])")
-_CITATION = re.compile(r"\\citation\{([^{}]*)\}$")
-_BIBSTYLE = re.compile(r"\\bibstyle\{([^{}]*)\}$")
-_BIBDATA = re.compile(r"\\bibdata\{([^{}]*)\}$")
-_BIBCITE = re.compile(r"\\bibcite\{([^{}]*)\}\{([^{}]*)\}$")
+# the whole line each recognized command must match
+_COMMANDS = {
+    "citation": re.compile(r"\\citation\{([^{}]*)\}$"),
+    "bibstyle": re.compile(r"\\bibstyle\{([^{}]*)\}$"),
+    "bibdata": re.compile(r"\\bibdata\{([^{}]*)\}$"),
+    "bibcite": re.compile(r"\\bibcite\{([^{}]*)\}\{([^{}]*)\}$"),
+}
 
 
 def parse_aux(text: str) -> AuxFile:
@@ -45,29 +48,20 @@ def parse_aux(text: str) -> AuxFile:
             aux.raw_lines.append(raw.rstrip("\r"))
             continue
         cmd = head.group(1)
+        m = _COMMANDS[cmd].match(line)
+        if m is None:
+            raise AuxError(f"malformed \\{cmd} command", lineno)
         if cmd == "citation":
-            m = _CITATION.match(line)
-            if m is None:
-                raise AuxError("malformed \\citation command", lineno)
             for key in m.group(1).split(","):
                 key = key.strip()
                 if not key:
                     raise AuxError("empty citation key", lineno)
                 aux.citations.append(key)
         elif cmd == "bibstyle":
-            m = _BIBSTYLE.match(line)
-            if m is None:
-                raise AuxError("malformed \\bibstyle command", lineno)
             aux.style = m.group(1).strip()
         elif cmd == "bibdata":
-            m = _BIBDATA.match(line)
-            if m is None:
-                raise AuxError("malformed \\bibdata command", lineno)
             aux.data.extend(d.strip() for d in m.group(1).split(","))
         else:
-            m = _BIBCITE.match(line)
-            if m is None:
-                raise AuxError("malformed \\bibcite command", lineno)
             key, label = m.group(1).strip(), m.group(2)
             if not label:
                 raise AuxError("empty label in \\bibcite", lineno)

@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .auxfile import AuxError, AuxFile, parse_aux, write_aux
@@ -33,15 +32,6 @@ from .vm import run
 _KNOWN_EXTENSIONS = (".tex", ".aux", ".bib", ".bst", ".bbl")
 
 
-@dataclass
-class CliConfig:
-    base: str
-    style_dir: Path | None = None
-    bib_dir: Path | None = None
-    max_passes: int = 5
-    strict: bool = False
-
-
 class _Fail(Exception):
     """Ends a command: its message goes to stderr and the exit code is 2."""
 
@@ -51,24 +41,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_passes < 1:
         _err("--max-passes must be at least 1")
         return 2
-    base = args.base
     for ext in _KNOWN_EXTENSIONS:
-        if base.endswith(ext):
-            base = base[: -len(ext)]
+        if args.base.endswith(ext):
+            args.base = args.base[: -len(ext)]
             break
-    if not base:
+    if not args.base:
         _err("BASE must not be empty")
         return 2
-    cfg = CliConfig(base=base, style_dir=args.style_dir, bib_dir=args.bib_dir,
-                    max_passes=args.max_passes, strict=args.strict)
     try:
         if args.command == "bibtex":
-            return cmd_bibtex(cfg)
+            return cmd_bibtex(args)
         if args.command == "latexpass":
-            return cmd_latexpass(cfg)
+            return cmd_latexpass(args)
         if args.command == "pipeline":
-            return cmd_pipeline(cfg)
-        return cmd_lint(cfg)
+            return cmd_pipeline(args)
+        return cmd_lint(args)
     except _Fail as err:
         _err(str(err))
     except Exception as err:  # a defect or an exhausted Python limit, e.g. RecursionError
@@ -104,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # bibtex
 
-def cmd_bibtex(cfg: CliConfig) -> int:
+def cmd_bibtex(cfg: argparse.Namespace) -> int:
     aux_path = Path(cfg.base + ".aux")
     if not aux_path.exists():
         raise _Fail(f"no aux file {aux_path}")
@@ -157,19 +144,19 @@ def cmd_bibtex(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 # latexpass
 
-def cmd_latexpass(cfg: CliConfig) -> int:
+def cmd_latexpass(cfg: argparse.Namespace) -> int:
     _first_pass(cfg, _scan_tex_file(cfg))
     return 0
 
 
-def _scan_tex_file(cfg: CliConfig) -> TexScan:
+def _scan_tex_file(cfg: argparse.Namespace) -> TexScan:
     tex_path = Path(cfg.base + ".tex")
     if not tex_path.exists():
         raise _Fail(f"no tex file {tex_path}")
     return _load(tex_path, scan_tex)
 
 
-def _first_pass(cfg: CliConfig, tex: TexScan) -> PassResult:
+def _first_pass(cfg: argparse.Namespace, tex: TexScan) -> PassResult:
     """One pass from the .aux and .bbl on disk, written and reported."""
     aux_path = Path(cfg.base + ".aux")
     old_aux = _load(aux_path, parse_aux) if aux_path.exists() else None
@@ -178,7 +165,7 @@ def _first_pass(cfg: CliConfig, tex: TexScan) -> PassResult:
     return result
 
 
-def _bbl_items(cfg: CliConfig, tex: TexScan) -> list[str] | None:
+def _bbl_items(cfg: argparse.Namespace, tex: TexScan) -> list[str] | None:
     """The \\bibitem keys of <base>.bbl in external mode, None if there are none to read."""
     bbl_path = Path(cfg.base + ".bbl")
     if (tex.style is None and not tex.data) or not bbl_path.exists():
@@ -186,7 +173,8 @@ def _bbl_items(cfg: CliConfig, tex: TexScan) -> list[str] | None:
     return _load(bbl_path, scan_tex).inline_bib
 
 
-def _report_passes(cfg: CliConfig, old_aux: AuxFile | None, results: list[PassResult]) -> None:
+def _report_passes(cfg: argparse.Namespace, old_aux: AuxFile | None,
+                   results: list[PassResult]) -> None:
     """Write the last pass's .aux and .rendered.txt, then print each pass's
     warnings and summary line; old_aux is the aux the first pass read."""
     _atomic_write(Path(cfg.base + ".aux"), write_aux(results[-1].new_aux))
@@ -205,7 +193,7 @@ def _report_passes(cfg: CliConfig, old_aux: AuxFile | None, results: list[PassRe
 # ---------------------------------------------------------------------------
 # pipeline
 
-def cmd_pipeline(cfg: CliConfig) -> int:
+def cmd_pipeline(cfg: argparse.Namespace) -> int:
     tex = _scan_tex_file(cfg)
     if tex.style is None:
         raise _Fail("no style declared")
@@ -226,7 +214,7 @@ def cmd_pipeline(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 # lint
 
-def cmd_lint(cfg: CliConfig) -> int:
+def cmd_lint(cfg: argparse.Namespace) -> int:
     bst_path = _find_file(cfg.base + ".bst", cfg.base, cfg.style_dir)
     if bst_path is None:
         raise _Fail(f"style file {cfg.base}.bst not found in {_searched(cfg.base, cfg.style_dir)}")

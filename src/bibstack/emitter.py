@@ -7,17 +7,22 @@ from dataclasses import dataclass, field
 from .diagnostics import ERROR, WARNING
 
 
-@dataclass
 class BblDocument:
-    lines: list[str] = field(default_factory=list)
-    pending: str = ""
+    def __init__(self, lines: list[str] | None = None, pending: str = ""):
+        self.lines = lines if lines is not None else []
+        # the unfinished line in parts, joined once: += on a str copies it
+        self._parts = [pending]
+
+    @property
+    def pending(self) -> str:
+        return "".join(self._parts)
 
     def append(self, text: str) -> None:
-        self.pending += text
+        self._parts.append(text)
 
     def flush_line(self) -> None:
         self.lines.append(self.pending)
-        self.pending = ""
+        self._parts = []
 
     def finalize(self) -> str:
         """Flush any residue and join with LF; non-empty documents end with LF."""

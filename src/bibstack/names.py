@@ -24,11 +24,14 @@ mutated.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 # entries per cache; a few entries' author lists and their names fit
 _CACHE_SIZE = 64
+_SPACE_OR_BRACE = re.compile(r"[{}\s]")
+_COMMA_OR_BRACE = re.compile(r"[{},]")
 
 
 class NameParseError(ValueError):
@@ -57,7 +60,7 @@ class TemplatePiece:
 @lru_cache(maxsize=_CACHE_SIZE)
 def split_names(author: str) -> list[str]:
     """Split a name list on the word "and" at brace depth zero."""
-    words = _words(author)
+    words = _split_top(author, None)
     if not words:
         return []
     names: list[str] = []
@@ -79,10 +82,10 @@ def count_names(author: str) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def parse_name(name: str) -> NameParts:
-    sections = _split_commas(name)
+    sections = _split_top(name, ",")
     if len(sections) > 3:
         raise NameParseError(f"too many commas in name {name!r}")
-    word_sections = [_words(s) for s in sections]
+    word_sections = [_split_top(s, None) for s in sections]
     if not any(word_sections):
         raise NameParseError(f"name {name!r} is empty")
 
@@ -167,43 +170,21 @@ def _von_split(words: list[str]) -> tuple[list[str], list[str], list[str]]:
     return words[:v0], words[v0 : v1 + 1], words[v1 + 1 :]
 
 
-def _words(s: str) -> list[str]:
-    words: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    for ch in s:
+def _split_top(s: str, sep: str | None) -> list[str]:
+    """s.split(sep), for sep "," or None, that leaves brace groups whole;
+    a stray } is text."""
+    if "{" not in s:
+        return s.split(sep)
+    parts: list[str] = []
+    depth = start = 0
+    for m in (_SPACE_OR_BRACE if sep is None else _COMMA_OR_BRACE).finditer(s):
+        ch = m.group()
         if ch == "{":
             depth += 1
-            buf.append(ch)
         elif ch == "}":
             depth = max(0, depth - 1)
-            buf.append(ch)
-        elif ch.isspace() and depth == 0:
-            if buf:
-                words.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        words.append("".join(buf))
-    return words
-
-
-def _split_commas(s: str) -> list[str]:
-    sections: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    for ch in s:
-        if ch == "{":
-            depth += 1
-            buf.append(ch)
-        elif ch == "}":
-            depth = max(0, depth - 1)
-            buf.append(ch)
-        elif ch == "," and depth == 0:
-            sections.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    sections.append("".join(buf))
-    return sections
+        elif depth == 0:
+            parts.append(s[start:m.start()])
+            start = m.end()
+    parts.append(s[start:])
+    return parts if sep is not None else [p for p in parts if p]

@@ -8,12 +8,12 @@ function with no current entry, ITERATE runs it once per entry, and
 SORT stably reorders entries by their sort.key$ string.
 
 Each identifier's kind comes from one name table (name_kinds, extended
-by declare as each ENTRY, STRINGS or INTEGERS command runs).  The first
-time a body runs, its tokens are resolved against that table into
-(handler, operand) pairs: a literal or reference to push, a builtin to
-call, a function body to enter, a global variable to read, or
-exec_ident for fields and entry variables.
-The resolved bodies are dropped whenever a declaration changes the table.
+by declare as each ENTRY, STRINGS or INTEGERS command runs).  One
+resolver, _resolve_name, is the only dispatcher: it turns a name into
+the (handler, operand) pair that runs it, a builtin to call, a body to
+enter, a field or variable to read, or the error of an unknown name.
+Bodies are resolved the first time they run and dropped whenever a
+declaration changes the table; quoted names are resolved as they run.
 Every body entered, and every quoted name that if$ or while$ runs,
 counts one call level, up to CALL_DEPTH_LIMIT.
 
@@ -37,9 +37,9 @@ if TYPE_CHECKING:  # bstparse imports the builtin table from here
     from .bstparse import BstCommand, BstProgram, Token
 
 DEFAULT_WHILE_LIMIT = 1_000_000
-# Each level costs at most three Python frames (a body, if$ or while$,
-# call_ref), so the limit trips well inside Python's default recursion
-# limit of 1000 frames, leaving room for the caller and the builtins.
+# Each level costs at most three Python frames (a body or _nested, if$ or
+# while$, call_ref), so the limit trips well inside Python's default
+# recursion limit of 1000 frames, leaving room for the caller and the builtins.
 CALL_DEPTH_LIMIT = 200
 
 
@@ -74,12 +74,11 @@ def missing_field_message(field_name: str, entry_key: str) -> str:
 
 class Vm:
     def __init__(self, program: BstProgram, databases: list[Database], *,
-                 doc: BblDocument | None = None, log: BlgLog | None = None,
                  while_limit: int = DEFAULT_WHILE_LIMIT):
         self.program = program
         self.databases = databases
-        self.doc = doc if doc is not None else BblDocument()
-        self.log = log if log is not None else BlgLog()
+        self.doc = BblDocument()
+        self.log = BlgLog()
         self.while_limit = while_limit
         self.stack: list = []
         self.field_names: list[str] = []
@@ -160,19 +159,20 @@ class Vm:
 
     def exec_tokens(self, tokens: list[Token], line: int = 0) -> None:
         """Run a body (entered from `line') as one more call level."""
+        self._call((tokens, line))
+
+    def _call(self, body_line: tuple) -> None:
+        """The handler that runs a (body, line) operand as exec_tokens does."""
+        tokens, line = body_line
         resolved = self._resolved.get(id(tokens))
-        ops = resolved[1] if resolved is not None else self._resolve(tokens)
+        if resolved is None:
+            resolved = self._resolved[id(tokens)] = (tokens, [self._resolve_token(t) for t in tokens])
         self._enter(line)
         try:
-            for handler, operand in ops:
+            for handler, operand in resolved[1]:
                 handler(self, operand)
         finally:
             self.depth -= 1
-
-    def _resolve(self, tokens: list[Token]) -> list[tuple]:
-        ops = [self._resolve_token(tok) for tok in tokens]
-        self._resolved[id(tokens)] = (tokens, ops)
-        return ops
 
     def _resolve_token(self, tok: Token) -> tuple:
         """The (handler, operand) pair that runs tok as self.kinds stands now."""
@@ -182,66 +182,47 @@ class Vm:
             return _push, FnRef(name=tok.value)
         if tok.kind == "block":
             return _push, FnRef(body=tok.value)
-        name = tok.value
+        return self._resolve_name(tok.value, tok.line, False)
+
+    def _resolve_name(self, name: str, line: int, quoted: bool) -> tuple:
+        """The (handler, operand) pair that runs name as self.kinds stands now;
+        a quoted name that enters no body is a call level of its own."""
         kind = self.kinds.get(name)
-        if kind == BUILTIN:
-            return BUILTINS[name][0], tok.line
         if kind == FUNCTION:
-            return _call, (self.program.functions[name], tok.line)
-        if kind == GLOBAL_INT:
-            return _push_item, (self.globals_int, name)
-        if kind == GLOBAL_STR:
-            return _push_item, (self.globals_str, name)
-        # fields and entry variables read the current entry; an unknown name
-        # raises its error only if it runs
-        return _ident, (name, tok.line)
+            return Vm._call, (self.program.functions[name], line)
+        if kind == BUILTIN:
+            op = BUILTINS[name][0], line
+        elif kind == GLOBAL_INT:
+            op = _push_item, (self.globals_int, name)
+        elif kind == GLOBAL_STR:
+            op = _push_item, (self.globals_str, name)
+        elif kind == FIELD:
+            op = _push_field, (name, line)
+        elif kind == ENTRY_STR:
+            op = _push_entry_var, ("strs", "", name, line)
+        elif kind == ENTRY_INT:
+            op = _push_entry_var, ("ints", 0, name, line)
+        elif name in UNSUPPORTED_BUILTINS:
+            op = _fail, f"unsupported builtin `{name}' (line {line})"
+        else:
+            op = _fail, f"unknown identifier `{name}' (line {line})"
+        return (_nested, (*op, line)) if quoted else op
 
     def exec_token(self, tok: Token) -> None:
         handler, operand = self._resolve_token(tok)
         handler(self, operand)
 
     def exec_ident(self, name: str, line: int) -> None:
-        kind = self.kinds.get(name)
-        # the commonest kinds first; which kind a name has is settled in self.kinds
-        if kind == BUILTIN:
-            BUILTINS[name][0](self, line)
-        elif kind == FUNCTION:
-            self.exec_tokens(self.program.functions[name], line)
-        elif kind == FIELD:
-            entry = self._need_entry(name, line)
-            value = entry.fields.get(name)
-            if value is None:
-                self.log.warning(missing_field_message(name, entry.key))
-                self.stack.append(MissingField(name, entry.key))
-            else:
-                self.stack.append(value)
-        elif kind == ENTRY_STR:
-            # .get: an ENTRY command after READ leaves older entries without storage
-            self.stack.append(self._need_entry(name, line).strs.get(name, ""))
-        elif kind == ENTRY_INT:
-            self.stack.append(self._need_entry(name, line).ints.get(name, 0))
-        elif kind == GLOBAL_STR:
-            self.stack.append(self.globals_str[name])
-        elif kind == GLOBAL_INT:
-            self.stack.append(self.globals_int[name])
-        elif name in UNSUPPORTED_BUILTINS:
-            raise VmError(f"unsupported builtin `{name}' (line {line})")
-        else:
-            raise VmError(f"unknown identifier `{name}' (line {line})")
+        handler, operand = self._resolve_name(name, line, False)
+        handler(self, operand)
 
     def call_ref(self, ref: FnRef, line: int) -> None:
-        body = ref.body
-        if body is None and self.kinds.get(ref.name) == FUNCTION:
-            body = self.program.functions[ref.name]
-        if body is not None:
-            self.exec_tokens(body, line)
-            return
-        # a quoted builtin or variable is a level too, so a chain of 'if$ stays bounded
-        self._enter(line)
-        try:
-            self.exec_ident(ref.name, line)
-        finally:
-            self.depth -= 1
+        """Run a {...} block, or a quoted name as it resolves now, as one call level."""
+        if ref.body is not None:
+            self._call((ref.body, line))
+        else:
+            handler, operand = self._resolve_name(ref.name, line, True)
+            handler(self, operand)
 
     # -- helpers ------------------------------------------------------------
 
@@ -267,9 +248,9 @@ class Vm:
             raise VmError(f"{who}: expected an integer, got {self._show(value)} (line {line})")
         return value
 
-    def pop_str(self, who: str, line: int, *, coerce_missing: bool = True) -> str:
+    def pop_str(self, who: str, line: int) -> str:
         value = self.pop(who, line)
-        if isinstance(value, MissingField) and coerce_missing:
+        if isinstance(value, MissingField):
             return ""
         if not isinstance(value, str):
             raise VmError(f"{who}: expected a string, got {self._show(value)} (line {line})")
@@ -306,12 +287,33 @@ def _push_item(vm: Vm, operand: tuple) -> None:
     vm.stack.append(mapping[name])
 
 
-def _call(vm: Vm, operand: tuple) -> None:
-    vm.exec_tokens(*operand)
+def _nested(vm: Vm, operand: tuple) -> None:
+    handler, operand, line = operand
+    vm._enter(line)
+    try:
+        handler(vm, operand)
+    finally:
+        vm.depth -= 1
 
 
-def _ident(vm: Vm, operand: tuple) -> None:
-    vm.exec_ident(*operand)
+def _push_field(vm: Vm, operand: tuple) -> None:
+    name, line = operand
+    entry = vm._need_entry(name, line)
+    value = entry.fields.get(name)
+    if value is None:
+        vm.log.warning(missing_field_message(name, entry.key))
+        value = MissingField(name, entry.key)
+    vm.stack.append(value)
+
+
+def _push_entry_var(vm: Vm, operand: tuple) -> None:
+    slot, default, name, line = operand
+    # .get: an ENTRY command after READ leaves older entries without storage
+    vm.stack.append(getattr(vm._need_entry(name, line), slot).get(name, default))
+
+
+def _fail(vm: Vm, message: str) -> None:
+    raise VmError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +389,11 @@ def _bi_assign(vm: Vm, line: int) -> None:
     if kind == ENTRY_STR:
         vm.current.strs[name] = _as_str(value, name, line)
     elif kind == ENTRY_INT:
-        vm.current.ints[name] = _as_int(value, name, line, vm)
+        vm.current.ints[name] = _as_int(value, name, line)
     elif kind == GLOBAL_STR:
         vm.globals_str[name] = _as_str(value, name, line)
     elif kind == GLOBAL_INT:
-        vm.globals_int[name] = _as_int(value, name, line, vm)
+        vm.globals_int[name] = _as_int(value, name, line)
     else:
         raise VmError(f":=: `{name}' is not a declared variable (line {line})")
 
@@ -404,9 +406,9 @@ def _as_str(value, name: str, line: int) -> str:
     return value
 
 
-def _as_int(value, name: str, line: int, vm: Vm) -> int:
+def _as_int(value, name: str, line: int) -> int:
     if not isinstance(value, int):
-        raise VmError(f":=: `{name}' is an integer variable, got {vm._show(value)} (line {line})")
+        raise VmError(f":=: `{name}' is an integer variable, got {Vm._show(value)} (line {line})")
     return value
 
 
@@ -437,9 +439,7 @@ def _bi_eq(vm: Vm, line: int) -> None:
         a = ""
     if isinstance(b, MissingField):
         b = ""
-    if isinstance(a, int) and isinstance(b, int):
-        vm.stack.append(1 if a == b else 0)
-    elif isinstance(a, str) and isinstance(b, str):
+    if isinstance(a, (int, str)) and type(a) is type(b):
         vm.stack.append(1 if a == b else 0)
     else:
         raise VmError(
@@ -528,9 +528,8 @@ def declare(kinds: dict[str, int], cmd: BstCommand) -> bool:
     return True
 
 
-def run(program: BstProgram, aux: AuxFile, databases: list[Database], *,
-        while_limit: int = DEFAULT_WHILE_LIMIT) -> tuple[BblDocument, BlgLog]:
+def run(program: BstProgram, aux: AuxFile, databases: list[Database]) -> tuple[BblDocument, BlgLog]:
     """Execute a parsed style program and return the document and run log."""
-    vm = Vm(program, databases, while_limit=while_limit)
+    vm = Vm(program, databases)
     vm.execute(aux)
     return vm.doc, vm.log

@@ -304,6 +304,22 @@ class TestCrash:
         assert (workdir / "t.blg").read_text() == (
             f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line {line})\n")
 
+    def test_internal_error_is_one_line_exit_2(self, workdir, capsys, monkeypatch):
+        write_files(workdir, {
+            "my.bib": SAMPLE_BIB,
+            "helloword.bst": HELLO_BST,
+            "test3.aux": BIBTEX_AUX,
+        })
+
+        def crash(*args):
+            raise RuntimeError("boom\n  twice")
+
+        monkeypatch.setattr("bibstack.cli.run", crash)
+        assert main(["bibtex", "test3"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["bibstack: internal error: RuntimeError: boom twice"]
+        assert "Traceback" not in err
+
 
 class TestEncoding:
     def test_invalid_utf8_bib_is_an_error(self, workdir, capsys):

@@ -1,5 +1,7 @@
 """Tests for the output document buffer and the run log."""
 
+import time
+
 from bibstack.emitter import BblDocument, BlgLog
 
 
@@ -39,6 +41,16 @@ class TestBblDocument:
         text = doc.finalize()
         assert text.split("\n")[:-1] == ["a", "", "b", "c"]
         assert text.endswith("\n")
+
+    def test_long_line_is_linear(self):
+        # 400k appends to one line: a buffer that copies the line on each append is quadratic
+        doc = BblDocument()
+        start = time.perf_counter()
+        for _ in range(400_000):
+            doc.append("ab")
+        text = doc.finalize()
+        assert time.perf_counter() - start < 2.0
+        assert text == "ab" * 400_000 + "\n"
 
 
 class TestBlgLog:
