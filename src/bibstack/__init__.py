@@ -12,7 +12,7 @@ from .database import Database, Entry, get_field, lookup, parse_bib
 from .diagnostics import Diagnostic
 from .emitter import BblDocument, BlgLog
 from .latexpass import PassResult, TexScan, TexScanError, fixpoint, run_pass, scan_tex
-from .lint import Finding, lint_program
+from .lint import lint_program
 from .names import NameParts, count_names, format_name, parse_name, split_names
 from .vm import FnRef, MissingField, Vm, VmError, run
 
@@ -25,7 +25,7 @@ __all__ = [
     "Diagnostic",
     "BblDocument", "BlgLog",
     "PassResult", "TexScan", "TexScanError", "fixpoint", "run_pass", "scan_tex",
-    "Finding", "lint_program",
+    "lint_program",
     "NameParts", "count_names", "format_name", "parse_name", "split_names",
     "FnRef", "MissingField", "Vm", "VmError", "run",
     "__version__",

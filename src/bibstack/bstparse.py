@@ -40,6 +40,7 @@ class BstProgram:
 
 
 def parse_bst(text: str, source_name: str = "<bst>") -> tuple[BstProgram, list[Diagnostic]]:
+    """Parse .bst source text; raises nothing: every problem is a Diagnostic."""
     diags: list[Diagnostic] = []
     tokens = _tokenize(text, source_name, diags)
     program = BstProgram(source=source_name)

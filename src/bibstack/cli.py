@@ -37,6 +37,7 @@ class _Fail(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, return its exit code; raises only argparse's SystemExit."""
     args = _build_parser().parse_args(argv)
     if args.max_passes < 1:
         _err("--max-passes must be at least 1")
@@ -224,27 +225,26 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
             _err(diag.format())
         return 2
 
-    count = 0
-    for diag in diagnostics:
-        print(f"{bst_path.name}:{diag.line}: {diag.message}")
-        count += 1
-    for finding in lint_program(program):
-        where = f":{finding.line}" if finding.line else ""
-        print(f"{bst_path.name}{where}: {finding.message}")
-        count += 1
-    print(f"{cfg.base}: {count} finding(s)")
-    return 1 if count else 0
+    findings = diagnostics + lint_program(program)
+    for d in findings:
+        where = f":{d.line}" if d.line else ""
+        print(f"{bst_path.name}{where}: {d.message}")
+    print(f"{cfg.base}: {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 # ---------------------------------------------------------------------------
 # helpers
 
 def _load(path: Path, parse):
-    """parse(text of path); bad UTF-8 or an .aux/.tex syntax error ends the command."""
+    """parse(text of path); an unreadable file, bad UTF-8 or an .aux/.tex
+    syntax error ends the command."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as err:
         raise _Fail(f"{path}: invalid UTF-8 at byte {err.start}") from None
+    except OSError as err:
+        raise _Fail(f"{path}: {err.strerror}") from None
     try:
         return parse(text)
     except (AuxError, TexScanError) as err:
@@ -252,19 +252,23 @@ def _load(path: Path, parse):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    # a failed run must never truncate a previous output file
-    directory = path.parent if str(path.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=path.name + ".")
+    """Replace path with text; a file that cannot be written ends the command."""
+    # a failed run must never truncate a previous output file, nor leave a temp file
+    tmp_name = None
     try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+        tmp_name = None
+    except OSError as err:
+        raise _Fail(f"{path}: {err.strerror}") from None
+    finally:
+        if tmp_name is not None:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
 
 
 def _find_file(name: str, base: str, extra_dir: Path | None) -> Path | None:

@@ -93,7 +93,7 @@ def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Dia
 
     Every syntactically valid entry becomes an Entry; text outside entries
     is ignored.  Broken entries are skipped with a diagnostic and parsing
-    resumes at the next `@`.
+    resumes at the next `@`.  Raises nothing: every problem is a Diagnostic.
     """
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     db = Database()

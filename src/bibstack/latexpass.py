@@ -2,18 +2,32 @@
 
 scan_tex picks \\cite, \\bibitem, \\bibliographystyle, \\bibliography
 and \\begin{thebibliography} out of a source file; everything else is
-opaque text.  run_pass renders each cite as "[label]" using the labels
-of the previous .aux (or "[?]" plus a warning), regenerates the .aux,
-and reports whether labels changed, which is the rerun signal.  There
-is no typesetting: the rendered text is the source with cites replaced.
+opaque text.  It jumps from one match of a single pattern to the next:
+a `%' comment, or a backslash and the ASCII letters after it.  Comments,
+unknown words and words that go on with other letters (str.isalpha) are
+passed over; an empty word is an escaped character such as \\%.  Each
+recognized command reads its {...} group in one place, _read_group.
+
+run_pass renders each cite as "[label]" using the labels of the previous
+.aux (or "[?]" plus a warning), regenerates the .aux, and reports
+whether labels changed, which is the rerun signal.  There is no
+typesetting: the rendered text is the source with cites replaced.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .auxfile import AuxFile
 from .database import group_end
+
+
+# a comment, or a backslash and the ASCII letters after it
+_CONTROL = re.compile(r"%[^\n]*\n?|\\([a-zA-Z]*)")
+_COMMANDS = frozenset(("cite", "bibitem", "bibliographystyle", "bibliography", "begin"))
+_OPTIONAL_ARG = re.compile(r"\s*\[[^\]]*\]")
+_OPEN = re.compile(r"\s*\{")
 
 
 class TexScanError(Exception):
@@ -49,54 +63,42 @@ class PassResult:
 
 
 def scan_tex(text: str) -> TexScan:
+    """Scan .tex source; raises TexScanError when a recognized command lacks its {...} group."""
     scan = TexScan(text=text)
-    i, n = 0, len(text)
     # commands arrive in text order, so the line count only moves forward
     counted, line = 0, 1
-    while i < n:
-        ch = text[i]
-        if ch == "%":
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-        elif ch == "\\":
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            name = text[i + 1 : j]
-            if not name:
-                # escaped single character such as \% or \{
-                i = min(j + 1, n)
-                continue
-            line += text.count("\n", counted, i)
-            counted = i
+    m = _CONTROL.search(text)
+    while m:
+        name, pos = m[1], m.end()
+        # a comment or any other control word is skipped whole; a letter
+        # after the ASCII ones (\citeé) makes a longer, unknown word
+        if name == "":
+            pos += 1  # an escaped single character such as \% or \{
+        elif name in _COMMANDS and not text[pos : pos + 1].isalpha():
+            start = m.start()
+            line += text.count("\n", counted, start)
+            counted = start
+            if name == "bibitem":
+                optional = _OPTIONAL_ARG.match(text, pos)
+                if optional:
+                    pos = optional.end()
+            content, pos = _read_group(text, pos, line, name)
             if name == "cite":
-                content, end = _read_group(text, j, line, name)
                 keys = [k.strip() for k in content.split(",")]
-                scan.cite_spans.append(CiteSpan(i, end, keys, line))
+                scan.cite_spans.append(CiteSpan(start, pos, keys, line))
                 scan.cites.extend(keys)
-                i = end
             elif name == "bibitem":
-                j = _skip_optional_arg(text, j)
-                content, end = _read_group(text, j, line, name)
                 scan.inline_bib.append(content.strip())
-                i = end
             elif name == "bibliographystyle":
-                content, end = _read_group(text, j, line, name)
                 scan.style = content.strip()
-                i = end
             elif name == "bibliography":
-                content, end = _read_group(text, j, line, name)
                 scan.data = [d.strip() for d in content.split(",")]
-                i = end
-            elif name == "begin":
-                content, end = _read_group(text, j, line, name)
-                if content.strip() == "thebibliography":
-                    end = _skip_width_arg(text, end)
-                i = end
-            else:
-                i = j
-        else:
-            i += 1
+            elif content.strip() == "thebibliography":  # \begin{thebibliography}{width}
+                try:
+                    _, pos = _read_group(text, pos, line, name)
+                except TexScanError:
+                    pass  # the width group is optional; a broken one stays text
+        m = _CONTROL.search(text, pos)
     return scan
 
 
@@ -107,7 +109,8 @@ def run_pass(tex: TexScan, old_aux: AuxFile | None, *, base: str = "texput",
     In external mode (a style or data declaration is present) the new
     label table comes from bbl_items, the \\bibitem keys of a generated
     bibliography; the pass never invents numbers itself.  In inline mode
-    the document's own \\bibitem keys are numbered from 1.
+    the document's own \\bibitem keys are numbered from 1.  Raises nothing:
+    problems are returned as warnings.
     """
     warnings: list[str] = []
     external = tex.style is not None or bool(tex.data)
@@ -161,7 +164,10 @@ def run_pass(tex: TexScan, old_aux: AuxFile | None, *, base: str = "texput",
 def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,
              base: str = "texput", bbl_items: list[str] | None = None
              ) -> tuple[list[PassResult], int]:
-    """Run passes feeding each new aux forward until labels stop changing."""
+    """Run passes feeding each new aux forward until labels stop changing.
+
+    Raises ValueError when max_passes is below 1.
+    """
     if max_passes < 1:
         raise ValueError("max_passes must be at least 1")
     results: list[PassResult] = []
@@ -178,34 +184,11 @@ def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,
 
 
 def _read_group(text: str, pos: int, line: int, cmd: str) -> tuple[str, int]:
-    pos = _skip_space(text, pos)
-    if pos >= len(text) or text[pos] != "{":
+    """The contents of the {...} group after optional space at pos, and the offset past it."""
+    m = _OPEN.match(text, pos)
+    if m is None:
         raise TexScanError(f"expected '{{' after \\{cmd}", line)
-    end = group_end(text, pos)
+    end = group_end(text, m.end() - 1)
     if end < 0:
         raise TexScanError(f"unbalanced braces in \\{cmd}", line)
-    return text[pos + 1 : end - 1], end
-
-
-def _skip_space(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _skip_optional_arg(text: str, pos: int) -> int:
-    k = _skip_space(text, pos)
-    if k < len(text) and text[k] == "[":
-        close = text.find("]", k)
-        if close >= 0:
-            return close + 1
-    return pos
-
-
-def _skip_width_arg(text: str, pos: int) -> int:
-    k = _skip_space(text, pos)
-    if k < len(text) and text[k] == "{":
-        end = group_end(text, k)
-        if end >= 0:
-            return end
-    return pos
+    return text[m.end() : end - 1], end

@@ -1,28 +1,26 @@
 """Static checks for style programs.
 
-Reported findings: identifiers that resolve to nothing, declared fields
-that no body ever reads, and EXECUTE/ITERATE targets whose net stack
-effect is a nonzero constant (a run of such a program cannot end with
-an empty stack).  The effect analysis is best-effort: data-dependent
+Findings are warning Diagnostics: identifiers that resolve to nothing,
+declared fields that no body ever reads, and EXECUTE/ITERATE targets
+whose net stack effect is a nonzero constant (a run of such a program
+cannot end with an empty stack).  The effect analysis is best-effort: data-dependent
 control flow makes a function's effect unknown and it is then skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bstparse import BstProgram, Token, walk_tokens
+from .diagnostics import WARNING, Diagnostic
 from .vm import BUILTIN, BUILTINS, FIELD, FUNCTION, UNSUPPORTED_BUILTINS, declare, name_kinds
 
 
-@dataclass
-class Finding:
-    message: str
-    line: int = 0
+def lint_program(program: BstProgram) -> list[Diagnostic]:
+    """Warning Diagnostics about a parsed program (line 0 where none applies); raises nothing."""
+    findings: list[Diagnostic] = []
 
+    def warn(message: str, line: int = 0) -> None:
+        findings.append(Diagnostic(WARNING, message, line, program.source))
 
-def lint_program(program: BstProgram) -> list[Finding]:
-    findings: list[Finding] = []
     kinds = name_kinds(program)
     fields: dict[str, None] = {}  # declaration order keeps the findings' order stable
     for cmd in program.commands:
@@ -43,16 +41,13 @@ def lint_program(program: BstProgram) -> list[Finding]:
             continue
         reported.add(name)
         if name in UNSUPPORTED_BUILTINS:
-            findings.append(Finding(f"`{name}' is not a supported builtin", tok.line))
+            warn(f"`{name}' is not a supported builtin", tok.line)
         else:
-            findings.append(Finding(
-                f"`{name}' does not resolve to a field, variable, builtin, or function",
-                tok.line,
-            ))
+            warn(f"`{name}' does not resolve to a field, variable, builtin, or function", tok.line)
 
     for fname in fields:
         if fname not in read_fields:
-            findings.append(Finding(f"field `{fname}' is declared but never read"))
+            warn(f"field `{fname}' is declared but never read")
 
     analyzer = _EffectAnalyzer(program, kinds)
     for cmd in program.commands:
@@ -61,10 +56,8 @@ def lint_program(program: BstProgram) -> list[Finding]:
         effect = analyzer.effect_of_name(cmd.operand)
         if effect is not None and effect != 0:
             sign = f"+{effect}" if effect > 0 else str(effect)
-            findings.append(Finding(
-                f"`{cmd.operand}' has net stack effect {sign} when run by {cmd.kind.upper()}",
-                cmd.line,
-            ))
+            warn(f"`{cmd.operand}' has net stack effect {sign} when run by {cmd.kind.upper()}",
+                 cmd.line)
     return findings
 
 

@@ -338,13 +338,7 @@ def _bi_cite(vm: Vm, line: int) -> None:
 
 
 def _bi_empty(vm: Vm, line: int) -> None:
-    value = vm.pop("empty$", line)
-    if isinstance(value, MissingField):
-        vm.stack.append(1)
-    elif isinstance(value, str):
-        vm.stack.append(1 if not value.strip() else 0)
-    else:
-        raise VmError(f"empty$: expected a string, got {vm._show(value)} (line {line})")
+    vm.stack.append(0 if vm.pop_str("empty$", line).strip() else 1)
 
 
 def _bi_skip(vm: Vm, line: int) -> None:
@@ -529,7 +523,10 @@ def declare(kinds: dict[str, int], cmd: BstCommand) -> bool:
 
 
 def run(program: BstProgram, aux: AuxFile, databases: list[Database]) -> tuple[BblDocument, BlgLog]:
-    """Execute a parsed style program and return the document and run log."""
+    """Execute a parsed style program and return the document and run log.
+
+    Raises nothing: a VmError ends the run and is logged as its last error.
+    """
     vm = Vm(program, databases)
     vm.execute(aux)
     return vm.doc, vm.log

@@ -9,6 +9,22 @@ SCANNER_TEXT = st.text(st.one_of(
     st.characters(),
 ), max_size=200)
 
+# any text, weighted toward the pieces that drive .tex and .aux scanning:
+# the recognized command names, longer words that start with them, whole
+# groups, and letters outside ASCII that str.isalpha accepts (é, Ⅻ) or
+# rejects (²)
+TEX_TEXT = st.lists(st.one_of(
+    st.sampled_from(["\\", "%", "{", "}", "[", "]", ",", "\n", "\r\n", " ", "é", "²", "Ⅻ"]),
+    st.sampled_from(["{k}", "{a, b}", "{thebibliography}", "[o]", "\\cite{k}", "\\cite {a,b}",
+                     "\\bibitem[o]{k}", "\\citation{k}", "\\bibcite{k}{1}"]),
+    st.sampled_from([
+        "\\cite", "\\bibitem", "\\bibliographystyle", "\\bibliography", "\\begin",
+        "\\citeauthor", "\\bibliographyx", "thebibliography",
+        "\\citation", "\\bibstyle", "\\bibdata", "\\bibcite", "\\relax",
+    ]),
+    st.characters(),
+), max_size=60).map("".join)
+
 SAMPLE_BIB = r'''@article{Ulam-1964,
     author = "Stein P. R. and  Ulam S. M.",
     title = "Non-linear transformation studies on

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bibstack.auxfile import AuxError, AuxFile, parse_aux, unique_citation_order, write_aux
 
-from fixtures import BIBTEX_AUX, EXTERNAL_AUX, INLINE_AUX
+from fixtures import BIBTEX_AUX, EXTERNAL_AUX, INLINE_AUX, TEX_TEXT
 
 
 class TestParseAux:
@@ -116,3 +116,13 @@ def test_unique_order_stable_under_appended_duplicates(citations, pick):
     if citations:
         dup = citations[pick % len(citations)]
         assert unique_citation_order(AuxFile(citations=citations + [dup])) == base
+
+
+@given(TEX_TEXT)
+def test_any_text_parses_or_raises_aux_error(text):
+    try:
+        aux = parse_aux(text)
+    except AuxError as err:
+        assert 1 <= err.line <= len(text.splitlines())
+        return
+    assert isinstance(aux, AuxFile)

@@ -224,6 +224,66 @@ class TestGoldenDiagnostics:
         }
 
 
+GOLDEN_COMMANDS_BST = (
+    "ENTRY {a} {b}\n"
+    "FUNCTION {f}\n"
+    "FUNCTION {g h} {skip$}\n"
+    "FUNCTION {\"s\"} {skip$}\n"
+    "FUNCTION {} {skip$}\n"
+    "EXECUTE\n"
+    "ITERATE {#1}\n"
+    "EXECUTE {a b}\n"
+    "ITERATE {{f}}\n"
+    "ITERATE\n"
+    "STRINGS\n"
+    "INTEGERS x\n"
+    "STRINGS {s #3 \"q\" 'r {t} u}\n"
+    "INTEGERS {n #-4}\n"
+    "\"lit\" #7 'quo {blk} {SORT}\n"
+    "ENTRY {x #1} {} {'y}\n"
+)
+
+
+class TestGoldenCommandDiagnostics:
+    """Exact command-parser diagnostics, in order, for one text that triggers each of them."""
+
+    def test_every_command_error_with_its_line(self):
+        program, diags = parse_bst(GOLDEN_COMMANDS_BST, "c.bst")
+        assert [(d.severity, d.message, d.line) for d in diags] == [
+            ("error", "ENTRY expects three {...} groups", 1),
+            ("error", "FUNCTION expects {name} {body}", 2),
+            ("error", "FUNCTION name group must hold exactly one identifier", 3),
+            ("error", "FUNCTION name group must hold exactly one identifier", 4),
+            ("error", "FUNCTION name group must hold exactly one identifier", 5),
+            ("error", "EXECUTE expects a {name} group", 6),
+            ("error", "ITERATE target group must hold exactly one identifier", 7),
+            ("error", "EXECUTE target group must hold exactly one identifier", 8),
+            ("error", "ITERATE target group must hold exactly one identifier", 9),
+            ("error", "ITERATE expects a {name} group", 10),
+            ("error", "STRINGS expects a {names} group", 11),
+            ("error", "INTEGERS expects a {names} group", 12),
+            ("error", "unknown command `x'", 12),
+            ("error", "expected identifiers inside the group, got integer #3", 13),
+            ("error", 'expected identifiers inside the group, got string "q"', 13),
+            ("error", "expected identifiers inside the group, got quoted identifier 'r", 13),
+            ("error", "expected identifiers inside the group, got a {...} group", 13),
+            ("error", "expected identifiers inside the group, got integer #-4", 14),
+            ("error", 'expected a command, got string "lit"', 15),
+            ("error", "expected a command, got integer #7", 15),
+            ("error", "expected a command, got quoted identifier 'quo", 15),
+            ("error", "expected a command, got a {...} group", 15),
+            ("error", "expected identifiers inside the group, got integer #1", 16),
+            ("error", "expected identifiers inside the group, got quoted identifier 'y", 16),
+        ]
+        assert {d.source for d in diags} == {"c.bst"}
+        assert not any(d.fatal for d in diags)
+        assert [(c.kind, c.operand, c.line) for c in program.commands] == [
+            ("strings", ["s", "u"], 13), ("integers", ["n"], 14), ("sort", None, 15),
+            ("entry", (["x"], [], []), 16),
+        ]
+        assert program.functions == {}
+
+
 class TestStringsIntegers:
     def test_declarations(self):
         program, diags = parse_bst("STRINGS { s t }\nINTEGERS { n }")

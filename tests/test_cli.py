@@ -321,6 +321,33 @@ class TestCrash:
         assert "Traceback" not in err
 
 
+class TestFileErrors:
+    """A path that cannot be read or written is an ordinary error: one stderr line, exit 2."""
+
+    def test_style_that_is_a_directory(self, workdir, capsys):
+        write_files(workdir, {"my.bib": SAMPLE_BIB, "test3.aux": BIBTEX_AUX})
+        (workdir / "helloword.bst").mkdir()
+        assert main(["bibtex", "test3"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["helloword.bst: Is a directory"]
+        assert "internal error" not in err and "Traceback" not in err
+
+    def test_bbl_that_is_a_directory(self, workdir, capsys):
+        write_files(workdir, {
+            "my.bib": SAMPLE_BIB,
+            "helloword.bst": HELLO_BST,
+            "test3.aux": BIBTEX_AUX,
+        })
+        (workdir / "test3.bbl").mkdir()
+        assert main(["bibtex", "test3"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["test3.bbl: Is a directory"]
+        assert "internal error" not in err and "Traceback" not in err
+        # the temp file is removed and nothing else is written
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "helloword.bst", "my.bib", "test3.aux", "test3.bbl"]
+
+
 class TestEncoding:
     def test_invalid_utf8_bib_is_an_error(self, workdir, capsys):
         write_files(workdir, {

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bibstack.auxfile import AuxFile, parse_aux, write_aux
-from bibstack.latexpass import TexScanError, fixpoint, run_pass, scan_tex
+from bibstack.latexpass import TexScan, TexScanError, fixpoint, run_pass, scan_tex
 
-from fixtures import EXTERNAL_TEX, INLINE_AUX, INLINE_TEX, cite_marks
+from fixtures import EXTERNAL_TEX, INLINE_AUX, INLINE_TEX, TEX_TEXT, cite_marks
 
 
 class TestScanTex:
@@ -183,3 +183,17 @@ def test_inline_documents_converge_within_two_passes(cites, items):
     results, passes = fixpoint(scan_tex(tex), None, 5, base="t")
     assert passes <= 2
     assert not results[-1].labels_changed
+
+
+@given(TEX_TEXT)
+def test_any_text_scans_or_raises_tex_scan_error(text):
+    try:
+        scan = scan_tex(text)
+    except TexScanError as err:
+        assert 1 <= err.line <= text.count("\n") + 1
+        return
+    assert isinstance(scan, TexScan)
+    for span in scan.cite_spans:
+        assert span.line == 1 + text.count("\n", 0, span.start)
+        assert text[span.start:span.end].startswith("\\cite")
+    assert scan.cites == [key for span in scan.cite_spans for key in span.keys]
