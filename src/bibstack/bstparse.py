@@ -118,6 +118,22 @@ def _tokenize(text: str, source: str, diags: list[Diagnostic]) -> list[Token]:
 # ---------------------------------------------------------------------------
 # command parser
 
+# each command keyword: how many {...} groups it takes, and the words its
+# "expects" error uses for them; None marks a command that is not supported
+_GRAMMAR = {
+    "entry": (3, "three {...} groups"),
+    "function": (2, "{name} {body}"),
+    "execute": (1, "a {name} group"),
+    "iterate": (1, "a {name} group"),
+    "strings": (1, "a {names} group"),
+    "integers": (1, "a {names} group"),
+    "read": (0, ""),
+    "sort": (0, ""),
+    "macro": (2, None),
+    "reverse": (1, None),
+}
+
+
 def _parse_commands(tokens: list[Token], program: BstProgram, source: str,
                     diags: list[Diagnostic]) -> None:
     def err(message: str, line: int) -> None:
@@ -127,81 +143,57 @@ def _parse_commands(tokens: list[Token], program: BstProgram, source: str,
     i = 0
     while i < len(tokens):
         tok = tokens[i]
-        if tok.kind == "block" and _is_bare_sort(tok):
+        i += 1
+        if tok.kind == "block" and _single_name(tok) == "sort":
             # `{SORT}` is accepted as a spelling of the bare SORT command
             program.commands.append(BstCommand("sort", line=tok.line))
-            i += 1
             continue
         if tok.kind != "id":
             err(f"expected a command, got {_describe(tok)}", tok.line)
-            i += 1
             continue
         kw = tok.value
-        i += 1
-        if kw == "entry":
-            groups, i = _take_blocks(tokens, i, 3)
-            if groups is None:
-                err("ENTRY expects three {...} groups", tok.line)
+        if kw not in _GRAMMAR:
+            err(f"unknown command `{kw}'", tok.line)
+            continue
+        count, words = _GRAMMAR[kw]
+        groups, i = _take_blocks(tokens, i, count)
+        if words is None:
+            err(f"unsupported command `{kw.upper()}'", tok.line)
+            continue
+        if len(groups) < count:
+            err(f"{kw.upper()} expects {words}", tok.line)
+            continue
+        operand = None
+        if kw in ("function", "execute", "iterate"):
+            operand = _single_name(groups[0])
+            if operand is None:
+                what = "name" if kw == "function" else "target"
+                err(f"{kw.upper()} {what} group must hold exactly one identifier", tok.line)
                 continue
+        if kw == "entry":
             if have_entry:
                 err("duplicate ENTRY command", tok.line)
                 continue
             have_entry = True
-            names = [_block_names(g, err) for g in groups]
-            program.commands.append(BstCommand("entry", tuple(names), tok.line))
+            operand = tuple(_block_names(g, err) for g in groups)
         elif kw == "function":
-            groups, i = _take_blocks(tokens, i, 2)
-            if groups is None:
-                err("FUNCTION expects {name} {body}", tok.line)
+            if operand in program.functions:
+                err(f"function `{operand}' is redefined; first definition kept", tok.line)
                 continue
-            name = _single_name(groups[0])
-            if name is None:
-                err("FUNCTION name group must hold exactly one identifier", tok.line)
-                continue
-            if name in program.functions:
-                err(f"function `{name}' is redefined; first definition kept", tok.line)
-                continue
-            program.functions[name] = groups[1].value
-            program.commands.append(BstCommand("function", name, tok.line))
+            program.functions[operand] = groups[1].value
         elif kw in ("execute", "iterate"):
-            groups, i = _take_blocks(tokens, i, 1)
-            if groups is None:
-                err(f"{kw.upper()} expects a {{name}} group", tok.line)
+            if operand not in program.functions and operand not in KNOWN_BUILTINS:
+                err(f"{kw.upper()} target `{operand}' should be already described", tok.line)
                 continue
-            name = _single_name(groups[0])
-            if name is None:
-                err(f"{kw.upper()} target group must hold exactly one identifier", tok.line)
-                continue
-            if name not in program.functions and name not in KNOWN_BUILTINS:
-                err(f"{kw.upper()} target `{name}' should be already described", tok.line)
-                continue
-            program.commands.append(BstCommand(kw, name, tok.line))
         elif kw in ("strings", "integers"):
-            groups, i = _take_blocks(tokens, i, 1)
-            if groups is None:
-                err(f"{kw.upper()} expects a {{names}} group", tok.line)
-                continue
-            program.commands.append(BstCommand(kw, _block_names(groups[0], err), tok.line))
-        elif kw == "read":
-            program.commands.append(BstCommand("read", line=tok.line))
-        elif kw == "sort":
-            program.commands.append(BstCommand("sort", line=tok.line))
-        elif kw in ("macro", "reverse"):
-            err(f"unsupported command `{kw.upper()}'", tok.line)
-            limit = 2 if kw == "macro" else 1
-            taken = 0
-            while i < len(tokens) and tokens[i].kind == "block" and taken < limit:
-                i += 1
-                taken += 1
-        else:
-            err(f"unknown command `{kw}'", tok.line)
+            operand = _block_names(groups[0], err)
+        program.commands.append(BstCommand(kw, operand, tok.line))
 
 
-def _take_blocks(tokens: list[Token], i: int, count: int):
+def _take_blocks(tokens: list[Token], i: int, count: int) -> tuple[list[Token], int]:
+    """Up to count {...} groups from tokens[i], and the offset past them."""
     groups = []
-    for _ in range(count):
-        if i >= len(tokens) or tokens[i].kind != "block":
-            return None, i
+    while len(groups) < count and i < len(tokens) and tokens[i].kind == "block":
         groups.append(tokens[i])
         i += 1
     return groups, i
@@ -222,11 +214,6 @@ def _single_name(block: Token) -> str | None:
     if len(body) == 1 and body[0].kind == "id":
         return body[0].value
     return None
-
-
-def _is_bare_sort(tok: Token) -> bool:
-    body = tok.value
-    return len(body) == 1 and body[0].kind == "id" and body[0].value == "sort"
 
 
 def _describe(tok: Token) -> str:
@@ -278,18 +265,14 @@ def format_tokens(tokens: list[Token]) -> str:
 def format_program(program: BstProgram) -> str:
     lines = []
     for cmd in program.commands:
-        if cmd.kind == "entry":
-            fields, ints, strs = cmd.operand
-            lines.append(
-                "ENTRY { %s } { %s } { %s }" % (" ".join(fields), " ".join(ints), " ".join(strs))
-            )
-        elif cmd.kind == "function":
-            body = format_tokens(program.functions[cmd.operand])
-            lines.append("FUNCTION { %s } { %s }" % (cmd.operand, body))
-        elif cmd.kind in ("execute", "iterate"):
-            lines.append("%s { %s }" % (cmd.kind.upper(), cmd.operand))
-        elif cmd.kind in ("strings", "integers"):
-            lines.append("%s { %s }" % (cmd.kind.upper(), " ".join(cmd.operand)))
+        operand = cmd.operand
+        if cmd.kind == "function":
+            groups = [operand, format_tokens(program.functions[operand])]
+        elif cmd.kind == "entry":
+            groups = [" ".join(names) for names in operand]
+        elif isinstance(operand, list):
+            groups = [" ".join(operand)]
         else:
-            lines.append(cmd.kind.upper())
+            groups = [] if operand is None else [operand]
+        lines.append(" ".join([cmd.kind.upper()] + ["{ %s }" % g for g in groups]))
     return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from .auxfile import AuxError, AuxFile, parse_aux, write_aux
@@ -50,13 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         _err("BASE must not be empty")
         return 2
     try:
-        if args.command == "bibtex":
-            return cmd_bibtex(args)
-        if args.command == "latexpass":
-            return cmd_latexpass(args)
-        if args.command == "pipeline":
-            return cmd_pipeline(args)
-        return cmd_lint(args)
+        return args.handler(args)
     except _Fail as err:
         _err(str(err))
     except Exception as err:  # a defect or an exhausted Python limit, e.g. RecursionError
@@ -78,14 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bibstack",
                                      description="bibliography toolchain")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bibtex", parents=[common],
-                   help="generate <base>.bbl and <base>.blg from <base>.aux")
-    sub.add_parser("latexpass", parents=[common],
-                   help="run one citation pass over <base>.tex")
-    sub.add_parser("pipeline", parents=[common],
-                   help="latexpass, bibtex, then passes until the labels settle")
-    sub.add_parser("lint", parents=[common],
-                   help="static checks over <base>.bst")
+    for name, handler, help_text in _SUBCOMMANDS:
+        sub.add_parser(name, parents=[common], help=help_text).set_defaults(handler=handler)
     return parser
 
 
@@ -102,17 +89,10 @@ def cmd_bibtex(cfg: argparse.Namespace) -> int:
     if not aux.data:
         raise _Fail(f"no database declared in {aux_path}")
 
-    bst_path = _find_file(aux.style + ".bst", cfg.base, cfg.style_dir)
-    if bst_path is None:
-        raise _Fail(f"style file {aux.style}.bst not found in {_searched(cfg.base, cfg.style_dir)}")
-    program, diagnostics = _load(bst_path, lambda text: parse_bst(text, bst_path.name))
-
+    program, diagnostics = _load_style(aux.style, cfg)
     databases = []
     for data_name in aux.data:
-        bib_path = _find_file(data_name + ".bib", cfg.base, cfg.bib_dir)
-        if bib_path is None:
-            raise _Fail(f"database file {data_name}.bib not found in "
-                        f"{_searched(cfg.base, cfg.bib_dir)}")
+        bib_path = _find_file("database", data_name + ".bib", cfg.base, cfg.bib_dir)
         db, bib_diags = _load(bib_path, lambda text: parse_bib(text, bib_path.name))
         diagnostics += bib_diags
         databases.append(db)
@@ -216,21 +196,29 @@ def cmd_pipeline(cfg: argparse.Namespace) -> int:
 # lint
 
 def cmd_lint(cfg: argparse.Namespace) -> int:
-    bst_path = _find_file(cfg.base + ".bst", cfg.base, cfg.style_dir)
-    if bst_path is None:
-        raise _Fail(f"style file {cfg.base}.bst not found in {_searched(cfg.base, cfg.style_dir)}")
-    program, diagnostics = _load(bst_path, lambda text: parse_bst(text, bst_path.name))
-    if any(d.fatal for d in diagnostics):
-        for diag in diagnostics:
-            _err(diag.format())
-        return 2
-
-    findings = diagnostics + lint_program(program)
+    program, findings = _load_style(cfg.base, cfg)
+    # a fatal parse is reported like any finding, but lint does not run on it
+    fatal = any(d.fatal for d in findings)
+    if not fatal:
+        findings += lint_program(program)
     for d in findings:
         where = f":{d.line}" if d.line else ""
-        print(f"{bst_path.name}{where}: {d.message}")
+        print(f"{program.source}{where}: {d.message}")
+    if fatal:
+        return 2
     print(f"{cfg.base}: {len(findings)} finding(s)")
     return 1 if findings else 0
+
+
+# ---------------------------------------------------------------------------
+# each subcommand: its name, the function that runs it, and its help line
+
+_SUBCOMMANDS = (
+    ("bibtex", cmd_bibtex, "generate <base>.bbl and <base>.blg from <base>.aux"),
+    ("latexpass", cmd_latexpass, "run one citation pass over <base>.tex"),
+    ("pipeline", cmd_pipeline, "latexpass, bibtex, then passes until the labels settle"),
+    ("lint", cmd_lint, "static checks over <base>.bst"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +244,10 @@ def _atomic_write(path: Path, text: str) -> None:
     # a failed run must never truncate a previous output file, nor leave a temp file
     tmp_name = None
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        name = f"{path}.{os.urandom(4).hex()}"
+        # O_EXCL never follows a file planted at the name; mode 0o666 lets the umask apply
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp_name = name
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
@@ -271,26 +262,26 @@ def _atomic_write(path: Path, text: str) -> None:
                 pass
 
 
-def _find_file(name: str, base: str, extra_dir: Path | None) -> Path | None:
-    for directory in _search_dirs(base, extra_dir):
-        candidate = directory / name
-        if candidate.exists():
-            return candidate
-    return None
+def _load_style(name: str, cfg: argparse.Namespace):
+    """The parsed style NAME.bst and its diagnostics."""
+    bst_path = _find_file("style", name + ".bst", cfg.base, cfg.style_dir)
+    return _load(bst_path, lambda text: parse_bst(text, bst_path.name))
 
 
-def _search_dirs(base: str, extra_dir: Path | None) -> list[Path]:
+def _find_file(kind: str, name: str, base: str, extra_dir: Path | None) -> Path:
+    """The first of ., the directory of base and extra_dir that holds name;
+    when none does, the command ends naming the kind of file and those directories."""
     dirs = [Path(".")]
     base_dir = Path(base).parent
     if str(base_dir) not in ("", "."):
         dirs.append(base_dir)
     if extra_dir is not None:
         dirs.append(extra_dir)
-    return dirs
-
-
-def _searched(base: str, extra_dir: Path | None) -> str:
-    return ", ".join(str(d) for d in _search_dirs(base, extra_dir))
+    for directory in dirs:
+        candidate = directory / name
+        if candidate.exists():
+            return candidate
+    raise _Fail(f"{kind} file {name} not found in {', '.join(str(d) for d in dirs)}")
 
 
 def _err(message: str) -> None:

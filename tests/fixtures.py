@@ -11,12 +11,13 @@ SCANNER_TEXT = st.text(st.one_of(
 
 # any text, weighted toward the pieces that drive .tex and .aux scanning:
 # the recognized command names, longer words that start with them, whole
-# groups, and letters outside ASCII that str.isalpha accepts (é, Ⅻ) or
-# rejects (²)
+# groups and commands (some naming what an .aux line cannot carry), and
+# letters outside ASCII that str.isalpha accepts (é, Ⅻ) or rejects (²)
 TEX_TEXT = st.lists(st.one_of(
     st.sampled_from(["\\", "%", "{", "}", "[", "]", ",", "\n", "\r\n", " ", "é", "²", "Ⅻ"]),
     st.sampled_from(["{k}", "{a, b}", "{thebibliography}", "[o]", "\\cite{k}", "\\cite {a,b}",
-                     "\\bibitem[o]{k}", "\\citation{k}", "\\bibcite{k}{1}"]),
+                     "\\bibitem[o]{k}", "\\citation{k}", "\\bibcite{k}{1}",
+                     "\\cite{k,}", "\\bibliography{x{y}z}", "\\bibitem{a\x85b}"]),
     st.sampled_from([
         "\\cite", "\\bibitem", "\\bibliographystyle", "\\bibliography", "\\begin",
         "\\citeauthor", "\\bibliographyx", "thebibliography",
@@ -24,6 +25,20 @@ TEX_TEXT = st.lists(st.one_of(
     ]),
     st.characters(),
 ), max_size=60).map("".join)
+
+# .bst text: any text, loose keywords and groups, and whole commands, so
+# that commands parse as often as they fail
+BST_TEXT = st.lists(st.one_of(
+    SCANNER_TEXT,
+    st.sampled_from(["ENTRY", "FUNCTION", "EXECUTE", "ITERATE", "STRINGS", "MACRO", "bogus",
+                     "{f}", "{f g}", "{}", "{#-2}"]),
+    st.sampled_from([
+        "ENTRY {a b} {n} {s}", "FUNCTION {f} { #1 'f \"s\" { skip$ } f }",
+        "Function {G} { \"x\" write$ newline$ }", "EXECUTE {f}", "ITERATE {call.type$}",
+        "STRINGS { s t }", "INTEGERS {n}", "READ", "SORT", "{sort}", "MACRO {m} {\"v\"}",
+        "REVERSE {f}",
+    ]),
+), max_size=12).map(" ".join)
 
 SAMPLE_BIB = r'''@article{Ulam-1964,
     author = "Stein P. R. and  Ulam S. M.",

@@ -5,7 +5,7 @@ from hypothesis import given
 from bibstack.bstparse import BstProgram, Token, format_program, format_tokens, parse_bst
 from bibstack.diagnostics import Diagnostic
 
-from fixtures import AUTHOR_SORT_FRAGMENT, HELLO_BST, SCANNER_TEXT, with_sort_fragment
+from fixtures import AUTHOR_SORT_FRAGMENT, BST_TEXT, HELLO_BST, SCANNER_TEXT, with_sort_fragment
 
 
 def shape(tokens):
@@ -156,6 +156,17 @@ class TestErrors:
         messages = [d.message for d in diags]
         assert any("unsupported command `MACRO'" in m for m in messages)
         assert any("unsupported command `REVERSE'" in m for m in messages)
+
+    def test_unsupported_commands_skip_their_groups(self):
+        # MACRO takes up to two groups and REVERSE one; a further group is a stray token
+        program, diags = parse_bst('MACRO {jan} {"January"} {x}\nREVERSE {f} {y}\nREAD')
+        assert [(d.message, d.line) for d in diags] == [
+            ("unsupported command `MACRO'", 1),
+            ("expected a command, got a {...} group", 1),
+            ("unsupported command `REVERSE'", 2),
+            ("expected a command, got a {...} group", 2),
+        ]
+        assert [c.kind for c in program.commands] == ["read"]
 
     def test_errors_carry_line_numbers(self):
         _, diags = parse_bst("READ\nEXECUTE {ghost}\n")
@@ -325,3 +336,14 @@ def test_any_text_parses_with_diagnostics(text):
     assert isinstance(program, BstProgram)
     assert all(isinstance(d, Diagnostic) for d in diags)
     assert all(1 <= d.line <= len(text.splitlines()) + 1 for d in diags)
+
+
+@given(BST_TEXT)
+def test_format_program_round_trips(text):
+    program = parse_bst(text)[0]
+    reparsed, diags = parse_bst(format_program(program))
+    assert diags == []
+    assert [(c.kind, c.operand) for c in reparsed.commands] == [
+        (c.kind, c.operand) for c in program.commands]
+    assert {name: flat(body) for name, body in reparsed.functions.items()} == {
+        name: flat(body) for name, body in program.functions.items()}

@@ -1,6 +1,14 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibstack.cli import main
 from bibstack.vm import CALL_DEPTH_LIMIT
@@ -16,6 +24,9 @@ from fixtures import (
     INLINE_TEX,
     SAMPLE_BIB,
     AUTHOR_SORT_FRAGMENT,
+    BST_TEXT,
+    SCANNER_TEXT,
+    TEX_TEXT,
     cite_marks,
     with_sort_fragment,
     write_files,
@@ -256,6 +267,11 @@ class TestLint:
         write_files(workdir, {"broken.bst": "FUNCTION {f} { #1"})
         assert main(["lint", "broken"]) == 2
 
+    def test_fatal_diagnostic_printed_like_a_finding(self, workdir, capsys):
+        write_files(workdir, {"broken.bst": "FUNCTION {f} { #1"})
+        assert main(["lint", "broken"]) == 2
+        assert capsys.readouterr() == ("broken.bst:1: unclosed `{' at end of file\n", "")
+
     def test_missing_file(self, workdir):
         assert main(["lint", "ghost"]) == 2
 
@@ -348,6 +364,18 @@ class TestFileErrors:
             "helloword.bst", "my.bib", "test3.aux", "test3.bbl"]
 
 
+class TestFileModes:
+    def test_outputs_follow_the_umask(self, workdir):
+        write_files(workdir, TestPipeline().files())
+        old = os.umask(0o022)
+        try:
+            assert main(["pipeline", "test2"]) == 0
+        finally:
+            os.umask(old)
+        for name in ("test2.aux", "test2.bbl", "test2.blg", "test2.rendered.txt"):
+            assert (workdir / name).stat().st_mode & 0o777 == 0o644, name
+
+
 class TestEncoding:
     def test_invalid_utf8_bib_is_an_error(self, workdir, capsys):
         write_files(workdir, {
@@ -371,3 +399,42 @@ class TestArguments:
     def test_max_passes_validated(self, workdir, capsys):
         write_files(workdir, {"t.tex": "x"})
         assert main(["latexpass", "t", "--max-passes", "0"]) == 2
+
+
+# random inputs for one directory, each a working file, a working file with
+# random text after it, random text, or no file; the .tex and .aux name the
+# style s and the database d
+_FUZZ_HEAD = "\\bibliographystyle{s}\\bibliography{d}\\cite{Ulam-1964}\\cite{Poincare}\n"
+
+
+def _fuzz_file(good, junk):
+    return st.one_of(st.just(good), junk.map(good.__add__), junk, st.none())
+
+
+_FUZZ_FILES = st.fixed_dictionaries({
+    "t.tex": _fuzz_file(_FUZZ_HEAD, TEX_TEXT),
+    "t.aux": _fuzz_file(BIBTEX_AUX.replace("helloword", "s").replace("{my}", "{d}"), TEX_TEXT),
+    "d.bib": _fuzz_file(SAMPLE_BIB, SCANNER_TEXT),
+    "s.bst": _fuzz_file(HELLO_BST, BST_TEXT),
+})
+_OUTPUTS = {"t.aux", "t.bbl", "t.blg", "t.rendered.txt"}
+
+
+@settings(max_examples=60)
+@given(_FUZZ_FILES, st.sampled_from([[], ["--strict"], ["--max-passes", "1"]]))
+def test_any_inputs_give_a_defined_outcome(files, flags):
+    """Every subcommand exits 0, 1 or 2 without a traceback and leaves no temp file."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write_files(Path(tmp), {name: text for name, text in files.items() if text is not None})
+            for argv in (["latexpass", "t"], ["bibtex", "t"], ["pipeline", "t"], ["lint", "s"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv + flags)
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+            assert set(os.listdir(tmp)) <= set(files) | _OUTPUTS
+        finally:
+            os.chdir(cwd)

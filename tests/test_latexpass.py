@@ -73,6 +73,25 @@ class TestScanTex:
         with pytest.raises(TexScanError):
             scan_tex("\\bibliographystyle plain")
 
+    @pytest.mark.parametrize("text, message", [
+        ("\\cite{a,}", "empty key in \\cite"),
+        ("\\cite{x{y}z}", "\\cite argument 'x{y}z' holds a brace or a line break"),
+        ("\\bibitem{k{}}", "\\bibitem argument 'k{}' holds a brace or a line break"),
+        ("\\bibliographystyle{a\rb}", "\\bibliographystyle argument 'a\\rb' holds a brace or a line break"),
+        ("\\bibliography{a\nb}", "\\bibliography argument 'a\\nb' holds a brace or a line break"),
+        ("\\cite{a\x0cb}", "\\cite argument 'a\\x0cb' holds a brace or a line break"),
+        ("\\cite{a\x85b}", "\\cite argument 'a\\x85b' holds a brace or a line break"),
+    ])
+    def test_name_the_aux_cannot_carry_raises_at_its_line(self, text, message):
+        with pytest.raises(TexScanError) as err:
+            scan_tex("first line\n" + text)
+        assert str(err.value) == f"line 2: {message}"
+
+    def test_empty_names_that_round_trip_are_kept(self):
+        scan = scan_tex("\\bibitem{} \\bibliographystyle{ } \\bibliography{, a}\\cite{ b ,\nc}")
+        assert scan.inline_bib == [""] and scan.style == "" and scan.data == ["", "a"]
+        assert scan.cites == ["b", "c"]
+
 
 class TestRunPass:
     def test_first_pass_without_aux(self):
@@ -197,3 +216,15 @@ def test_any_text_scans_or_raises_tex_scan_error(text):
         assert span.line == 1 + text.count("\n", 0, span.start)
         assert text[span.start:span.end].startswith("\\cite")
     assert scan.cites == [key for span in scan.cite_spans for key in span.keys]
+
+
+@given(TEX_TEXT)
+def test_pass_writes_an_aux_the_next_run_reads(text):
+    try:
+        scan = scan_tex(text)
+    except TexScanError:
+        return
+    aux = run_pass(scan, None).new_aux
+    again = parse_aux(write_aux(aux))
+    assert (again.citations, again.style, again.data, again.bibcites) == (
+        aux.citations, aux.style, aux.data, aux.bibcites)
