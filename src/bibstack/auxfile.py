@@ -34,6 +34,9 @@ _COMMANDS = {
     "bibdata": re.compile(r"\\bibdata\{([^{}]*)\}$"),
     "bibcite": re.compile(r"\\bibcite\{([^{}]*)\}\{([^{}]*)\}$"),
 }
+# what no name in those commands can hold: a brace, or a character that
+# str.splitlines (and so parse_aux) ends a line at
+_UNWRITABLE = re.compile(r"[{}\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 def parse_aux(text: str) -> AuxFile:
@@ -72,6 +75,20 @@ def parse_aux(text: str) -> AuxFile:
 def unique_citation_order(aux: AuxFile) -> list[str]:
     """Citation keys in first-occurrence order, duplicates removed."""
     return list(dict.fromkeys(aux.citations))
+
+
+def unwritable(aux: AuxFile) -> str | None:
+    """Why parse_aux could not read write_aux(aux) back as aux, or None: an
+    empty citation key, or a name holding a brace or a line break."""
+    if "" in aux.citations:
+        return "empty citation key"
+    style = [] if aux.style is None else [aux.style]
+    for cmd, names in (("citation", aux.citations), ("bibstyle", style),
+                       ("bibdata", aux.data), ("bibcite", aux.bibcites)):
+        for name in names:
+            if _UNWRITABLE.search(name):
+                return f"\\{cmd} name {name!r} holds a brace or a line break"
+    return None
 
 
 def write_aux(aux: AuxFile) -> str:

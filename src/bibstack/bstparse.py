@@ -270,9 +270,9 @@ def format_program(program: BstProgram) -> str:
             groups = [operand, format_tokens(program.functions[operand])]
         elif cmd.kind == "entry":
             groups = [" ".join(names) for names in operand]
-        elif isinstance(operand, list):
+        elif cmd.kind in ("strings", "integers"):
             groups = [" ".join(operand)]
-        else:
+        else:  # EXECUTE and ITERATE name their target; READ and SORT take no group
             groups = [] if operand is None else [operand]
         lines.append(" ".join([cmd.kind.upper()] + ["{ %s }" % g for g in groups]))
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .auxfile import AuxError, AuxFile, parse_aux, write_aux
+from .auxfile import AuxError, AuxFile, parse_aux, unwritable, write_aux
 from .bstparse import parse_bst
 from .database import parse_bib
 from .diagnostics import ERROR
@@ -157,8 +157,13 @@ def _bbl_items(cfg: argparse.Namespace, tex: TexScan) -> list[str] | None:
 def _report_passes(cfg: argparse.Namespace, old_aux: AuxFile | None,
                    results: list[PassResult]) -> None:
     """Write the last pass's .aux and .rendered.txt, then print each pass's
-    warnings and summary line; old_aux is the aux the first pass read."""
-    _atomic_write(Path(cfg.base + ".aux"), write_aux(results[-1].new_aux))
+    warnings and summary line; old_aux is the aux the first pass read.
+    An .aux the next run could not read is not written: the command ends."""
+    aux_path = Path(cfg.base + ".aux")
+    fault = unwritable(results[-1].new_aux)
+    if fault:
+        raise _Fail(f"{aux_path}: not written: {fault}")
+    _atomic_write(aux_path, write_aux(results[-1].new_aux))
     _atomic_write(Path(cfg.base + ".rendered.txt"), results[-1].rendered)
     for result in results:
         for warning in result.warnings:

@@ -63,8 +63,7 @@ class PassResult:
 
 
 def scan_tex(text: str) -> TexScan:
-    """Scan .tex source; raises TexScanError when a recognized command lacks its
-    {...} group or names something the .aux cannot carry."""
+    """Scan .tex source; raises TexScanError when a recognized command lacks its {...} group."""
     scan = TexScan(text=text)
     # commands arrive in text order, so the line count only moves forward
     counted, line = 0, 1
@@ -85,17 +84,15 @@ def scan_tex(text: str) -> TexScan:
                     pos = optional.end()
             content, pos = _read_group(text, pos, line, name)
             if name == "cite":
-                keys = _aux_names(content.split(","), line, name)
-                if "" in keys:
-                    raise TexScanError("empty key in \\cite", line)
+                keys = [k.strip() for k in content.split(",")]
                 scan.cite_spans.append(CiteSpan(start, pos, keys, line))
                 scan.cites.extend(keys)
             elif name == "bibitem":
-                scan.inline_bib += _aux_names([content], line, name)
+                scan.inline_bib.append(content.strip())
             elif name == "bibliographystyle":
-                scan.style = _aux_names([content], line, name)[0]
+                scan.style = content.strip()
             elif name == "bibliography":
-                scan.data = _aux_names(content.split(","), line, name)
+                scan.data = [d.strip() for d in content.split(",")]
             elif content.strip() == "thebibliography":  # \begin{thebibliography}{width}
                 try:
                     _, pos = _read_group(text, pos, line, name)
@@ -195,13 +192,3 @@ def _read_group(text: str, pos: int, line: int, cmd: str) -> tuple[str, int]:
     if end < 0:
         raise TexScanError(f"unbalanced braces in \\{cmd}", line)
     return text[m.end() : end - 1], end
-
-
-def _aux_names(parts: list[str], line: int, cmd: str) -> list[str]:
-    """parts stripped; raises TexScanError for a name that write_aux would write
-    but parse_aux reject: one holding a brace or a line break (str.splitlines)."""
-    names = [part.strip() for part in parts]
-    for name in names:
-        if "{" in name or "}" in name or len(name.splitlines()) > 1:
-            raise TexScanError(f"\\{cmd} argument {name!r} holds a brace or a line break", line)
-    return names

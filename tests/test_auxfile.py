@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bibstack.auxfile import AuxError, AuxFile, parse_aux, unique_citation_order, write_aux
+from bibstack.auxfile import (
+    AuxError, AuxFile, parse_aux, unique_citation_order, unwritable, write_aux)
 
 from fixtures import BIBTEX_AUX, EXTERNAL_AUX, INLINE_AUX, TEX_TEXT
 
@@ -92,6 +93,27 @@ class TestWriteAux:
         assert write_aux(aux) == (
             EXTERNAL_AUX + "\\bibcite{Poincare}{1}\n\\bibcite{Ulam-1964}{2}\n"
         )
+
+
+class TestUnwritable:
+    @pytest.mark.parametrize("aux, fault", [
+        (AuxFile(citations=["a", ""]), "empty citation key"),
+        (AuxFile(citations=["x{y}z"]), "\\citation name 'x{y}z' holds a brace or a line break"),
+        (AuxFile(citations=["a\x0cb"]), "\\citation name 'a\\x0cb' holds a brace or a line break"),
+        (AuxFile(style="a\rb"), "\\bibstyle name 'a\\rb' holds a brace or a line break"),
+        (AuxFile(data=["my", "a\nb"]), "\\bibdata name 'a\\nb' holds a brace or a line break"),
+        (AuxFile(bibcites={"k}": "1"}), "\\bibcite name 'k}' holds a brace or a line break"),
+        (AuxFile(bibcites={"a\x85b": "1"}), "\\bibcite name 'a\\x85b' holds a brace or a line break"),
+    ])
+    def test_names_parse_aux_cannot_read_back(self, aux, fault):
+        assert unwritable(aux) == fault
+        with pytest.raises(AuxError):
+            parse_aux(write_aux(aux))
+
+    def test_empty_names_that_round_trip(self):
+        aux = AuxFile(citations=["a"], style="", data=["", "b"], bibcites={"": "1"})
+        assert unwritable(aux) is None
+        assert parse_aux(write_aux(aux)) == aux
 
 
 _keys = st.text(alphabet=string.ascii_letters + string.digits + "-:._", min_size=1, max_size=10)

@@ -172,6 +172,17 @@ class TestLatexpass:
         assert main(["latexpass", "test2"]) == 0
         assert cite_marks((workdir / "test2.rendered.txt").read_text()) == ["[1]", "[2]"]
 
+    def test_aux_the_next_run_cannot_read_is_not_written(self, workdir, capsys):
+        write_files(workdir, {"t.tex": "see \\cite{x{y}z}\n"})
+        assert main(["latexpass", "t"]) == 2
+        assert capsys.readouterr().err == (
+            "t.aux: not written: \\citation name 'x{y}z' holds a brace or a line break\n")
+        assert not (workdir / "t.aux").exists() and not (workdir / "t.rendered.txt").exists()
+
+    def test_inline_bibitem_unused_in_external_mode_is_not_checked(self, workdir):
+        write_files(workdir, {"test2.tex": EXTERNAL_TEX + "\\bibitem{x{y}}\n"})
+        assert main(["latexpass", "test2"]) == 0
+
 
 class TestPipeline:
     def files(self):
@@ -212,6 +223,22 @@ class TestPipeline:
         # the last line is the one non-convergence message, naming the pass cap
         assert err[-1].startswith("labels ") and err[-1].endswith(" 1 pass(es)")
         assert sum(line.startswith("labels ") for line in err) == 1
+
+    def test_cite_in_bib_field_text_is_not_checked(self, workdir):
+        # \cite commands in the .bbl are never written to the .aux
+        files = self.files()
+        files["my.bib"] = SAMPLE_BIB.replace("Poincar\\'e", "Poincar\\'e \\cite{a,} \\cite{x{y}z}")
+        write_files(workdir, files)
+        assert main(["pipeline", "test2"]) == 0
+        assert "\\cite{x{y}z}" in (workdir / "test2.bbl").read_text()
+
+    def test_bbl_key_the_aux_cannot_carry_is_an_error(self, workdir, capsys):
+        files = self.files()
+        files["my.bib"] = SAMPLE_BIB.replace("Poincar\\'e", "Poincar\\'e \\bibitem{x{y}}")
+        write_files(workdir, files)
+        assert main(["pipeline", "test2"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "test2.aux: not written: \\bibcite name 'x{y}' holds a brace or a line break\n")
 
     def test_no_style_declared(self, workdir, capsys):
         write_files(workdir, {"plain.tex": "\\cite{x}\n\\bibliography{my}\n"})
