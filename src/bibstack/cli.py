@@ -106,9 +106,7 @@ def cmd_bibtex(cfg: argparse.Namespace) -> int:
         _atomic_write(Path(cfg.base + ".bbl"), doc.finalize())
     _atomic_write(Path(cfg.base + ".blg"), log.render())
 
-    for diag in diagnostics:
-        _err(diag.format())
-    for severity, message in log.records[len(diagnostics):]:
+    for severity, message in log.records:
         _err(message if severity == ERROR else f"warning: {message}")
 
     n_errors = len(log.errors())

@@ -12,10 +12,13 @@ by declare as each ENTRY, STRINGS or INTEGERS command runs).  One
 resolver, _resolve_name, is the only dispatcher: it turns a name into
 the (handler, operand) pair that runs it, a builtin to call, a body to
 enter, a field or variable to read, or the error of an unknown name.
+Where each variable kind's values live and which type they hold is
+said once, in VARIABLES: reads and := both look it up there.
 Bodies are resolved the first time they run and dropped whenever a
 declaration changes the table; quoted names are resolved as they run.
-Every body entered, and every quoted name that if$ or while$ runs,
-counts one call level, up to CALL_DEPTH_LIMIT.
+Every body entered counts one call level, up to CALL_DEPTH_LIMIT, and
+call_ref counts one for a quoted name that if$ or while$ runs and that
+enters no body.
 
 Reading a declared field that an entry does not have pushes a
 MissingField and logs the missing-field warning; write$ on such a value
@@ -37,8 +40,8 @@ if TYPE_CHECKING:  # bstparse imports the builtin table from here
     from .bstparse import BstCommand, BstProgram, Token
 
 DEFAULT_WHILE_LIMIT = 1_000_000
-# Each level costs at most three Python frames (a body or _nested, if$ or
-# while$, call_ref), so the limit trips well inside Python's default
+# Each level costs at most three Python frames (a body, if$ or while$,
+# call_ref), so the limit trips well inside Python's default
 # recursion limit of 1000 frames, leaving room for the caller and the builtins.
 CALL_DEPTH_LIMIT = 200
 
@@ -182,47 +185,48 @@ class Vm:
             return _push, FnRef(name=tok.value)
         if tok.kind == "block":
             return _push, FnRef(body=tok.value)
-        return self._resolve_name(tok.value, tok.line, False)
+        return self._resolve_name(tok.value, tok.line)
 
-    def _resolve_name(self, name: str, line: int, quoted: bool) -> tuple:
-        """The (handler, operand) pair that runs name as self.kinds stands now;
-        a quoted name that enters no body is a call level of its own."""
+    def _resolve_name(self, name: str, line: int) -> tuple:
+        """The (handler, operand) pair that runs name as self.kinds stands now."""
         kind = self.kinds.get(name)
         if kind == FUNCTION:
             return Vm._call, (self.program.functions[name], line)
         if kind == BUILTIN:
-            op = BUILTINS[name][0], line
-        elif kind == GLOBAL_INT:
-            op = _push_item, (self.globals_int, name)
-        elif kind == GLOBAL_STR:
-            op = _push_item, (self.globals_str, name)
-        elif kind == FIELD:
-            op = _push_field, (name, line)
-        elif kind == ENTRY_STR:
-            op = _push_entry_var, ("strs", "", name, line)
-        elif kind == ENTRY_INT:
-            op = _push_entry_var, ("ints", 0, name, line)
-        elif name in UNSUPPORTED_BUILTINS:
-            op = _fail, f"unsupported builtin `{name}' (line {line})"
-        else:
-            op = _fail, f"unknown identifier `{name}' (line {line})"
-        return (_nested, (*op, line)) if quoted else op
+            return BUILTINS[name][0], line
+        if kind == FIELD:
+            return _push_field, (name, line)
+        if kind in VARIABLES:
+            per_entry, attr, initial = VARIABLES[kind]
+            if per_entry:
+                return _push_entry_var, (attr, initial, name, line)
+            return _push_item, (getattr(self, attr), name)
+        if name in UNSUPPORTED_BUILTINS:
+            return _fail, f"unsupported builtin `{name}' (line {line})"
+        return _fail, f"unknown identifier `{name}' (line {line})"
 
     def exec_token(self, tok: Token) -> None:
         handler, operand = self._resolve_token(tok)
         handler(self, operand)
 
     def exec_ident(self, name: str, line: int) -> None:
-        handler, operand = self._resolve_name(name, line, False)
+        handler, operand = self._resolve_name(name, line)
         handler(self, operand)
 
     def call_ref(self, ref: FnRef, line: int) -> None:
         """Run a {...} block, or a quoted name as it resolves now, as one call level."""
         if ref.body is not None:
-            self._call((ref.body, line))
+            handler, operand = Vm._call, (ref.body, line)
         else:
-            handler, operand = self._resolve_name(ref.name, line, True)
+            handler, operand = self._resolve_name(ref.name, line)
+        if handler is Vm._call:  # entering the body counts the level
             handler(self, operand)
+            return
+        self._enter(line)
+        try:
+            handler(self, operand)
+        finally:
+            self.depth -= 1
 
     # -- helpers ------------------------------------------------------------
 
@@ -285,15 +289,6 @@ def _push(vm: Vm, value) -> None:
 def _push_item(vm: Vm, operand: tuple) -> None:
     mapping, name = operand
     vm.stack.append(mapping[name])
-
-
-def _nested(vm: Vm, operand: tuple) -> None:
-    handler, operand, line = operand
-    vm._enter(line)
-    try:
-        handler(vm, operand)
-    finally:
-        vm.depth -= 1
 
 
 def _push_field(vm: Vm, operand: tuple) -> None:
@@ -378,32 +373,18 @@ def _bi_assign(vm: Vm, line: int) -> None:
     kind = vm.kinds.get(name)
     if kind == FIELD:
         raise VmError(f":=: cannot assign to field `{name}' (line {line})")
-    if kind in (ENTRY_STR, ENTRY_INT) and vm.current is None:
-        raise VmError(f":=: `{name}' assigned outside ITERATE (line {line})")
-    if kind == ENTRY_STR:
-        vm.current.strs[name] = _as_str(value, name, line)
-    elif kind == ENTRY_INT:
-        vm.current.ints[name] = _as_int(value, name, line)
-    elif kind == GLOBAL_STR:
-        vm.globals_str[name] = _as_str(value, name, line)
-    elif kind == GLOBAL_INT:
-        vm.globals_int[name] = _as_int(value, name, line)
-    else:
+    if kind not in VARIABLES:
         raise VmError(f":=: `{name}' is not a declared variable (line {line})")
-
-
-def _as_str(value, name: str, line: int) -> str:
-    if isinstance(value, MissingField):
-        return ""
-    if not isinstance(value, str):
-        raise VmError(f":=: `{name}' is a string variable, got {Vm._show(value)} (line {line})")
-    return value
-
-
-def _as_int(value, name: str, line: int) -> int:
-    if not isinstance(value, int):
-        raise VmError(f":=: `{name}' is an integer variable, got {Vm._show(value)} (line {line})")
-    return value
+    per_entry, attr, initial = VARIABLES[kind]
+    owner = vm.current if per_entry else vm
+    if owner is None:
+        raise VmError(f":=: `{name}' assigned outside ITERATE (line {line})")
+    if isinstance(value, MissingField) and isinstance(initial, str):
+        value = ""
+    if not isinstance(value, type(initial)):
+        what = "a string" if isinstance(initial, str) else "an integer"
+        raise VmError(f":=: `{name}' is {what} variable, got {Vm._show(value)} (line {line})")
+    getattr(owner, attr)[name] = value
 
 
 def _bi_num_names(vm: Vm, line: int) -> None:
@@ -493,6 +474,17 @@ UNSUPPORTED_BUILTINS = frozenset({
 # The kinds an identifier can have, in precedence order: a name that
 # declarations give several kinds keeps the first of them in this order.
 FIELD, ENTRY_STR, ENTRY_INT, GLOBAL_STR, GLOBAL_INT, BUILTIN, FUNCTION = range(7)
+
+# The one description of each variable kind, for reads and `:=': whether
+# its values live on the current entry or on the Vm, the dict attribute
+# that holds them there, and its initial value, whose type is the one
+# type the variable holds.
+VARIABLES = {
+    ENTRY_STR: (True, "strs", ""),
+    ENTRY_INT: (True, "ints", 0),
+    GLOBAL_STR: (False, "globals_str", ""),
+    GLOBAL_INT: (False, "globals_int", 0),
+}
 
 
 def name_kinds(program: BstProgram) -> dict[str, int]:

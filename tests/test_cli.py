@@ -128,6 +128,34 @@ class TestBibtex:
         )
 
 
+    def test_aux_without_database(self, workdir, capsys):
+        write_files(workdir, {"t.aux": "\\relax\n\\bibstyle{helloword}\n"})
+        assert main(["bibtex", "t"]) == 2
+        assert capsys.readouterr().err == "no database declared in t.aux\n"
+
+    def test_style_found_through_the_base_directory(self, workdir):
+        (workdir / "sub").mkdir()
+        write_files(workdir / "sub", {"helloword.bst": HELLO_BST, "t.aux": BIBTEX_AUX})
+        write_files(workdir, {"my.bib": SAMPLE_BIB})
+        assert main(["bibtex", "sub/t"]) == 0
+        assert (workdir / "sub" / "t.bbl").read_text() == EXPECTED_BBL
+
+    def test_parse_warnings_on_stderr_carry_the_warning_prefix(self, workdir, capsys):
+        write_files(workdir, {
+            "dup.bib": SAMPLE_BIB.replace('    year = "1964",\n', '    year = "1964",\n    year = "1965",\n'),
+            "guarded.bst": GUARDED_NUMBER_BST,
+            "t.aux": "\\relax\n\\citation{Ulam-1964}\n\\bibstyle{guarded}\n\\bibdata{dup}\n",
+        })
+        assert main(["bibtex", "t"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: dup.bib, line 7: duplicate field `year' in entry `Ulam-1964'; "
+            "first value kept\n"
+            "warning: `number' is a missing field, not a string, for entry Ulam-1964\n"
+        )
+        assert captured.out == "t: wrote t.bbl (2 warning(s), 0 error(s))\n"
+
+
 class TestLatexpass:
     def test_first_and_second_pass(self, workdir, capsys):
         write_files(workdir, {"test.tex": INLINE_TEX})
@@ -155,6 +183,13 @@ class TestLatexpass:
     def test_scan_error_exits_2(self, workdir, capsys):
         write_files(workdir, {"bad.tex": "\\cite{oops"})
         assert main(["latexpass", "bad"]) == 2
+
+    def test_unclosed_bibliography_width_stays_text(self, workdir):
+        tex = "see \\cite{a}\n\\begin{thebibliography}{9\nthen \\cite{a}\n"
+        write_files(workdir, {"t.tex": tex})
+        assert main(["latexpass", "t"]) == 0
+        rendered = (workdir / "t.rendered.txt").read_text()
+        assert rendered == "see [?]\n\\begin{thebibliography}{9\nthen [?]\n"
 
     def test_external_mode_consumes_bbl(self, workdir):
         write_files(workdir, {"test2.tex": EXTERNAL_TEX})
@@ -245,6 +280,11 @@ class TestPipeline:
         assert main(["pipeline", "plain"]) == 2
         assert "no style declared" in capsys.readouterr().err
 
+    def test_no_database_declared(self, workdir, capsys):
+        write_files(workdir, {"plain.tex": "\\cite{x}\n\\bibliographystyle{helloword}\n"})
+        assert main(["pipeline", "plain"]) == 2
+        assert capsys.readouterr().err == "no database declared\n"
+
     def test_matches_manual_subcommand_sequence(self, workdir):
         a = workdir / "a"
         b = workdir / "b"
@@ -301,6 +341,10 @@ class TestLint:
 
     def test_missing_file(self, workdir):
         assert main(["lint", "ghost"]) == 2
+
+    def test_bare_extension_is_an_empty_base(self, workdir, capsys):
+        assert main(["lint", ".bst"]) == 2
+        assert capsys.readouterr() == ("", "BASE must not be empty\n")
 
 
 # styles deep enough to exhaust Python's recursion limit in the parser and in lint

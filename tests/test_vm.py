@@ -5,7 +5,7 @@ import pytest
 from bibstack.auxfile import AuxFile, parse_aux
 from bibstack.bstparse import parse_bst
 from bibstack.database import parse_bib
-from bibstack.diagnostics import ERROR
+from bibstack.diagnostics import ERROR, WARNING
 from bibstack.vm import (
     BUILTINS,
     CALL_DEPTH_LIMIT,
@@ -260,6 +260,15 @@ class TestIf:
         assert "No." not in ulam_line and ", Vol. 39" in ulam_line
         assert ", No. 4, Vol. 219" in yang_line
 
+    @pytest.mark.parametrize("name,message", [
+        ("ghost", "unknown identifier `ghost'"),
+        ("substring$", "unsupported builtin `substring$'"),
+    ])
+    def test_quoted_name_that_cannot_run_fails_at_the_if(self, name, message):
+        stack, _, records = _run_style(f"FUNCTION {{f}} {{ #1 '{name}\n'skip$\nif$ }}\nEXECUTE {{f}}\n")
+        assert stack == []
+        assert records == [(ERROR, f"{message} (line 3)")]
+
     def test_wrong_types_error(self):
         program, _ = parse_bst('FUNCTION {f} { #1 #2 #3 if$ }')
         vm = make_vm()
@@ -367,6 +376,31 @@ class TestAssign:
         with pytest.raises(VmError, match="not a declared variable"):
             vm.exec_ident(":=", 0)
 
+    def test_string_into_integer_variable(self):
+        stack, _, records = _run_style("INTEGERS {n}\nFUNCTION {f} {\n\"x\" 'n := }\nEXECUTE {f}\n")
+        assert stack == []
+        assert records == [(ERROR, ":=: `n' is an integer variable, got \"x\" (line 3)")]
+
+    def test_block_into_string_variable(self):
+        _, _, records = _run_style("STRINGS {s}\nFUNCTION {f} { {x} 's := }\nEXECUTE {f}\n")
+        assert records == [(ERROR, ":=: `s' is a string variable, got {...} (line 2)")]
+
+    def test_missing_field_into_integer_variable(self):
+        vm = _run_untitled("ENTRY {title}{n}{}\nREAD\nFUNCTION {f} { title 'n := }\nITERATE {f}\n")
+        assert vm.log.records == [
+            (WARNING, "`title' is a missing field, not a string, for entry k"),
+            (ERROR, ":=: `n' is an integer variable, got missing field `title' (line 3)")]
+        assert vm.entries[0].ints == {"n": 0}
+
+    def test_missing_field_into_string_variables_stores_empty(self):
+        vm = _run_untitled(
+            "ENTRY {title}{}{s}\nSTRINGS {g}\nREAD\n"
+            "FUNCTION {f} { \"old\" 's := \"old\" 'g := title 's := title 'g := }\nITERATE {f}\n")
+        assert vm.log.records == [
+            (WARNING, "`title' is a missing field, not a string, for entry k")] * 2
+        assert vm.entries[0].strs == {"sort.key$": "", "s": ""}
+        assert vm.globals_str == {"g": ""}
+
 
 class TestNumNames:
     @pytest.mark.parametrize("value,expected", [
@@ -409,6 +443,17 @@ class TestFormatName:
         with pytest.raises(VmError, match="out of range"):
             vm.exec_ident("format.name$", 0)
 
+    @pytest.mark.parametrize("name_list,template,message", [
+        ("a, b, c, d", "{ll}", "too many commas in name 'a, b, c, d'"),
+        (r"H. Poincar\'e", "{x}", "piece must start with one of f, v, l, j: {x}"),
+    ])
+    def test_name_or_template_error_gives_the_line(self, name_list, template, message):
+        vm = make_vm()
+        vm.stack.extend([name_list, 1, template])
+        with pytest.raises(VmError) as err:
+            vm.exec_ident("format.name$", 5)
+        assert str(err.value) == f"format.name$: {message} (line 5)"
+
     def test_index_zero_rejected(self):
         vm = make_vm()
         vm.stack.extend([r"H. Poincar\'e", 0, "{ll}"])
@@ -439,6 +484,25 @@ class TestIntOps:
 
     def test_integer_equality(self):
         assert self.run_ops("#2 #2 =") == [1]
+
+    @pytest.mark.parametrize("a,b,expected", [
+        (MissingField("title", "k"), "", [1]),
+        ("", MissingField("title", "k"), [1]),
+        (MissingField("title", "k"), MissingField("year", "k"), [1]),
+        (MissingField("title", "k"), "x", [0]),
+    ])
+    def test_missing_field_compares_as_empty(self, a, b, expected):
+        vm = make_vm()
+        vm.stack.extend([a, b])
+        vm.exec_ident("=", 0)
+        assert vm.stack == expected
+
+    def test_missing_field_against_integer_errors_as_empty(self):
+        vm = make_vm()
+        vm.stack.extend([MissingField("title", "k"), 3])
+        with pytest.raises(VmError) as err:
+            vm.exec_ident("=", 4)
+        assert str(err.value) == '=: operands must share a type, got "" and 3 (line 4)'
 
     def test_mixed_equality_errors(self):
         with pytest.raises(VmError, match="="):
@@ -632,6 +696,13 @@ def _run_style(source: str) -> tuple:
     return vm.stack, vm.doc.finalize(), vm.log.records
 
 
+def _run_untitled(source: str) -> Vm:
+    """The Vm after a run over one cited entry `k' that has no title field."""
+    vm = make_vm(source, bibs=('@misc{k, author = "A. B"}\n',))
+    vm.execute(parse_aux("\\relax\n\\citation{k}\n\\bibstyle{s}\n\\bibdata{d}\n"))
+    return vm
+
+
 class TestRedeclaration:
     """A body run both before and after a declaration that changes a name in it."""
 
@@ -749,3 +820,23 @@ class TestCallDepth:
         assert bbl == ""
         assert records == [
             (ERROR, f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 1)")]
+
+    @pytest.mark.parametrize("name,message", [
+        ("ghost", "unknown identifier `ghost'"),
+        ("substring$", "unsupported builtin `substring$'"),
+    ])
+    def test_quoted_name_counts_its_level_before_it_runs(self, name, message):
+        vm = make_vm()
+        vm.depth = CALL_DEPTH_LIMIT - 1
+        vm.stack.extend([1, FnRef(name=name), FnRef(name="skip$")])
+        with pytest.raises(VmError) as err:
+            vm.exec_ident("if$", 7)
+        assert str(err.value) == f"{message} (line 7)"
+        assert vm.depth == CALL_DEPTH_LIMIT - 1
+
+        vm.depth = CALL_DEPTH_LIMIT
+        vm.stack.extend([1, FnRef(name=name), FnRef(name="skip$")])
+        with pytest.raises(VmError) as err:
+            vm.exec_ident("if$", 7)
+        assert str(err.value) == f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 7)"
+        assert vm.depth == CALL_DEPTH_LIMIT
