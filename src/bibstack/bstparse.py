@@ -217,15 +217,14 @@ def _single_name(block: Token) -> str | None:
 
 
 def _describe(tok: Token) -> str:
+    """How an error names tok, which is never an identifier."""
     if tok.kind == "block":
         return "a {...} group"
     if tok.kind == "string":
         return f'string "{tok.value}"'
     if tok.kind == "int":
         return f"integer #{tok.value}"
-    if tok.kind == "quoted":
-        return f"quoted identifier '{tok.value}"
-    return f"`{tok.value}'"
+    return f"quoted identifier '{tok.value}"
 
 
 # ---------------------------------------------------------------------------

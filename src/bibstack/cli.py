@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .auxfile import AuxError, AuxFile, parse_aux, unwritable, write_aux
+from .auxfile import AuxError, parse_aux, unwritable, write_aux
 from .bstparse import parse_bst
 from .database import parse_bib
 from .diagnostics import ERROR
@@ -140,7 +140,7 @@ def _first_pass(cfg: argparse.Namespace, tex: TexScan) -> PassResult:
     aux_path = Path(cfg.base + ".aux")
     old_aux = _load(aux_path, parse_aux) if aux_path.exists() else None
     result = run_pass(tex, old_aux, base=cfg.base, bbl_items=_bbl_items(cfg, tex))
-    _report_passes(cfg, old_aux, [result])
+    _report_passes(cfg, [result])
     return result
 
 
@@ -152,11 +152,10 @@ def _bbl_items(cfg: argparse.Namespace, tex: TexScan) -> list[str] | None:
     return _load(bbl_path, scan_tex).inline_bib
 
 
-def _report_passes(cfg: argparse.Namespace, old_aux: AuxFile | None,
-                   results: list[PassResult]) -> None:
+def _report_passes(cfg: argparse.Namespace, results: list[PassResult]) -> None:
     """Write the last pass's .aux and .rendered.txt, then print each pass's
-    warnings and summary line; old_aux is the aux the first pass read.
-    An .aux the next run could not read is not written: the command ends."""
+    warnings and summary line.  An .aux the next run could not read is not
+    written: the command ends."""
     aux_path = Path(cfg.base + ".aux")
     fault = unwritable(results[-1].new_aux)
     if fault:
@@ -166,12 +165,9 @@ def _report_passes(cfg: argparse.Namespace, old_aux: AuxFile | None,
     for result in results:
         for warning in result.warnings:
             _err(warning)
-        known = old_aux.bibcites if old_aux else {}
-        resolved = sum(1 for k in result.new_aux.citations if k in known)
         state = "changed" if result.labels_changed else "stable"
         print(f"{cfg.base}: {len(result.new_aux.citations)} citation(s), "
-              f"{resolved} resolved, labels {state}")
-        old_aux = result.new_aux
+              f"{result.resolved} resolved, labels {state}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +187,7 @@ def cmd_pipeline(cfg: argparse.Namespace) -> int:
     # if the labels never settle, fixpoint adds the one message to the last pass's warnings
     results, _ = fixpoint(tex, first.new_aux, cfg.max_passes, base=cfg.base,
                           bbl_items=_bbl_items(cfg, tex))
-    _report_passes(cfg, first.new_aux, results)
+    _report_passes(cfg, results)
     return 2 if results[-1].labels_changed else bibtex_rc
 
 

@@ -7,7 +7,7 @@ citation keys are matched verbatim.  Field values accept both "..." and
 with a warning diagnostic and the offending block is skipped.
 
 The parser matches precompiled patterns at an integer offset.  group_end
-is the one brace-group scanner; latexpass uses it too.
+is the one brace-group scanner; latexpass and names use it too.
 """
 
 from __future__ import annotations
@@ -63,19 +63,17 @@ _KEY = re.compile(r"[^,}\s]*")
 _FIELD_NAME = re.compile(r"[^=,{}\"\s]*")
 _BARE_WORD = re.compile(r"[^,}#\s]*")
 _QUOTED_STOP = re.compile(r'[{}"]')
-_BRACE = re.compile(r"[{}]")
 
 
 def group_end(text: str, pos: int) -> int:
     """Offset just past the `}' that closes the `{' at pos, or -1 if it never closes."""
-    depth = 0
-    for m in _BRACE.finditer(text, pos):
-        if m.group() == "{":
-            depth += 1
-        else:
-            depth -= 1
-            if depth == 0:
-                return m.end()
+    # the depth after each `}' is the count of `{' before it less the `}' up to it
+    depth, start = 0, pos
+    while (end := text.find("}", start)) >= 0:
+        depth += text.count("{", start, end) - 1
+        if depth == 0:
+            return end + 1
+        start = end + 1
     return -1
 
 

@@ -60,6 +60,7 @@ class PassResult:
     new_aux: AuxFile
     warnings: list[str]
     labels_changed: bool
+    resolved: int  # the cites whose label old_aux gave
 
 
 def scan_tex(text: str) -> TexScan:
@@ -125,7 +126,7 @@ def run_pass(tex: TexScan, old_aux: AuxFile | None, *, base: str = "texput",
         )
 
     pieces: list[str] = []
-    last = 0
+    last = resolved = 0
     for span in tex.cite_spans:
         pieces.append(tex.text[last:span.start])
         marks = []
@@ -136,6 +137,7 @@ def run_pass(tex: TexScan, old_aux: AuxFile | None, *, base: str = "texput",
                 warnings.append(f"Citation `{key}' on page 1 undefined on input line {span.line}.")
             else:
                 marks.append(label)
+                resolved += 1
         pieces.append("[" + ",".join(marks) + "]")
         last = span.end
     pieces.append(tex.text[last:])
@@ -158,7 +160,7 @@ def run_pass(tex: TexScan, old_aux: AuxFile | None, *, base: str = "texput",
     labels_changed = new_labels != old_labels
     if labels_changed:
         warnings.append("Label(s) may have changed. Rerun to get cross-references right.")
-    return PassResult(rendered, new_aux, warnings, labels_changed)
+    return PassResult(rendered, new_aux, warnings, labels_changed, resolved)
 
 
 def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,

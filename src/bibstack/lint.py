@@ -24,9 +24,9 @@ def lint_program(program: BstProgram) -> list[Diagnostic]:
     kinds = name_kinds(program)
     fields: dict[str, None] = {}  # declaration order keeps the findings' order stable
     for cmd in program.commands:
-        declare(kinds, cmd)
-        if cmd.kind == "entry":
-            fields.update(dict.fromkeys(cmd.operand[0]))
+        for kind, declared in declare(kinds, cmd):
+            if kind == FIELD:
+                fields.update(dict.fromkeys(declared))
 
     reported: set[str] = set()
     read_fields: set[str] = set()

@@ -2,7 +2,8 @@
 
 A name list separates individual names with the word "and" at brace depth
 zero.  A single name takes one of three forms selected by its depth-zero
-comma count:
+comma count (brace groups are skipped whole with database.group_end; a
+stray } is text, and an unclosed { runs to the end):
 
     First von Last
     von Last, First
@@ -15,11 +16,11 @@ uppercase-initial.  Templates are sequences of pieces such as {ff} or
 each token to its first character, and any trailing characters in the
 piece are a literal suffix appended when the part is non-empty.
 
-split_names, parse_name and parse_template keep small LRU caches: a
-style asks for the count and then for each name of the same list, one
-entry at a time, so nearly every repeat is a hit while memory stays
-bounded.  Their results are shared between callers and must not be
-mutated.
+split_names, parse_name and parse_template keep 64-entry LRU caches;
+their results are shared and must not be mutated.  Most repeat calls of
+split_names and parse_template hit, but only about a third of
+parse_name's: a style that formats each name again in a later pass
+finds it evicted (the README gives measured rates).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .database import group_end
 
 # entries per cache; a few entries' author lists and their names fit
 _CACHE_SIZE = 64
@@ -161,8 +164,6 @@ def _is_von_word(token: str) -> bool:
 
 def _von_split(words: list[str]) -> tuple[list[str], list[str], list[str]]:
     """Split into (words-before-von, von, last); last holds at least the final word."""
-    if not words:
-        return [], [], []
     candidates = [i for i, w in enumerate(words[:-1]) if _is_von_word(w)]
     if not candidates:
         return words[:-1], [], words[-1:]
@@ -172,19 +173,20 @@ def _von_split(words: list[str]) -> tuple[list[str], list[str], list[str]]:
 
 def _split_top(s: str, sep: str | None) -> list[str]:
     """s.split(sep), for sep "," or None, that leaves brace groups whole;
-    a stray } is text."""
+    a stray } is text and an unclosed { runs to the end."""
     if "{" not in s:
         return s.split(sep)
+    stop = _SPACE_OR_BRACE if sep is None else _COMMA_OR_BRACE
     parts: list[str] = []
-    depth = start = 0
-    for m in (_SPACE_OR_BRACE if sep is None else _COMMA_OR_BRACE).finditer(s):
-        ch = m.group()
+    start = pos = 0
+    while m := stop.search(s, pos):
+        ch, pos = m.group(), m.end()
         if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth = max(0, depth - 1)
-        elif depth == 0:
+            pos = group_end(s, m.start())
+            if pos < 0:
+                break
+        elif ch != "}":
             parts.append(s[start:m.start()])
-            start = m.end()
+            start = pos
     parts.append(s[start:])
     return parts if sep is not None else [p for p in parts if p]

@@ -8,12 +8,14 @@ function with no current entry, ITERATE runs it once per entry, and
 SORT stably reorders entries by their sort.key$ string.
 
 Each identifier's kind comes from one name table (name_kinds, extended
-by declare as each ENTRY, STRINGS or INTEGERS command runs).  One
-resolver, _resolve_name, is the only dispatcher: it turns a name into
-the (handler, operand) pair that runs it, a builtin to call, a body to
-enter, a field or variable to read, or the error of an unknown name.
-Where each variable kind's values live and which type they hold is
-said once, in VARIABLES: reads and := both look it up there.
+by declare, the one reader of ENTRY, STRINGS and INTEGERS operands, as
+each such command runs).  One resolver, _resolve_name, is the only
+dispatcher: it turns a name into the (handler, operand) pair that runs
+it, a builtin to call, a body to enter, a field or variable to read, or
+the error of an unknown name.  Where each variable kind's values live,
+and its initial value, whose type is the one type it holds, are said
+once, in VARIABLES: declarations, reads and := all look them up there.
+READ gives each entry a copy of the per-entry variables of a blank entry.
 Bodies are resolved the first time they run and dropped whenever a
 declaration changes the table; quoted names are resolved as they run.
 Every body entered counts one call level, up to CALL_DEPTH_LIMIT, and
@@ -84,14 +86,17 @@ class Vm:
         self.log = BlgLog()
         self.while_limit = while_limit
         self.stack: list = []
+        self.blank = RuntimeEntry("", "", {})  # declared per-entry variables; READ copies them
+        # the declared names by kind, as the benchmark probe reads them
         self.field_names: list[str] = []
-        self.entry_int_names: list[str] = []
-        self.entry_str_names: list[str] = ["sort.key$"]
+        self.entry_int_names, self.entry_str_names = self.blank.ints, self.blank.strs
         self.globals_int: dict[str, int] = {}
         self.globals_str: dict[str, str] = {}
         self.entries: list[RuntimeEntry] = []
         self.current: RuntimeEntry | None = None
         self.kinds = name_kinds(program)
+        # the variables the table starts with (sort.key$) get their storage here
+        self._store((kind, [name]) for name, kind in self.kinds.items())
         self.depth = 0
         # id(body) -> (body, resolved ops); holding the body keeps its id unique
         self._resolved: dict[int, tuple[list[Token], list[tuple]]] = {}
@@ -111,21 +116,9 @@ class Vm:
             self.log.error(f"stack not empty at end: [{shown}]")
 
     def _exec_command(self, cmd, aux: AuxFile) -> None:
-        if declare(self.kinds, cmd):
+        if groups := declare(self.kinds, cmd):
             self._resolved.clear()
-        if cmd.kind == "entry":
-            fields, ints, strs = cmd.operand
-            self.field_names = list(fields)
-            self.entry_int_names = list(ints)
-            for name in strs:
-                if name not in self.entry_str_names:
-                    self.entry_str_names.append(name)
-        elif cmd.kind == "strings":
-            for name in cmd.operand:
-                self.globals_str.setdefault(name, "")
-        elif cmd.kind == "integers":
-            for name in cmd.operand:
-                self.globals_int.setdefault(name, 0)
+            self._store(groups)
         elif cmd.kind == "read":
             self._read(aux)
         elif cmd.kind == "execute":
@@ -140,6 +133,17 @@ class Vm:
             self.entries.sort(key=lambda e: e.strs["sort.key$"])
         # "function" commands have no runtime effect: bodies are bound at parse time
 
+    def _store(self, groups) -> None:
+        """Give each name of the (kind, names) groups the storage of its kind."""
+        for kind, declared in groups:
+            if kind == FIELD:
+                self.field_names += declared
+            elif kind in VARIABLES:
+                per_entry, attr, initial = VARIABLES[kind]
+                store = getattr(self.blank if per_entry else self, attr)
+                for name in declared:
+                    store.setdefault(name, initial)
+
     def _read(self, aux: AuxFile) -> None:
         for key in unique_citation_order(aux):
             entry = None
@@ -150,13 +154,8 @@ class Vm:
             if entry is None:
                 self.log.warning(f"no database entry for citation `{key}'")
                 continue
-            self.entries.append(RuntimeEntry(
-                key=entry.key,
-                entry_type=entry.entry_type,
-                fields=entry.fields,
-                ints={name: 0 for name in self.entry_int_names},
-                strs={name: "" for name in self.entry_str_names},
-            ))
+            self.entries.append(RuntimeEntry(entry.key, entry.entry_type, entry.fields,
+                                             dict(self.blank.ints), dict(self.blank.strs)))
 
     # -- token execution ----------------------------------------------------
 
@@ -475,10 +474,10 @@ UNSUPPORTED_BUILTINS = frozenset({
 # declarations give several kinds keeps the first of them in this order.
 FIELD, ENTRY_STR, ENTRY_INT, GLOBAL_STR, GLOBAL_INT, BUILTIN, FUNCTION = range(7)
 
-# The one description of each variable kind, for reads and `:=': whether
-# its values live on the current entry or on the Vm, the dict attribute
-# that holds them there, and its initial value, whose type is the one
-# type the variable holds.
+# The one description of each variable kind, for declarations, reads and
+# `:=': whether its values live on the current entry (declared on the Vm's
+# blank entry) or on the Vm, the dict attribute that holds them there, and
+# its initial value, whose type is the one type the variable holds.
 VARIABLES = {
     ENTRY_STR: (True, "strs", ""),
     ENTRY_INT: (True, "ints", 0),
@@ -495,23 +494,23 @@ def name_kinds(program: BstProgram) -> dict[str, int]:
     return kinds
 
 
-def declare(kinds: dict[str, int], cmd: BstCommand) -> bool:
+def declare(kinds: dict[str, int], cmd: BstCommand) -> list[tuple[int, list[str]]]:
     """Record the names an ENTRY, STRINGS or INTEGERS command declares.
 
-    True when cmd is such a command: a name in it may have changed kind.
+    Returns the (kind, names) groups it recorded, none for any other command.
     """
     if cmd.kind == "entry":
-        groups = zip((FIELD, ENTRY_INT, ENTRY_STR), cmd.operand)  # fields, ints, strs
+        groups = list(zip((FIELD, ENTRY_INT, ENTRY_STR), cmd.operand))  # fields, ints, strs
     elif cmd.kind == "strings":
         groups = [(GLOBAL_STR, cmd.operand)]
     elif cmd.kind == "integers":
         groups = [(GLOBAL_INT, cmd.operand)]
     else:
-        return False
+        return []
     for kind, declared in groups:
         for name in declared:
             kinds[name] = min(kind, kinds.get(name, kind))
-    return True
+    return groups
 
 
 def run(program: BstProgram, aux: AuxFile, databases: list[Database]) -> tuple[BblDocument, BlgLog]:

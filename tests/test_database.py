@@ -184,6 +184,7 @@ class TestGoldenDiagnostics:
         ("@misc", ("error", "expected `{' after `@misc'", 1)),
         ("@string", ("warning", "`@string' is not supported; block skipped", 1)),
         ("@comment{ {x}", ("warning", "`@comment' is not supported; block skipped", 1)),
+        ('@misc{k, note = "a {b', ("error", "unterminated value of `note'; entry `k' skipped", 1)),
     ])
     def test_end_of_file_inside_an_entry(self, text, expected):
         db, diags = parse_bib(text)

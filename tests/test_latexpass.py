@@ -83,12 +83,14 @@ class TestRunPass:
         assert sum("undefined" in w for w in result.warnings) == 3
         assert write_aux(result.new_aux) == INLINE_AUX
         assert result.labels_changed
+        assert result.resolved == 0
 
     def test_second_pass_resolves_marks(self):
         scan = scan_tex(INLINE_TEX)
         result = run_pass(scan, parse_aux(INLINE_AUX), base="test")
         assert cite_marks(result.rendered) == ["[2]", "[1]", "[2]"]
         assert not result.labels_changed
+        assert result.resolved == 3
         assert all("undefined" not in w for w in result.warnings)
 
     def test_tampered_labels_render_then_restore(self):
@@ -117,6 +119,7 @@ class TestRunPass:
         scan = scan_tex("\\cite{a,b}\n\\begin{thebibliography}{9}\n\\bibitem{a} A\n\\end{thebibliography}\n")
         result = run_pass(scan, AuxFile(bibcites={"a": "1"}))
         assert "[1,?]" in result.rendered
+        assert result.resolved == 1
 
     def test_non_cite_text_preserved(self):
         scan = scan_tex(INLINE_TEX)

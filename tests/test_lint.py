@@ -2,6 +2,7 @@
 
 import re
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -97,6 +98,27 @@ class TestStackEffect:
             "ENTRY {author}{}{}\nREAD\nFUNCTION {each} { author }\nITERATE {each}\n"
         )
         assert any("net stack effect +1" in f.message for f in findings)
+
+    @pytest.mark.parametrize("source", [
+        # an if$ operand that is neither a block nor a quoted name
+        "ENTRY {title}{}{}\nFUNCTION {f} { #1 title title if$ }\nREAD\nITERATE {f}\n",
+        # the call to g makes the walk forget the block pushed before it
+        "FUNCTION {g} { skip$ }\nFUNCTION {main} { #1 {skip$} g {skip$} if$ }\nEXECUTE {main}\n",
+        # a while$ predicate that does not push exactly one value
+        "FUNCTION {main} { {#1 #2} {skip$} while$ }\nEXECUTE {main}\n",
+        # a while$ body that changes the stack
+        "FUNCTION {main} { {#1} {#1} while$ }\nEXECUTE {main}\n",
+    ])
+    def test_unknown_effect_is_not_reported(self, source):
+        findings, diags = lint(source)
+        assert diags == []
+        assert findings == []
+
+    def test_unresolved_name_leaves_the_effect_unknown(self):
+        findings, _ = lint("FUNCTION {main} { #1 ghost }\nEXECUTE {main}\n")
+        assert [(f.message, f.line) for f in findings] == [
+            ("`ghost' does not resolve to a field, variable, builtin, or function", 1)
+        ]
 
     def test_nested_function_calls_accumulate(self):
         # push.two nets +2, the + nets -1, so main nets +1; only the

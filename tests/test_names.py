@@ -36,6 +36,14 @@ class TestSplitNames:
     def test_whitespace_collapsed(self):
         assert split_names("  A   B  and  C ") == ["A B", "C"]
 
+    @pytest.mark.parametrize("author, expected", [
+        ("A} and B", ["A}", "B"]),  # a stray } is text
+        ("A {B and C", ["A {B and C"]),  # an unclosed { runs to the end
+        ("x and } and y", ["x", "}", "y"]),
+    ])
+    def test_unbalanced_braces(self, author, expected):
+        assert split_names(author) == expected
+
 
 class TestCountNames:
     def test_counts(self):
@@ -83,6 +91,14 @@ class TestParseName:
         parts = parse_name("{de} Cruz, Maria")
         assert parts.von == []
         assert parts.last == ["{de}", "Cruz"]
+
+    @pytest.mark.parametrize("name, last", [
+        ("{Doe, Inc.}, John", ["{Doe, Inc.}"]),  # a comma inside braces separates nothing
+        ("Smith} Jr, John", ["Smith}", "Jr"]),  # a stray } is text
+        ("{von Last", ["{von Last"]),  # an unclosed { runs to the end
+    ])
+    def test_last_with_braces(self, name, last):
+        assert parse_name(name).last == last
 
     def test_too_many_commas(self):
         with pytest.raises(NameParseError):
