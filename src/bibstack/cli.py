@@ -185,8 +185,8 @@ def cmd_pipeline(cfg: argparse.Namespace) -> int:
     if bibtex_rc == 2:
         return 2
     # if the labels never settle, fixpoint adds the one message to the last pass's warnings
-    results, _ = fixpoint(tex, first.new_aux, cfg.max_passes, base=cfg.base,
-                          bbl_items=_bbl_items(cfg, tex))
+    results = fixpoint(tex, first.new_aux, cfg.max_passes, base=cfg.base,
+                       bbl_items=_bbl_items(cfg, tex))
     _report_passes(cfg, results)
     return 2 if results[-1].labels_changed else bibtex_rc
 

@@ -6,8 +6,15 @@ citation keys are matched verbatim.  Field values accept both "..." and
 @string/@preamble/@comment constructs and `#` concatenation are rejected
 with a warning diagnostic and the offending block is skipped.
 
-The parser matches precompiled patterns at an integer offset.  group_end
-is the one brace-group scanner; latexpass and names use it too.
+The parser matches precompiled patterns at an integer offset.  Most
+fields take one match of _FIELD: the separators before the field, its
+name, `=', a value ({...} with at most one level of inner groups, "..."
+without braces, or an ASCII digit run) and the whitespace up to the `,'
+or `}' after it.  Where that pattern does not match (`#', deeper groups,
+an unclosed value, other digits, a macro, a missing `=' or comma), the
+general reader runs from the same offset, so every diagnostic keeps its
+text and line.  group_end is the one brace-group scanner; latexpass and
+names use it too.
 """
 
 from __future__ import annotations
@@ -63,6 +70,13 @@ _KEY = re.compile(r"[^,}\s]*")
 _FIELD_NAME = re.compile(r"[^=,{}\"\s]*")
 _BARE_WORD = re.compile(r"[^,}#\s]*")
 _QUOTED_STOP = re.compile(r'[{}"]')
+# one well-formed field (see above); every quantifier is possessive, so a
+# failed match is linear in what it read
+_FIELD = re.compile(
+    r'[\s,]*+([^=,{}"\s]++)\s*+=\s*+'
+    r'(?:\{((?:[^{}]++|\{[^{}]*+\})*+)\}|"([^{}"]*+)"|([0-9]++))'
+    r'\s*+(?=[,}])'
+)
 
 
 def group_end(text: str, pos: int) -> int:
@@ -140,27 +154,32 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
     entry = Entry(key=key, entry_type=etype)
 
     while True:
-        pos = _SPACE.match(text, pos).end()
-        if pos == len(text):
-            raise _EntryError(ERROR, f"unexpected end of file inside entry `{key}'", pos)
-        ch = text[pos]
-        if ch == "}":
-            pos += 1
-            break
-        if ch == ",":
-            pos += 1
-            continue
-        m = _FIELD_NAME.match(text, pos)
-        name = m.group().lower()
-        if not name:
-            raise _EntryError(ERROR, f"expected a field name in entry `{key}'", pos)
-        pos = _SPACE.match(text, m.end()).end()
-        if not text.startswith("=", pos):
-            raise _EntryError(ERROR, f"expected `=' after field `{name}' in entry `{key}'", pos)
-        value, pos = _read_value(text, _SPACE.match(text, pos + 1).end(), name, key)
-        pos = _SPACE.match(text, pos).end()
-        if text.startswith("#", pos):
-            raise _EntryError(WARNING, f"string concatenation with `#' is not supported; entry `{key}' skipped", pos)
+        if (m := _FIELD.match(text, pos)) is not None:
+            # the value is the one alternative's group that matched, the last one
+            name, value, pos = m[1].lower(), m[m.lastindex], m.end()
+        else:
+            # anything else takes the general reader from the same offset
+            pos = _SPACE.match(text, pos).end()
+            if pos == len(text):
+                raise _EntryError(ERROR, f"unexpected end of file inside entry `{key}'", pos)
+            ch = text[pos]
+            if ch == "}":
+                pos += 1
+                break
+            if ch == ",":
+                pos += 1
+                continue
+            m = _FIELD_NAME.match(text, pos)
+            name = m.group().lower()
+            if not name:
+                raise _EntryError(ERROR, f"expected a field name in entry `{key}'", pos)
+            pos = _SPACE.match(text, m.end()).end()
+            if not text.startswith("=", pos):
+                raise _EntryError(ERROR, f"expected `=' after field `{name}' in entry `{key}'", pos)
+            value, pos = _read_value(text, _SPACE.match(text, pos + 1).end(), name, key)
+            pos = _SPACE.match(text, pos).end()
+            if text.startswith("#", pos):
+                raise _EntryError(WARNING, f"string concatenation with `#' is not supported; entry `{key}' skipped", pos)
         if name in entry.fields:
             diag(WARNING, f"duplicate field `{name}' in entry `{key}'; first value kept", pos)
         else:

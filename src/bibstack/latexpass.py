@@ -165,7 +165,7 @@ def run_pass(tex: TexScan, old_aux: AuxFile | None, *, base: str = "texput",
 
 def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,
              base: str = "texput", bbl_items: list[str] | None = None
-             ) -> tuple[list[PassResult], int]:
+             ) -> list[PassResult]:
     """Run passes feeding each new aux forward until labels stop changing.
 
     Raises ValueError when max_passes is below 1.
@@ -182,7 +182,7 @@ def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,
             break
     if results[-1].labels_changed:
         results[-1].warnings.append(f"labels still changing after {max_passes} pass(es)")
-    return results, len(results)
+    return results
 
 
 def _read_group(text: str, pos: int, line: int, cmd: str) -> tuple[str, int]:

@@ -40,6 +40,36 @@ BST_TEXT = st.lists(st.one_of(
     ]),
 ), max_size=12).map(" ".join)
 
+# .bib values that parse: flat, one level and two levels of inner groups,
+# quoted with and without a group, ASCII and non-ASCII digit runs
+BIB_GOOD_VALUES = ["{x}", "{}", "{a b}", "{Zo{\\\"e} M{\\\"u}ller}", "{Corporate and Co}",
+                   "{A {B {C}} D}", "{line\nbreak}", '"q"', '""', '"a {b} c"', "1984", "\u0663"]
+
+# .bib text: entries built from the pieces that steer parse_bib between
+# its one-match field reader and its general reader (the values above;
+# `#' after a value; `a#b' names; duplicate fields and keys; missing
+# commas; CRLF; @string blocks; unterminated values), mixed with loose
+# characters
+_BIB_FIELD = st.tuples(
+    st.sampled_from(["note", "year", "NOTE", "a#b"]),
+    st.sampled_from([" = ", "=", " =\r\n  "]),
+    st.one_of(st.sampled_from(BIB_GOOD_VALUES), st.sampled_from(BIB_GOOD_VALUES),
+              st.sampled_from(['"x" # "y"', "{x} #", "1 # 2", "{a {b {c {d}}}}", '"a}b"',
+                               "12ab", "1\u0663", "jan", "{open", '"open'])),
+).map("".join)
+_BIB_ENTRY = st.tuples(
+    st.sampled_from(["@misc", "@Article", "@string"]),
+    st.sampled_from(["{k", "{j", "{ k"]),
+    st.lists(st.tuples(st.sampled_from([",", ", ", ",\r\n  ", ",\n  ", " ", ",,"]), _BIB_FIELD)
+             .map("".join), max_size=4).map("".join),
+    st.sampled_from(["}", ",}", "\r\n}", "\n}\n", ""]),
+).map("".join)
+BIB_TEXT = st.lists(st.one_of(
+    _BIB_ENTRY,
+    st.sampled_from(["\n", "\r\n", " ", "@", "{", "}", "#", ",", "="]),
+    st.characters(),
+), max_size=6).map("".join)
+
 SAMPLE_BIB = r'''@article{Ulam-1964,
     author = "Stein P. R. and  Ulam S. M.",
     title = "Non-linear transformation studies on

@@ -1,11 +1,16 @@
 """Tests for .bib parsing, lookup, and field access."""
 
+import re
 import string
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibstack import database
+from bibstack.auxfile import parse_aux
+from bibstack.bstparse import parse_bst
 from bibstack.database import (
     Database,
     Entry,
@@ -16,8 +21,18 @@ from bibstack.database import (
 )
 
 from bibstack.diagnostics import Diagnostic
+from bibstack.vm import run
 
-from fixtures import EXTRA_BIB_ENTRY, SAMPLE_BIB, SCANNER_TEXT
+from fixtures import (
+    BIB_GOOD_VALUES,
+    BIB_TEXT,
+    EXTRA_BIB_ENTRY,
+    GUARDED_NUMBER_BST,
+    LASTNAME_SORT_FRAGMENT,
+    SAMPLE_BIB,
+    SCANNER_TEXT,
+    with_sort_fragment,
+)
 
 
 class TestParseBib:
@@ -276,8 +291,6 @@ def test_whitespace_normalization_idempotent(value):
 
 
 def test_missing_iff_not_in_source():
-    import re
-
     db, _ = parse_bib(SAMPLE_BIB + EXTRA_BIB_ENTRY)
     declared = ["author", "title", "journal", "year", "volume", "pages", "number",
                 "publisher", "address"]
@@ -304,3 +317,149 @@ def test_accepted_values_have_balanced_braces():
                 depth -= ch == "}"
                 assert depth >= 0
             assert depth == 0
+
+
+# -- the one-match field reader against the general reader -------------------
+
+_NEVER = re.compile(r"(?!)")
+
+
+def _parsed(text: str):
+    db, diags = parse_bib(text, "t.bib")
+    return [(e.key, e.entry_type, list(e.fields.items())) for e in db.entries], diags
+
+
+def _parsed_by_general_reader(text: str):
+    # a fast-path pattern that never matches leaves only the general reader
+    with mock.patch.object(database, "_FIELD", _NEVER):
+        return _parsed(text)
+
+
+@pytest.fixture(params=["fast path", "general reader"])
+def parsed(request):
+    return _parsed if request.param == "fast path" else _parsed_by_general_reader
+
+
+class TestFieldReaders:
+    """Exact results for the edges between the two field readers, from both."""
+
+    @pytest.mark.parametrize("text, entries, diags", [
+        ("@misc{k, note = {a  b}, year = 1984, title = \"T\"}",
+         [("k", "misc", [("note", "a b"), ("year", "1984"), ("title", "T")])], []),
+        ("@misc{k, author = {Zo{\\\"e} M{\\\"u}ller and {Corporate and Co}}}",
+         [("k", "misc", [("author", "Zo{\\\"e} M{\\\"u}ller and {Corporate and Co}")])], []),
+        ("@misc{k, title = {A {B {C}} D}, note = \"a {b} c\"}",
+         [("k", "misc", [("title", "A {B {C}} D"), ("note", "a {b} c")])], []),
+        ("@misc{k, note = {a} # {b}}\n@misc{j, year = 1}",
+         [("j", "misc", [("year", "1")])],
+         [("warning", "string concatenation with `#' is not supported; entry `k' skipped", 1)]),
+        ("@misc{k, year = 19\n  # 84}",
+         [], [("warning", "string concatenation with `#' is not supported; entry `k' skipped", 2)]),
+        ("@misc{k,\n  note = {a},\n  NOTE = \"b\"}",
+         [("k", "misc", [("note", "a")])],
+         [("warning", "duplicate field `note' in entry `k'; first value kept", 3)]),
+        ("@misc{k, note = {a}}\n@misc{k, note = {b}}",
+         [("k", "misc", [("note", "a")])],
+         [("warning", "duplicate entry key `k'; later entry dropped", 2)]),
+        ("@misc{k, a#b = {x}}", [("k", "misc", [("a#b", "x")])], []),
+        ("@misc{k, year = \u0663, month = 1\u0663 }",
+         [("k", "misc", [("year", "\u0663"), ("month", "1\u0663")])], []),
+        ("@misc{k, year = 12ab}",
+         [("k", "misc", [("year", "12ab")])], []),
+        ("@misc{k note = {a} year = 1984 title = \"t\"}",
+         [("k", "misc", [("note", "a"), ("year", "1984"), ("title", "t")])], []),
+        ("@misc{k, note {a}}", [], [("error", "expected `=' after field `note' in entry `k'", 1)]),
+        ("@misc{k,\r\n  note = {a\r\nb},\r\n  note = {c}\r\n}",
+         [("k", "misc", [("note", "a b")])],
+         [("warning", "duplicate field `note' in entry `k'; first value kept", 5)]),
+        ("@string{x = {y}}\n@misc{k, note = {z}}",
+         [("k", "misc", [("note", "z")])],
+         [("warning", "`@string' is not supported; block skipped", 1)]),
+        ("@misc{k, note = {a {b}\n", [],
+         [("error", "unterminated value of `note'; entry `k' skipped", 2)]),
+        ("@misc{k, note = \"abc\n", [],
+         [("error", "unterminated value of `note'; entry `k' skipped", 2)]),
+        ("@misc{k, note = \"a, year = 1984}", [],
+         [("error", "unbalanced braces in value of `note'; entry `k' skipped", 1)]),
+    ])
+    def test_edge(self, parsed, text, entries, diags):
+        got_entries, got_diags = parsed(text)
+        assert got_entries == entries
+        assert [(d.severity, d.message, d.line) for d in got_diags] == diags
+
+    @pytest.mark.parametrize("text, entries, diag", [
+        # many groups, then a `{' that never closes
+        ("@misc{k, note = {" + "ab {a} " * 30000 + "{", [],
+         ("error", "unterminated value of `note'; entry `k' skipped", 1)),
+        ("@misc{k, note = \"" + "ab " * 70000, [],
+         ("error", "unterminated value of `note'; entry `k' skipped", 1)),
+        ("@misc{k, note = " + "{" * 100000 + "}" * 100000 + "}",
+         [("k", "misc", [("note", "{" * 99999 + "}" * 99999)])], None),
+    ], ids=["unclosed-group", "unterminated-quote", "deep-nesting"])
+    def test_long_values_read_in_one_pass(self, parsed, text, entries, diag):
+        # a field pattern that backtracks would not finish on these
+        got_entries, got_diags = parsed(text)
+        assert got_entries == entries
+        assert [(d.severity, d.message, d.line) for d in got_diags] == ([diag] if diag else [])
+
+
+@given(BIB_TEXT)
+def test_field_readers_agree(text):
+    assert _parsed(text) == _parsed_by_general_reader(text)
+
+
+# -- metamorphic relations ----------------------------------------------------
+
+@settings(max_examples=50)
+@given(BIB_TEXT)
+def test_crlf_line_ends_change_nothing(text):
+    lf = text.replace("\r", "")
+    assert _parsed(lf.replace("\n", "\r\n")) == _parsed(lf)
+
+
+_good_field = st.tuples(st.sampled_from(["note", "Title", "year", "a#b"]),
+                        st.sampled_from(BIB_GOOD_VALUES)).map(lambda f: f"{f[0]} = {f[1]}")
+
+
+@st.composite
+def _good_entries(draw, exclude=()):
+    """Well-formed entry texts with distinct keys not in exclude."""
+    keys = draw(st.lists(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=4)
+                         .filter(lambda k: k not in exclude), max_size=6, unique=True))
+    return [
+        "@{}{{{},\n  {}}}\n".format(
+            draw(st.sampled_from(["misc", "Article", "book"])), key,
+            ",\n  ".join(draw(st.lists(_good_field, max_size=4))))
+        for key in keys
+    ]
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_entry_order_changes_no_entry(data):
+    entries = data.draw(_good_entries())
+    shuffled = data.draw(st.permutations(entries))
+    (before, before_diags), (after, after_diags) = _parsed("".join(entries)), _parsed("".join(shuffled))
+    assert sorted(after) == sorted(before)
+    assert sorted((d.severity, d.message) for d in after_diags) == \
+        sorted((d.severity, d.message) for d in before_diags)
+
+
+_CITING_AUX = ("\\citation{YangYu}\n\\citation{Poincare}\n\\citation{absent}\n"
+               "\\citation{Ulam-1964}\n\\bibstyle{s}\n\\bibdata{my}\n")
+_SORTING_BST = with_sort_fragment(GUARDED_NUMBER_BST, LASTNAME_SORT_FRAGMENT)
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_uncited_entries_change_no_output(data):
+    program, _ = parse_bst(_SORTING_BST)
+    aux = parse_aux(_CITING_AUX)
+    pieces = [SAMPLE_BIB, EXTRA_BIB_ENTRY]
+    extra = data.draw(_good_entries(exclude={"absent"}))
+    for entry in extra:
+        pieces.insert(data.draw(st.integers(0, len(pieces))), entry)
+    doc, log = run(program, aux, [parse_bib(SAMPLE_BIB + EXTRA_BIB_ENTRY)[0]])
+    grown_doc, grown_log = run(program, aux, [parse_bib("".join(pieces))[0]])
+    assert grown_doc.finalize() == doc.finalize()
+    assert grown_log.records == log.records

@@ -141,22 +141,22 @@ class TestRunPass:
 class TestFixpoint:
     def test_converges_in_two_passes_from_nothing(self):
         scan = scan_tex(INLINE_TEX)
-        results, passes = fixpoint(scan, None, 5, base="test")
-        assert passes == 2
+        results = fixpoint(scan, None, 5, base="test")
+        assert len(results) == 2
         assert cite_marks(results[-1].rendered) == ["[2]", "[1]", "[2]"]
         assert not results[-1].labels_changed
 
     def test_already_at_fixpoint(self):
         scan = scan_tex(INLINE_TEX)
-        results, passes = fixpoint(scan, parse_aux(INLINE_AUX), 5, base="test")
-        assert passes == 1
+        results = fixpoint(scan, parse_aux(INLINE_AUX), 5, base="test")
+        assert len(results) == 1
 
     def test_tampered_aux_recovers_in_two_passes(self):
         scan = scan_tex(INLINE_TEX)
         tampered = parse_aux(INLINE_AUX)
         tampered.bibcites = {"Poincare": "10", "Ulam-1964": "25"}
-        results, passes = fixpoint(scan, tampered, 5, base="test")
-        assert passes == 2
+        results = fixpoint(scan, tampered, 5, base="test")
+        assert len(results) == 2
         assert cite_marks(results[0].rendered) == ["[25]", "[10]", "[25]"]
         assert cite_marks(results[1].rendered) == ["[2]", "[1]", "[2]"]
 
@@ -183,8 +183,8 @@ def test_inline_documents_converge_within_two_passes(cites, items):
     body = " ".join(f"\\cite{{{k}}}" for k in cites)
     bibliography = "\n".join(f"\\bibitem{{{k}}} text" for k in items)
     tex = f"{body}\n\\begin{{thebibliography}}{{9}}\n{bibliography}\n\\end{{thebibliography}}\n"
-    results, passes = fixpoint(scan_tex(tex), None, 5, base="t")
-    assert passes <= 2
+    results = fixpoint(scan_tex(tex), None, 5, base="t")
+    assert len(results) <= 2
     assert not results[-1].labels_changed
 
 
