@@ -156,7 +156,7 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
     while True:
         if (m := _FIELD.match(text, pos)) is not None:
             # the value is the one alternative's group that matched, the last one
-            name, value, pos = m[1].lower(), m[m.lastindex], m.end()
+            name, value, at, pos = m[1].lower(), m[m.lastindex], m.start(1), m.end()
         else:
             # anything else takes the general reader from the same offset
             pos = _SPACE.match(text, pos).end()
@@ -170,7 +170,7 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
                 pos += 1
                 continue
             m = _FIELD_NAME.match(text, pos)
-            name = m.group().lower()
+            name, at = m.group().lower(), pos
             if not name:
                 raise _EntryError(ERROR, f"expected a field name in entry `{key}'", pos)
             pos = _SPACE.match(text, m.end()).end()
@@ -181,7 +181,7 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
             if text.startswith("#", pos):
                 raise _EntryError(WARNING, f"string concatenation with `#' is not supported; entry `{key}' skipped", pos)
         if name in entry.fields:
-            diag(WARNING, f"duplicate field `{name}' in entry `{key}'; first value kept", pos)
+            diag(WARNING, f"duplicate field `{name}' in entry `{key}'; first value kept", at)
         else:
             entry.fields[name] = normalize_value(value)
 

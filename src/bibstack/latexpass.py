@@ -6,7 +6,9 @@ opaque text.  It jumps from one match of a single pattern to the next:
 a `%' comment, or a backslash and the ASCII letters after it.  Comments,
 unknown words and words that go on with other letters (str.isalpha) are
 passed over; an empty word is an escaped character such as \\%.  Each
-recognized command reads its {...} group in one place, _read_group.
+recognized command reads its {...} group in one place, _read_group, but
+for the optional {width} after \\begin{thebibliography}, which stays text
+when it does not close.
 
 run_pass renders each cite as "[label]" using the labels of the previous
 .aux (or "[?]" plus a warning), regenerates the .aux, and reports
@@ -28,6 +30,7 @@ _CONTROL = re.compile(r"%[^\n]*\n?|\\([a-zA-Z]*)")
 _COMMANDS = frozenset(("cite", "bibitem", "bibliographystyle", "bibliography", "begin"))
 _OPTIONAL_ARG = re.compile(r"\s*\[[^\]]*\]")
 _OPEN = re.compile(r"\s*\{")
+_BRACE = re.compile(r"[{}]")
 
 
 class TexScanError(Exception):
@@ -68,6 +71,7 @@ def scan_tex(text: str) -> TexScan:
     scan = TexScan(text=text)
     # commands arrive in text order, so the line count only moves forward
     counted, line = 0, 1
+    unclosed: set[int] = set()  # filled at the first width group that does not close
     m = _CONTROL.search(text)
     while m:
         name, pos = m[1], m.end()
@@ -95,10 +99,14 @@ def scan_tex(text: str) -> TexScan:
             elif name == "bibliography":
                 scan.data = [d.strip() for d in content.split(",")]
             elif content.strip() == "thebibliography":  # \begin{thebibliography}{width}
-                try:
-                    _, pos = _read_group(text, pos, line, name)
-                except TexScanError:
-                    pass  # the width group is optional; a broken one stays text
+                # the width group is optional; a missing or unclosed one stays text
+                width = _OPEN.match(text, pos)
+                if width and width.end() - 1 not in unclosed:
+                    end = group_end(text, width.end() - 1)
+                    if end >= 0:
+                        pos = end
+                    else:  # found once, so no width group reads to the end again
+                        unclosed = _unclosed_braces(text)
         m = _CONTROL.search(text, pos)
     return scan
 
@@ -183,6 +191,17 @@ def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,
     if results[-1].labels_changed:
         results[-1].warnings.append(f"labels still changing after {max_passes} pass(es)")
     return results
+
+
+def _unclosed_braces(text: str) -> set[int]:
+    """The offsets of the `{'s in text that no `}' closes (group_end gives -1 for them)."""
+    opened: list[int] = []
+    for m in _BRACE.finditer(text):
+        if m[0] == "{":
+            opened.append(m.start())
+        elif opened:
+            opened.pop()
+    return set(opened)
 
 
 def _read_group(text: str, pos: int, line: int, cmd: str) -> tuple[str, int]:

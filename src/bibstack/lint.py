@@ -109,66 +109,47 @@ class _EffectAnalyzer:
         return (yield item.value if item.kind == "block" else [Token("id", item.value)])
 
     def _walk(self, tokens: list[Token]):
-        # items mirrors the positive part of the stack; deficit counts pops
-        # that reached below the function's own frame
-        items: list[Token | None] = []
-        deficit = 0
-
-        def pop():
-            nonlocal deficit
-            if items:
-                return items.pop()
-            deficit += 1
-            return None
-
-        def apply_opaque(net: int) -> None:
-            # conservatively forget what we knew about surviving stack slots
-            for k in range(len(items)):
-                items[k] = None
-            if net >= 0:
-                for _ in range(net):
-                    items.append(None)
-            else:
-                for _ in range(-net):
-                    pop()
-
+        # height counts the values pushed less those popped (negative once the
+        # body pops its caller's values); refs maps a slot's height to the block
+        # or quoted name this body pushed there, while that is still known
+        height = 0
+        refs: dict[int, Token] = {}
         for tok in tokens:
-            if tok.kind in ("string", "int"):
-                items.append(None)
-            elif tok.kind in ("quoted", "block"):
-                items.append(tok)
+            if tok.kind != "id":  # a literal, a quoted name or a block
+                if tok.kind in ("quoted", "block"):
+                    refs[height] = tok
+                height += 1
+                continue
+            name = tok.value
+            kind = self.kinds.get(name)
+            if kind is None:
+                return None  # unresolvable; reported separately
+            if kind < BUILTIN:  # a field or a variable
+                height += 1
+                continue
+            if kind == FUNCTION:
+                effect = yield name
+            elif (pops := BUILTINS[name][1]) is not None:
+                for _ in range(pops):
+                    height -= 1
+                    refs.pop(height, None)
+                height += BUILTINS[name][2]
+                continue
+            elif name == "if$":
+                height -= 3  # else, then, condition
+                effect = yield from self._effect_of_ref(refs.pop(height + 2, None))
+                if effect != (yield from self._effect_of_ref(refs.pop(height + 1, None))):
+                    return None
+            elif name == "while$":
+                height -= 2  # body, predicate
+                body_e = yield from self._effect_of_ref(refs.pop(height + 1, None))
+                pred_e = yield from self._effect_of_ref(refs.pop(height, None))
+                effect = 0 if pred_e == 1 and body_e == 0 else None
             else:
-                name = tok.value
-                kind = self.kinds.get(name)
-                if kind is None:
-                    return None  # unresolvable; reported separately
-                if kind < BUILTIN:  # a field or a variable
-                    items.append(None)
-                elif kind == BUILTIN:
-                    _fn, pops, pushes = BUILTINS[name]
-                    if pops is not None:
-                        for _ in range(pops):
-                            pop()
-                        for _ in range(pushes):
-                            items.append(None)
-                    elif name == "if$":
-                        else_e = yield from self._effect_of_ref(pop())
-                        then_e = yield from self._effect_of_ref(pop())
-                        pop()  # condition
-                        if else_e is None or else_e != then_e:
-                            return None
-                        apply_opaque(else_e)
-                    elif name == "while$":
-                        body_e = yield from self._effect_of_ref(pop())
-                        pred_e = yield from self._effect_of_ref(pop())
-                        if pred_e != 1 or body_e != 0:
-                            return None
-                        apply_opaque(0)
-                    else:
-                        return None  # call.type$
-                else:
-                    effect = yield name
-                    if effect is None:
-                        return None
-                    apply_opaque(effect)
-        return len(items) - deficit
+                return None  # call.type$
+            if effect is None:
+                return None
+            # what the call or the control builtin left in the slots below is unknown
+            refs.clear()
+            height += effect
+        return height

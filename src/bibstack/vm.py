@@ -41,7 +41,7 @@ from .emitter import BblDocument, BlgLog
 if TYPE_CHECKING:  # bstparse imports the builtin table from here
     from .bstparse import BstCommand, BstProgram, Token
 
-DEFAULT_WHILE_LIMIT = 1_000_000
+WHILE_LIMIT = 1_000_000  # iterations of one while$
 # Each level costs at most three Python frames (a body, if$ or while$,
 # call_ref), so the limit trips well inside Python's default
 # recursion limit of 1000 frames, leaving room for the caller and the builtins.
@@ -78,13 +78,11 @@ def missing_field_message(field_name: str, entry_key: str) -> str:
 
 
 class Vm:
-    def __init__(self, program: BstProgram, databases: list[Database], *,
-                 while_limit: int = DEFAULT_WHILE_LIMIT):
+    def __init__(self, program: BstProgram, databases: list[Database]):
         self.program = program
         self.databases = databases
         self.doc = BblDocument()
         self.log = BlgLog()
-        self.while_limit = while_limit
         self.stack: list = []
         self.blank = RuntimeEntry("", "", {})  # declared per-entry variables; READ copies them
         # the declared names by kind, as the benchmark probe reads them
@@ -349,12 +347,12 @@ def _bi_if(vm: Vm, line: int) -> None:
 def _bi_while(vm: Vm, line: int) -> None:
     body = vm.pop_ref("while$", line)
     pred = vm.pop_ref("while$", line)
-    for _ in range(vm.while_limit):
+    for _ in range(WHILE_LIMIT):
         vm.call_ref(pred, line)
         if vm.pop_int("while$", line) <= 0:
             return
         vm.call_ref(body, line)
-    raise VmError(f"while$: iteration limit of {vm.while_limit} exceeded (line {line})")
+    raise VmError(f"while$: iteration limit of {WHILE_LIMIT} exceeded (line {line})")
 
 
 def _bi_concat(vm: Vm, line: int) -> None:
@@ -430,12 +428,11 @@ def _make_int_op(symbol: str, fn):
 
 
 def _bi_call_type(vm: Vm, line: int) -> None:
-    entry = vm._need_entry("call.type$", line)
-    body = vm.program.functions.get(entry.entry_type)
-    if body is None:
-        vm.log.warning(f"no handler function for entry type `{entry.entry_type}'")
+    entry_type = vm._need_entry("call.type$", line).entry_type
+    if vm.kinds.get(entry_type) != FUNCTION:  # a function hidden by a declaration is not run
+        vm.log.warning(f"no handler function for entry type `{entry_type}'")
         return
-    vm.exec_tokens(body, line)
+    vm.exec_ident(entry_type, line)
 
 
 # The one builtin table: name -> (function, pops, pushes).  pops and

@@ -180,7 +180,7 @@ class TestGoldenDiagnostics:
             ("warning", "unquoted value `jan' (macros are not supported); entry `macro' skipped", 8),
             ("warning", "string concatenation with `#' is not supported; entry `concat' skipped", 10),
             ("error", "unbalanced braces in value of `note'; entry `unbal' skipped", 11),
-            ("warning", "duplicate field `note' in entry `dupfield'; first value kept", 15),
+            ("warning", "duplicate field `note' in entry `dupfield'; first value kept", 14),
             ("warning", "duplicate entry key `dupfield'; later entry dropped", 16),
             ("error", "unterminated value of `note'; entry `eof' skipped", 20),
         ]
@@ -371,7 +371,7 @@ class TestFieldReaders:
         ("@misc{k, note {a}}", [], [("error", "expected `=' after field `note' in entry `k'", 1)]),
         ("@misc{k,\r\n  note = {a\r\nb},\r\n  note = {c}\r\n}",
          [("k", "misc", [("note", "a b")])],
-         [("warning", "duplicate field `note' in entry `k'; first value kept", 5)]),
+         [("warning", "duplicate field `note' in entry `k'; first value kept", 4)]),
         ("@string{x = {y}}\n@misc{k, note = {z}}",
          [("k", "misc", [("note", "z")])],
          [("warning", "`@string' is not supported; block skipped", 1)]),

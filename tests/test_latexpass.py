@@ -1,6 +1,7 @@
 """Tests for the .tex scanner and the citation-pass simulation."""
 
 import string
+import time
 
 import pytest
 from hypothesis import given
@@ -72,6 +73,13 @@ class TestScanTex:
     def test_missing_brace_raises(self):
         with pytest.raises(TexScanError):
             scan_tex("\\bibliographystyle plain")
+
+    def test_unclosed_width_groups_are_linear(self):
+        # each width group reads to the end of the text once it is known not to close
+        start = time.perf_counter()
+        scan = scan_tex("\\begin{thebibliography}{" * 8_000)
+        assert time.perf_counter() - start < 2.0
+        assert scan.cites == [] and scan.inline_bib == []
 
 
 class TestRunPass:
@@ -186,6 +194,25 @@ def test_inline_documents_converge_within_two_passes(cites, items):
     results = fixpoint(scan_tex(tex), None, 5, base="t")
     assert len(results) <= 2
     assert not results[-1].labels_changed
+
+
+_item = st.sampled_from(["a", "b", "k", "ab"])
+
+
+@given(TEX_TEXT, st.dictionaries(_item, st.sampled_from(["1", "2", "3", "x"]), max_size=4),
+       st.lists(_item, max_size=6))
+def test_external_documents_converge_within_two_passes(text, bibcites, bbl_items):
+    # the new labels come from bbl_items alone, whatever the starting .aux held
+    try:
+        scan = scan_tex(text)
+    except TexScanError:
+        return
+    scan.style = "plain"
+    results = fixpoint(scan, AuxFile(bibcites=bibcites), 5, base="t", bbl_items=bbl_items)
+    assert len(results) <= 2
+    assert not results[-1].labels_changed
+    fresh = fixpoint(scan, None, 5, base="t", bbl_items=bbl_items)
+    assert results[-1].new_aux.bibcites == fresh[-1].new_aux.bibcites
 
 
 @given(TEX_TEXT)

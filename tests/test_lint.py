@@ -1,6 +1,7 @@
 """Tests for the static style checks."""
 
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -141,6 +142,14 @@ class TestStackEffect:
         assert [f.message for f in findings] == [
             "`f2999' has net stack effect +2999 when run by EXECUTE"
         ]
+
+    def test_long_body_is_linear(self):
+        # 32k calls in one body: a walk that revisits every slot after each call is quadratic
+        program, _ = parse_bst("FUNCTION {g} { skip$ }\nFUNCTION {f} { " + "#1 g " * 32_000 + "}\nEXECUTE {f}\n")
+        start = time.perf_counter()
+        findings = lint_program(program)
+        assert time.perf_counter() - start < 2.0
+        assert [f.message for f in findings] == ["`f' has net stack effect +32000 when run by EXECUTE"]
 
 
 # a small pool, so that random declarations often give one name several kinds

@@ -32,7 +32,7 @@ from fixtures import (
 MISSING_NUMBER_WARNING = "`number' is a missing field, not a string, for entry Ulam-1964"
 
 
-def make_vm(bst: str = "", bibs: tuple = (), while_limit: int = 10_000) -> Vm:
+def make_vm(bst: str = "", bibs: tuple = ()) -> Vm:
     program, diags = parse_bst(bst)
     assert not [d for d in diags if d.severity == "error"], diags
     databases = []
@@ -40,7 +40,7 @@ def make_vm(bst: str = "", bibs: tuple = (), while_limit: int = 10_000) -> Vm:
         db, bib_diags = parse_bib(text)
         assert bib_diags == []
         databases.append(db)
-    return Vm(program, databases, while_limit=while_limit)
+    return Vm(program, databases)
 
 
 def run_texts(bst: str, aux_text: str, *bibs: str):
@@ -296,9 +296,10 @@ class TestWhile:
         assert vm.log.errors() == []
         assert vm.globals_int["n"] == 0
 
-    def test_divergence_hits_iteration_cap(self):
+    def test_divergence_hits_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr("bibstack.vm.WHILE_LIMIT", 50)
         program, _ = parse_bst("FUNCTION {f} { {#1} {skip$} while$ }")
-        vm = make_vm(while_limit=50)
+        vm = make_vm()
         vm.program = program
         with pytest.raises(VmError, match="iteration limit"):
             vm.exec_tokens(program.functions["f"])
@@ -525,6 +526,26 @@ class TestCallType:
         doc, log = run_texts(HELLO_BST, aux, bib)
         assert "no handler function for entry type `misc'" in log.warnings()
         assert bibitem_keys(doc.finalize()) == ["Ulam-1964"]
+
+    def test_runs_only_a_name_the_table_gives_the_kind_function(self):
+        # FUNCTIONs misc and skip$ exist, but INTEGERS {misc} and the builtin hide them
+        bib = '@misc{M, note = "x"}\n@skip${S, note = "x"}\n@book{B, note = "x"}\n'
+        aux = "\\relax\n\\citation{M}\n\\citation{S}\n\\citation{B}\n\\bibstyle{s}\n\\bibdata{d}\n"
+        doc, log = run_texts(
+            "ENTRY {note}{}{}\n"
+            'FUNCTION {misc} { "misc" write$ newline$ }\n'
+            'FUNCTION {skip$} { "skip" write$ newline$ }\n'
+            "FUNCTION {book} { cite$ write$ newline$ }\n"
+            "INTEGERS {misc}\n"
+            "READ\n"
+            "ITERATE {call.type$}\n",
+            aux, bib,
+        )
+        assert doc.finalize() == "B\n"
+        assert log.records == [
+            (WARNING, "no handler function for entry type `misc'"),
+            (WARNING, "no handler function for entry type `skip$'"),
+        ]
 
     def test_error_without_current_entry(self):
         vm = make_vm()
