@@ -151,6 +151,8 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
     key = m.group()
     if not key or "{" in key:
         raise _EntryError(ERROR, f"invalid entry key {key!r}", pos)
+    if key in db.by_key:
+        diag(WARNING, f"duplicate entry key `{key}'; later entry dropped", m.start())
     entry = Entry(key=key, entry_type=etype)
 
     while True:
@@ -185,8 +187,7 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
         else:
             entry.fields[name] = normalize_value(value)
 
-    if not db.add(entry):
-        diag(WARNING, f"duplicate entry key `{key}'; later entry dropped", pos)
+    db.add(entry)
     return pos
 
 

@@ -1,4 +1,5 @@
-"""Shared diagnostic record used by the parsers and the interpreter."""
+"""Diagnostic record of the .bib and .bst parsers and of lint (the VM
+logs through emitter.BlgLog, which shares only the severity names)."""
 
 from dataclasses import dataclass
 

@@ -8,10 +8,10 @@ from .diagnostics import ERROR, WARNING
 
 
 class BblDocument:
-    def __init__(self, lines: list[str] | None = None, pending: str = ""):
-        self.lines = lines if lines is not None else []
+    def __init__(self):
+        self.lines: list[str] = []
         # the unfinished line in parts, joined once: += on a str copies it
-        self._parts = [pending]
+        self._parts: list[str] = []
 
     @property
     def pending(self) -> str:

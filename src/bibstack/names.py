@@ -16,8 +16,10 @@ uppercase-initial.  Templates are sequences of pieces such as {ff} or
 each token to its first character, and any trailing characters in the
 piece are a literal suffix appended when the part is non-empty.
 
-split_names, parse_name and parse_template keep 64-entry LRU caches;
-their results are shared and must not be mutated.  Most repeat calls of
+parse_name returns a NameParts NamedTuple of word lists and
+parse_template a list of (NameParts index, full, suffix) pieces.  They
+and split_names keep 64-entry LRU caches; their results and the lists
+inside are shared and must not be mutated.  Most repeat calls of
 split_names and parse_template hit, but only about a third of
 parse_name's: a style that formats each name again in a later pass
 finds it evicted (the README gives measured rates).
@@ -26,8 +28,8 @@ finds it evicted (the README gives measured rates).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .database import group_end
 
@@ -45,19 +47,15 @@ class TemplateError(ValueError):
     pass
 
 
-@dataclass
-class NameParts:
+class NameParts(NamedTuple):
     first: list[str]
     von: list[str]
     last: list[str]
     jr: list[str]
 
 
-@dataclass
-class TemplatePiece:
-    part: str  # one of f, v, l, j
-    full: bool
-    suffix: str
+# the template letter of each NameParts field, in field order
+_LETTERS = "fvlj"
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -109,22 +107,21 @@ def parse_name(name: str) -> NameParts:
 
 def format_name(name: str, template: str) -> str:
     parts = parse_name(name)
-    by_letter = {"f": parts.first, "v": parts.von, "l": parts.last, "j": parts.jr}
     out = []
-    for piece in parse_template(template):
-        tokens = by_letter[piece.part]
+    for index, full, suffix in parse_template(template):
+        tokens = parts[index]
         if not tokens:
             continue
-        if piece.full:
+        if full:
             text = " ".join(tokens)
         else:
             text = ". ".join(_initial(t) for t in tokens)
-        out.append(text + piece.suffix)
+        out.append(text + suffix)
     return "".join(out)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def parse_template(template: str) -> list[TemplatePiece]:
+def parse_template(template: str) -> list[tuple[int, bool, str]]:
     pieces = []
     i, n = 0, len(template)
     while i < n:
@@ -136,17 +133,14 @@ def parse_template(template: str) -> list[TemplatePiece]:
         body = template[i + 1 : j]
         if "{" in body:
             raise TemplateError(f"nested braces are not allowed in a piece: {{{body}}}")
-        if not body or body[0] not in "fvlj":
-            raise TemplateError(f"piece must start with one of f, v, l, j: {{{body}}}")
+        if not body or body[0] not in _LETTERS:
+            raise TemplateError(f"piece must start with one of {', '.join(_LETTERS)}: {{{body}}}")
         letter = body[0]
-        k = 1
-        full = False
-        if k < len(body) and body[k] == letter:
-            full = True
-            k += 1
-        if k < len(body) and body[k] == letter:
+        full = body[1:2] == letter
+        k = 1 + full
+        if body[k : k + 1] == letter:
             raise TemplateError(f"tripled piece letter: {{{body}}}")
-        pieces.append(TemplatePiece(letter, full, body[k:]))
+        pieces.append((_LETTERS.index(letter), full, body[k:]))
         i = j + 1
     return pieces
 

@@ -70,6 +70,57 @@ BIB_TEXT = st.lists(st.one_of(
     st.characters(),
 ), max_size=6).map("".join)
 
+# any text, weighted toward the characters the name engine splits on
+NAME_TEXT = st.lists(st.one_of(
+    st.sampled_from(list("{}, \t\nA")),
+    st.sampled_from([" and ", "and", "{\\'e}", "von", "Jr"]),
+    st.characters(),
+), max_size=40).map("".join)
+TEMPLATE_TEXT = st.one_of(
+    st.text(st.sampled_from(list("{}fvlj.~ ,")), max_size=12),
+    st.text(max_size=8),
+)
+
+# styles that parse and run: ENTRY, STRINGS and INTEGERS declarations
+# (some giving a name a second kind), six FUNCTIONs, then READ, SORT,
+# EXECUTE and ITERATE with more declarations among them.  Bodies hold
+# literals, fields, variables, quoted names, blocks, := and builtins,
+# with unknown and unsupported names among them; f0, f1 and f2 may call
+# each other and so recurse past the call depth limit, and the one
+# while$ loop counts down from 3
+_STYLE_WORDS = st.sampled_from([
+    '"x"', '""', "#1", "#-2", '"Doe, John and {R}oe, Jane"', '"{ff~}{vv~}{ll}{jj}"', '"{l.}"',
+    "author", "title", "year", "n", "s", "gs", "gi", "sort.key$", "cite$",
+    "'n", "'s", "'gs", "'gi", "'sort.key$", "'f0", "'f1", "'skip$", "'write$", "'title",
+    "write$", "newline$", "empty$", "skip$", "num.names$", "format.name$", "call.type$",
+    "*", "+", "-", "=", "<", ">", ":=", "if$", "purify$", "ghost",
+    "f0", "f1", "f2", "{ #1 }", '{ "y" write$ }', "{ skip$ }", "{ f1 }",
+])
+_STYLE_PHRASES = st.sampled_from([
+    'author #1 "{vv~}{ll}{jj,}{f.}" format.name$ write$ newline$',
+    "author num.names$ 'n :=",
+    "author \"{ll}\" * 'sort.key$ :=",
+    "#3 'gi := { gi #0 > } { gi #1 - 'gi := } while$",
+    "cite$ write$ newline$",
+    'title empty$ { "none" } { title } if$ write$ newline$',
+    "n #1 + 'n := s \".\" * 's :=",
+])
+_STYLE_BODY = st.lists(st.one_of(_STYLE_PHRASES, _STYLE_WORDS, _STYLE_PHRASES),
+                       min_size=1, max_size=6).map(" ".join)
+_STYLE_FUNCTIONS = ["f0", "f1", "f2", "article", "book", "misc"]
+_STYLE_DECLARATIONS = ["STRINGS {gs s}", "INTEGERS {gi}", "INTEGERS {title}", "STRINGS {f1}",
+                       "% a comment {"]
+STYLE_TEXT = st.tuples(
+    st.sampled_from(["ENTRY {author title year}{n}{s}", "ENTRY {author}{}{}"]),
+    st.lists(st.sampled_from(_STYLE_DECLARATIONS), max_size=3).map("\n".join),
+    st.tuples(*[_STYLE_BODY] * len(_STYLE_FUNCTIONS)).map(lambda bodies: "\n".join(
+        f"FUNCTION {{{name}}}\n  {{ {body} }}" for name, body in zip(_STYLE_FUNCTIONS, bodies))),
+    st.sampled_from(["READ", "READ\nSORT", ""]),
+    st.lists(st.sampled_from(["ITERATE {call.type$}", "ITERATE {f1}", "SORT", "EXECUTE {f2}",
+                              "EXECUTE {f0}", "EXECUTE {ghost}"] + _STYLE_DECLARATIONS),
+             min_size=1, max_size=5).map("\n".join),
+).map("\n".join)
+
 SAMPLE_BIB = r'''@article{Ulam-1964,
     author = "Stein P. R. and  Ulam S. M.",
     title = "Non-linear transformation studies on

@@ -24,6 +24,7 @@ from bibstack.diagnostics import Diagnostic
 from bibstack.vm import run
 
 from fixtures import (
+    AUTHOR_SORT_FRAGMENT,
     BIB_GOOD_VALUES,
     BIB_TEXT,
     EXTRA_BIB_ENTRY,
@@ -381,6 +382,18 @@ class TestFieldReaders:
          [("error", "unterminated value of `note'; entry `k' skipped", 2)]),
         ("@misc{k, note = \"a, year = 1984}", [],
          [("error", "unbalanced braces in value of `note'; entry `k' skipped", 1)]),
+        # a duplicate key is reported at the key, ahead of the entry's own diagnostics
+        ("@misc{k, note={a}}\n@misc{k,\n  note={b}\n}\n",
+         [("k", "misc", [("note", "a")])],
+         [("warning", "duplicate entry key `k'; later entry dropped", 2)]),
+        ("@misc{k, note={a}}\n@misc{k,\n  note={b},\n  NOTE={c}\n}\n",
+         [("k", "misc", [("note", "a")])],
+         [("warning", "duplicate entry key `k'; later entry dropped", 2),
+          ("warning", "duplicate field `note' in entry `k'; first value kept", 4)]),
+        ("@misc{k, note={a}}\n@misc{k,\n  note={b} # {c}\n}\n",
+         [("k", "misc", [("note", "a")])],
+         [("warning", "duplicate entry key `k'; later entry dropped", 2),
+          ("warning", "string concatenation with `#' is not supported; entry `k' skipped", 3)]),
     ])
     def test_edge(self, parsed, text, entries, diags):
         got_entries, got_diags = parsed(text)
@@ -463,3 +476,26 @@ def test_uncited_entries_change_no_output(data):
     grown_doc, grown_log = run(program, aux, [parse_bib("".join(pieces))[0]])
     assert grown_doc.finalize() == doc.finalize()
     assert grown_log.records == log.records
+
+
+_SPLIT_BST = with_sort_fragment(GUARDED_NUMBER_BST, AUTHOR_SORT_FRAGMENT)
+_SAMPLE_KEYS = ["Ulam-1964", "Poincare", "YangYu"]
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_splitting_the_bib_changes_no_output(data):
+    """Valid entries with distinct keys give the same .bbl and .blg from one database or two."""
+    program, _ = parse_bst(_SPLIT_BST)
+    pieces = [SAMPLE_BIB, EXTRA_BIB_ENTRY]
+    extra = data.draw(_good_entries(exclude={"absent"}))
+    for entry in extra:
+        pieces.insert(data.draw(st.integers(0, len(pieces))), entry)
+    keys = _SAMPLE_KEYS + ["absent"] + [re.match(r"@\w+\{([^,]*),", e)[1] for e in extra]
+    aux = parse_aux("".join(f"\\citation{{{k}}}\n" for k in data.draw(st.permutations(keys))))
+    cut = data.draw(st.integers(0, len(pieces)))
+    doc, log = run(program, aux, [parse_bib("".join(pieces))[0]])
+    split_doc, split_log = run(program, aux, [parse_bib("".join(pieces[:cut]))[0],
+                                              parse_bib("".join(pieces[cut:]))[0]])
+    assert split_doc.finalize() == doc.finalize()
+    assert split_log.records == log.records

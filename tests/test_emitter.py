@@ -13,7 +13,8 @@ class TestBblDocument:
         assert doc.pending == "ab"
 
     def test_append_empty_is_noop(self):
-        doc = BblDocument(pending="x")
+        doc = BblDocument()
+        doc.append("x")
         doc.append("")
         assert doc.pending == "x"
 
@@ -30,14 +31,21 @@ class TestBblDocument:
         assert doc.lines == ["", ""]
 
     def test_finalize_flushes_residue(self):
-        doc = BblDocument(lines=["x"], pending="y")
+        doc = BblDocument()
+        doc.append("x")
+        doc.flush_line()
+        doc.append("y")
         assert doc.finalize() == "x\ny\n"
 
     def test_finalize_empty_document(self):
         assert BblDocument().finalize() == ""
 
     def test_finalize_round_trips_lines(self):
-        doc = BblDocument(lines=["a", "", "b"], pending="c")
+        doc = BblDocument()
+        for line in ["a", "", "b"]:
+            doc.append(line)
+            doc.flush_line()
+        doc.append("c")
         text = doc.finalize()
         assert text.split("\n")[:-1] == ["a", "", "b", "c"]
         assert text.endswith("\n")

@@ -15,6 +15,8 @@ from bibstack.names import (
     split_names,
 )
 
+from fixtures import NAME_TEXT, TEMPLATE_TEXT
+
 
 class TestSplitNames:
     def test_two_authors(self):
@@ -211,18 +213,6 @@ def test_split_never_splits_inside_braces(words):
     assert split_names(protected) == [protected]
 
 
-# any text, weighted toward the characters the name engine splits on
-_NAME_TEXT = st.lists(st.one_of(
-    st.sampled_from(list("{}, \t\nA")),
-    st.sampled_from([" and ", "and", "{\\'e}", "von", "Jr"]),
-    st.characters(),
-), max_size=40).map("".join)
-_TEMPLATE_TEXT = st.one_of(
-    st.text(st.sampled_from(list("{}fvlj.~ ,")), max_size=12),
-    st.text(max_size=8),
-)
-
-
 def _outcome(fn, *args):
     """The result, or the type and message of a documented error."""
     try:
@@ -231,7 +221,7 @@ def _outcome(fn, *args):
         return type(err), str(err)
 
 
-@given(_NAME_TEXT, _TEMPLATE_TEXT)
+@given(NAME_TEXT, TEMPLATE_TEXT)
 def test_any_text_gives_a_result_or_a_documented_error(text, template):
     assert isinstance(split_names(text), list)
     assert count_names(text) == len(split_names(text))
@@ -240,7 +230,7 @@ def test_any_text_gives_a_result_or_a_documented_error(text, template):
     _outcome(format_name, text, template)
 
 
-@given(_NAME_TEXT, _TEMPLATE_TEXT)
+@given(NAME_TEXT, TEMPLATE_TEXT)
 def test_caches_change_no_result(text, template):
     calls = [(split_names, text), (count_names, text), (parse_name, text),
              (parse_template, template), (format_name, text, template)]

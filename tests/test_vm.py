@@ -1,9 +1,10 @@
 """Tests for the stack-machine interpreter and its builtins."""
 
 import pytest
+from hypothesis import given, settings
 
 from bibstack.auxfile import AuxFile, parse_aux
-from bibstack.bstparse import parse_bst
+from bibstack.bstparse import format_program, parse_bst
 from bibstack.database import parse_bib
 from bibstack.diagnostics import ERROR, WARNING
 from bibstack.vm import (
@@ -25,6 +26,7 @@ from fixtures import (
     GUARDED_NUMBER_BST,
     HELLO_BST,
     SAMPLE_BIB,
+    STYLE_TEXT,
     bibitem_keys,
     with_sort_fragment,
 )
@@ -861,3 +863,30 @@ class TestCallDepth:
             vm.exec_ident("if$", 7)
         assert str(err.value) == f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 7)"
         assert vm.depth == CALL_DEPTH_LIMIT
+
+
+# -- metamorphic relations ----------------------------------------------------
+
+_STYLE_AUX = parse_aux("\\citation{Ulam-1964}\n\\citation{absent}\n\\citation{YangYu}\n\\citation{Poincare}\n")
+_STYLE_DB = parse_bib(SAMPLE_BIB + EXTRA_BIB_ENTRY)[0]
+
+
+def _bbl_and_blg(program) -> tuple:
+    doc, log = run(program, _STYLE_AUX, [_STYLE_DB])
+    return doc.finalize(), log.records
+
+
+@settings(max_examples=50)
+@given(STYLE_TEXT)
+def test_crlf_line_ends_in_the_style_change_no_output(style):
+    lf, crlf = (parse_bst(text)[0] for text in (style, style.replace("\n", "\r\n")))
+    assert _bbl_and_blg(crlf) == _bbl_and_blg(lf)
+
+
+@settings(max_examples=50)
+@given(STYLE_TEXT)
+def test_formatted_style_writes_the_same_bbl(style):
+    # the .blg may differ: format_program puts each command on a line of its own
+    program, _ = parse_bst(style)
+    again, _ = parse_bst(format_program(program))
+    assert _bbl_and_blg(again)[0] == _bbl_and_blg(program)[0]
