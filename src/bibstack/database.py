@@ -46,12 +46,9 @@ class Database:
         """The entries in the order they were added."""
         return list(self.by_key.values())
 
-    def add(self, entry: Entry) -> bool:
-        """Append an entry; returns False (and stores nothing) on a duplicate key."""
-        if entry.key in self.by_key:
-            return False
-        self.by_key[entry.key] = entry
-        return True
+    def add(self, entry: Entry) -> None:
+        """Append an entry; a duplicate key stores nothing."""
+        self.by_key.setdefault(entry.key, entry)
 
 
 def lookup(db: Database, key: str) -> Entry | None:

@@ -54,8 +54,7 @@ class NameParts(NamedTuple):
     jr: list[str]
 
 
-# the template letter of each NameParts field, in field order
-_LETTERS = "fvlj"
+_LETTERS = "".join(name[0] for name in NameParts._fields)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -2,15 +2,22 @@
 
 import re
 import shutil
-import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))
+_ARGS = ["--budget", "8"]
 
-import parentdiff  # noqa: E402
 
-_ARGS = ["--budget", "8", "--scale", "0.01"]
+@pytest.fixture
+def parentdiff(monkeypatch):
+    for path in ("tools", "tests", "perfbench"):
+        monkeypatch.syspath_prepend(str(ROOT / path))
+    import parentdiff
+
+    monkeypatch.setattr(parentdiff, "CORPUS_SCALE", 0.01)
+    return parentdiff
 
 
 def _copy_of_tree(path: Path) -> Path:
@@ -21,7 +28,7 @@ def _differences(report: str) -> dict[str, int]:
     return {m[1]: int(m[2]) for m in re.finditer(r"^(\S+) +\d+ inputs +(\d+) differences$", report, re.M)}
 
 
-def test_finds_no_difference_in_a_copy_and_finds_a_planted_mutation(tmp_path, capsys):
+def test_finds_no_difference_in_a_copy_and_finds_a_planted_mutation(parentdiff, tmp_path, capsys):
     assert parentdiff.main([str(_copy_of_tree(tmp_path / "copy")), *_ARGS]) == 0
     same = _differences(capsys.readouterr().out)
 

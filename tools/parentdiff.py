@@ -1,6 +1,6 @@
 """Run the working tree's bibstack and another revision's side by side.
 
-    python3 tools/parentdiff.py REV [--budget N] [--scale X]
+    python3 tools/parentdiff.py REV [--budget N]
 
 REV is a git revision, whose src/bibstack is taken with `git archive`
 (no network needed), or a directory that holds a bibstack package: a
@@ -24,9 +24,11 @@ package is relative), and both get the same inputs:
 
 The random inputs come from the strategies in tests/fixtures.py, BUDGET
 of them per generator; the corpora come from perfbench/corpus.py, built
-at --scale.  Prints the inputs and differences per check, with the first
+at CORPUS_SCALE.  Prints the inputs and differences per check, with the first
 differing input of each, and exits 1 on any difference, 2 when REV
-cannot be loaded, 0 otherwise.
+cannot be loaded, 0 otherwise.  Run as a script, it puts the tree's src,
+tests and perfbench directories on sys.path; a module that imports it
+puts them there first.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-for _path in ("src", "tests", "perfbench"):
-    if str(ROOT / _path) not in sys.path:
-        sys.path.insert(0, str(ROOT / _path))
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / path) for path in ("src", "tests", "perfbench")]
 
 import hypothesis  # noqa: E402
 from hypothesis import HealthCheck, Phase  # noqa: E402
@@ -63,6 +64,7 @@ from fixtures import (  # noqa: E402
 )
 
 CORPUS_SEEDS = (1, 2)
+CORPUS_SCALE = 1.0
 # cited keys: those of SAMPLE_BIB and EXTRA_BIB_ENTRY, those BIB_TEXT writes, and one nowhere
 _CITED_KEYS = ["Ulam-1964", "Poincare", "YangYu", "k", "j", "absent"]
 _VM_INPUTS = st.tuples(
@@ -87,7 +89,8 @@ def load(rev: str, workdir: Path):
         if git.returncode:
             raise OSError(git.stderr.decode(errors="replace").strip())
         with tarfile.open(fileobj=io.BytesIO(git.stdout)) as archive:
-            archive.extractall(workdir, filter="data")
+            # the "data" filter (Python 3.11.4 and later) refuses links and paths out of workdir
+            archive.extractall(workdir, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
         (workdir / "src" / "bibstack").rename(target)
     for name in [m for m in sys.modules if m.split(".")[0] == "bibstack_parent"]:
         del sys.modules[name]
@@ -205,10 +208,10 @@ def cli_run(pkg, workdir: Path, argv: list[str]):
     return code, out.getvalue(), err.getvalue(), files
 
 
-def compare_corpora(report: Report, scale: float, workdir: Path) -> None:
+def compare_corpora(report: Report, workdir: Path) -> None:
     for workload in corpus.WORKLOADS:
         for seed in CORPUS_SEEDS:
-            built = corpus.build(workload, seed, scale)
+            built = corpus.build(workload, seed, CORPUS_SCALE)
             runs = [[["pipeline", corpus.BASE]],
                     [["latexpass", corpus.BASE], ["bibtex", corpus.BASE], ["lint", built.style]]]
             for i, steps in enumerate(runs):
@@ -227,7 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="parentdiff", description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision, or a directory holding a bibstack package")
     parser.add_argument("--budget", type=int, default=1000, help="inputs per generator (default 1000)")
-    parser.add_argument("--scale", type=float, default=1.0, help="corpus scale (default 1)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="parentdiff-") as tmp:
         try:
@@ -246,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         ]
         for strategy, check in generators:
             each_input(strategy, args.budget, check)
-        compare_corpora(report, args.scale, Path(tmp))
+        compare_corpora(report, Path(tmp))
     return 1 if report.print() else 0
 
 
