@@ -26,14 +26,12 @@ class AuxFile:
     raw_lines: list[str] = field(default_factory=list)
 
 
-_RECOGNIZED = re.compile(r"\\(citation|bibstyle|bibdata|bibcite)(?![a-zA-Z])")
+# each recognized command and the number of {...} groups it takes
+_GROUPS = {"citation": 1, "bibstyle": 1, "bibdata": 1, "bibcite": 2}
+_RECOGNIZED = re.compile(rf"\\({'|'.join(_GROUPS)})(?![a-zA-Z])")
 # the whole line each recognized command must match
-_COMMANDS = {
-    "citation": re.compile(r"\\citation\{([^{}]*)\}$"),
-    "bibstyle": re.compile(r"\\bibstyle\{([^{}]*)\}$"),
-    "bibdata": re.compile(r"\\bibdata\{([^{}]*)\}$"),
-    "bibcite": re.compile(r"\\bibcite\{([^{}]*)\}\{([^{}]*)\}$"),
-}
+_COMMANDS = {cmd: re.compile(rf"\\{cmd}" + r"\{([^{}]*)\}" * groups + "$")
+             for cmd, groups in _GROUPS.items()}
 # what no name in those commands can hold: a brace, or a character that
 # str.splitlines (and so parse_aux) ends a line at
 _UNWRITABLE = re.compile(r"[{}\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")

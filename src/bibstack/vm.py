@@ -12,7 +12,9 @@ by declare, the one reader of ENTRY, STRINGS and INTEGERS operands, as
 each such command runs).  One resolver, _resolve_name, is the only
 dispatcher: it turns a name into the (handler, operand) pair that runs
 it, a builtin to call, a body to enter, a field or variable to read, or
-the error of an unknown name.  Where each variable kind's values live,
+the error of an unknown name.  A builtin's operand is its (name, line):
+the name is said once, as its BUILTINS key, and its errors read
+`NAME: detail'.  Every VmError ends with ` (line L)'.  Where each variable kind's values live,
 and its initial value, whose type is the one type it holds, are said
 once, in VARIABLES: declarations, reads and := all look them up there.
 READ gives each entry a copy of the per-entry variables of a blank entry.
@@ -70,7 +72,15 @@ class RuntimeEntry:
 
 
 class VmError(Exception):
-    pass
+    def __init__(self, message: str, line: int):
+        super().__init__(f"{message} (line {line})")
+        self.line = line
+
+
+def _error(at: tuple, detail: str) -> VmError:
+    """The error `NAME: detail' of the builtin whose (name, line) operand is at."""
+    name, line = at
+    return VmError(f"{name}: {detail}", line)
 
 
 def missing_field_message(field_name: str, entry_key: str) -> str:
@@ -190,7 +200,7 @@ class Vm:
         if kind == FUNCTION:
             return Vm._call, (self.program.functions[name], line)
         if kind == BUILTIN:
-            return BUILTINS[name][0], line
+            return BUILTINS[name][0], (name, line)
         if kind == FIELD:
             return _push_field, (name, line)
         if kind in VARIABLES:
@@ -199,8 +209,8 @@ class Vm:
                 return _push_entry_var, (attr, initial, name, line)
             return _push_item, (getattr(self, attr), name)
         if name in UNSUPPORTED_BUILTINS:
-            return _fail, f"unsupported builtin `{name}' (line {line})"
-        return _fail, f"unknown identifier `{name}' (line {line})"
+            return _fail, (f"unsupported builtin `{name}'", line)
+        return _fail, (f"unknown identifier `{name}'", line)
 
     def exec_token(self, tok: Token) -> None:
         handler, operand = self._resolve_token(tok)
@@ -229,38 +239,40 @@ class Vm:
 
     def _enter(self, line: int) -> None:
         if self.depth >= CALL_DEPTH_LIMIT:
-            raise VmError(f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line {line})")
+            raise VmError(f"function call depth exceeded (limit {CALL_DEPTH_LIMIT})", line)
         self.depth += 1
 
     def _need_entry(self, name: str, line: int) -> RuntimeEntry:
         if self.current is None:
-            raise VmError(f"`{name}' read outside ITERATE, no current entry (line {line})")
+            raise VmError(f"`{name}' read outside ITERATE, no current entry", line)
         return self.current
 
-    def pop(self, who: str, line: int):
+    # the pops of a builtin, whose (name, line) operand is at
+
+    def pop(self, at: tuple):
         try:
             return self.stack.pop()
         except IndexError:
-            raise VmError(f"{who}: stack underflow (line {line})") from None
+            raise _error(at, "stack underflow") from None
 
-    def pop_int(self, who: str, line: int) -> int:
-        value = self.pop(who, line)
+    def pop_int(self, at: tuple) -> int:
+        value = self.pop(at)
         if not isinstance(value, int):
-            raise VmError(f"{who}: expected an integer, got {self._show(value)} (line {line})")
+            raise _error(at, f"expected an integer, got {self._show(value)}")
         return value
 
-    def pop_str(self, who: str, line: int) -> str:
-        value = self.pop(who, line)
+    def pop_str(self, at: tuple) -> str:
+        value = self.pop(at)
         if isinstance(value, MissingField):
             return ""
         if not isinstance(value, str):
-            raise VmError(f"{who}: expected a string, got {self._show(value)} (line {line})")
+            raise _error(at, f"expected a string, got {self._show(value)}")
         return value
 
-    def pop_ref(self, who: str, line: int) -> FnRef:
-        value = self.pop(who, line)
+    def pop_ref(self, at: tuple) -> FnRef:
+        value = self.pop(at)
         if not isinstance(value, FnRef):
-            raise VmError(f"{who}: expected a function, got {self._show(value)} (line {line})")
+            raise _error(at, f"expected a function, got {self._show(value)}")
         return value
 
     @staticmethod
@@ -304,109 +316,108 @@ def _push_entry_var(vm: Vm, operand: tuple) -> None:
     vm.stack.append(getattr(vm._need_entry(name, line), slot).get(name, default))
 
 
-def _fail(vm: Vm, message: str) -> None:
-    raise VmError(message)
+def _fail(vm: Vm, operand: tuple) -> None:
+    raise VmError(*operand)
 
 
 # ---------------------------------------------------------------------------
-# builtins
+# builtins: each takes the (name, line) operand that _resolve_name gives it
 
-def _bi_write(vm: Vm, line: int) -> None:
-    value = vm.pop("write$", line)
+def _bi_write(vm: Vm, at: tuple) -> None:
+    value = vm.pop(at)
     if isinstance(value, str):
         vm.doc.append(value)
     elif isinstance(value, MissingField):
         vm.log.warning(missing_field_message(value.field_name, value.entry_key))
     else:
-        raise VmError(f"write$: expected a string, got {vm._show(value)} (line {line})")
+        raise _error(at, f"expected a string, got {vm._show(value)}")
 
 
-def _bi_newline(vm: Vm, line: int) -> None:
+def _bi_newline(vm: Vm, at: tuple) -> None:
     vm.doc.flush_line()
 
 
-def _bi_cite(vm: Vm, line: int) -> None:
-    vm.stack.append(vm._need_entry("cite$", line).key)
+def _bi_cite(vm: Vm, at: tuple) -> None:
+    vm.stack.append(vm._need_entry(*at).key)
 
 
-def _bi_empty(vm: Vm, line: int) -> None:
-    vm.stack.append(0 if vm.pop_str("empty$", line).strip() else 1)
+def _bi_empty(vm: Vm, at: tuple) -> None:
+    vm.stack.append(0 if vm.pop_str(at).strip() else 1)
 
 
-def _bi_skip(vm: Vm, line: int) -> None:
+def _bi_skip(vm: Vm, at: tuple) -> None:
     pass
 
 
-def _bi_if(vm: Vm, line: int) -> None:
-    else_ref = vm.pop_ref("if$", line)
-    then_ref = vm.pop_ref("if$", line)
-    cond = vm.pop_int("if$", line)
-    vm.call_ref(then_ref if cond > 0 else else_ref, line)
+def _bi_if(vm: Vm, at: tuple) -> None:
+    else_ref = vm.pop_ref(at)
+    then_ref = vm.pop_ref(at)
+    cond = vm.pop_int(at)
+    vm.call_ref(then_ref if cond > 0 else else_ref, at[1])
 
 
-def _bi_while(vm: Vm, line: int) -> None:
-    body = vm.pop_ref("while$", line)
-    pred = vm.pop_ref("while$", line)
+def _bi_while(vm: Vm, at: tuple) -> None:
+    body = vm.pop_ref(at)
+    pred = vm.pop_ref(at)
+    line = at[1]
     for _ in range(WHILE_LIMIT):
         vm.call_ref(pred, line)
-        if vm.pop_int("while$", line) <= 0:
+        if vm.pop_int(at) <= 0:
             return
         vm.call_ref(body, line)
-    raise VmError(f"while$: iteration limit of {WHILE_LIMIT} exceeded (line {line})")
+    raise _error(at, f"iteration limit of {WHILE_LIMIT} exceeded")
 
 
-def _bi_concat(vm: Vm, line: int) -> None:
-    b = vm.pop_str("*", line)
-    a = vm.pop_str("*", line)
+def _bi_concat(vm: Vm, at: tuple) -> None:
+    b = vm.pop_str(at)
+    a = vm.pop_str(at)
     vm.stack.append(a + b)
 
 
-def _bi_assign(vm: Vm, line: int) -> None:
-    ref = vm.pop(":=", line)
+def _bi_assign(vm: Vm, at: tuple) -> None:
+    ref = vm.pop(at)
     if not isinstance(ref, FnRef) or ref.name is None:
-        raise VmError(f":=: expected a quoted variable name, got {vm._show(ref)} (line {line})")
-    value = vm.pop(":=", line)
+        raise _error(at, f"expected a quoted variable name, got {vm._show(ref)}")
+    value = vm.pop(at)
     name = ref.name
     kind = vm.kinds.get(name)
     if kind == FIELD:
-        raise VmError(f":=: cannot assign to field `{name}' (line {line})")
+        raise _error(at, f"cannot assign to field `{name}'")
     if kind not in VARIABLES:
-        raise VmError(f":=: `{name}' is not a declared variable (line {line})")
+        raise _error(at, f"`{name}' is not a declared variable")
     per_entry, attr, initial = VARIABLES[kind]
     owner = vm.current if per_entry else vm
     if owner is None:
-        raise VmError(f":=: `{name}' assigned outside ITERATE (line {line})")
+        raise _error(at, f"`{name}' assigned outside ITERATE")
     if isinstance(value, MissingField) and isinstance(initial, str):
         value = ""
     if not isinstance(value, type(initial)):
         what = "a string" if isinstance(initial, str) else "an integer"
-        raise VmError(f":=: `{name}' is {what} variable, got {Vm._show(value)} (line {line})")
+        raise _error(at, f"`{name}' is {what} variable, got {Vm._show(value)}")
     getattr(owner, attr)[name] = value
 
 
-def _bi_num_names(vm: Vm, line: int) -> None:
-    vm.stack.append(names.count_names(vm.pop_str("num.names$", line)))
+def _bi_num_names(vm: Vm, at: tuple) -> None:
+    vm.stack.append(names.count_names(vm.pop_str(at)))
 
 
-def _bi_format_name(vm: Vm, line: int) -> None:
-    template = vm.pop_str("format.name$", line)
-    index = vm.pop_int("format.name$", line)
-    name_list = vm.pop_str("format.name$", line)
+def _bi_format_name(vm: Vm, at: tuple) -> None:
+    template = vm.pop_str(at)
+    index = vm.pop_int(at)
+    name_list = vm.pop_str(at)
     parts = names.split_names(name_list)
     if index < 1 or index > len(parts):
         where = f"entry {vm.current.key}" if vm.current is not None else f'"{name_list}"'
-        raise VmError(
-            f"format.name$: name index {index} out of range for {where} (line {line})"
-        )
+        raise _error(at, f"name index {index} out of range for {where}")
     try:
         vm.stack.append(names.format_name(parts[index - 1], template))
     except (names.NameParseError, names.TemplateError) as err:
-        raise VmError(f"format.name$: {err} (line {line})") from err
+        raise _error(at, str(err)) from err
 
 
-def _bi_eq(vm: Vm, line: int) -> None:
-    b = vm.pop("=", line)
-    a = vm.pop("=", line)
+def _bi_eq(vm: Vm, at: tuple) -> None:
+    b = vm.pop(at)
+    a = vm.pop(at)
     if isinstance(a, MissingField):
         a = ""
     if isinstance(b, MissingField):
@@ -414,25 +425,23 @@ def _bi_eq(vm: Vm, line: int) -> None:
     if isinstance(a, (int, str)) and type(a) is type(b):
         vm.stack.append(1 if a == b else 0)
     else:
-        raise VmError(
-            f"=: operands must share a type, got {vm._show(a)} and {vm._show(b)} (line {line})"
-        )
+        raise _error(at, f"operands must share a type, got {vm._show(a)} and {vm._show(b)}")
 
 
-def _make_int_op(symbol: str, fn):
-    def op(vm: Vm, line: int) -> None:
-        b = vm.pop_int(symbol, line)
-        a = vm.pop_int(symbol, line)
+def _make_int_op(fn):
+    def op(vm: Vm, at: tuple) -> None:
+        b = vm.pop_int(at)
+        a = vm.pop_int(at)
         vm.stack.append(fn(a, b))
     return op
 
 
-def _bi_call_type(vm: Vm, line: int) -> None:
-    entry_type = vm._need_entry("call.type$", line).entry_type
+def _bi_call_type(vm: Vm, at: tuple) -> None:
+    entry_type = vm._need_entry(*at).entry_type
     if vm.kinds.get(entry_type) != FUNCTION:  # a function hidden by a declaration is not run
         vm.log.warning(f"no handler function for entry type `{entry_type}'")
         return
-    vm.exec_ident(entry_type, line)
+    vm.exec_ident(entry_type, at[1])
 
 
 # The one builtin table: name -> (function, pops, pushes).  pops and
@@ -450,10 +459,10 @@ BUILTINS = {
     "num.names$": (_bi_num_names, 1, 1),
     "format.name$": (_bi_format_name, 3, 1),
     "=": (_bi_eq, 2, 1),
-    "<": (_make_int_op("<", lambda a, b: 1 if a < b else 0), 2, 1),
-    ">": (_make_int_op(">", lambda a, b: 1 if a > b else 0), 2, 1),
-    "+": (_make_int_op("+", lambda a, b: a + b), 2, 1),
-    "-": (_make_int_op("-", lambda a, b: a - b), 2, 1),
+    "<": (_make_int_op(lambda a, b: 1 if a < b else 0), 2, 1),
+    ">": (_make_int_op(lambda a, b: 1 if a > b else 0), 2, 1),
+    "+": (_make_int_op(lambda a, b: a + b), 2, 1),
+    "-": (_make_int_op(lambda a, b: a - b), 2, 1),
     "call.type$": (_bi_call_type, None, None),
 }
 

@@ -638,6 +638,15 @@ class TestBuiltinTable:
         assert len(vm.stack) - (1 + len(operands)) == pushes - pops
         assert vm.stack[0] == "below"
 
+    @pytest.mark.parametrize("name", sorted(n for n, (_fn, pops, _) in BUILTINS.items()
+                                            if pops or n in ("if$", "while$")))
+    def test_underflow_names_the_builtin_and_its_line(self, name):
+        vm = make_vm()
+        with pytest.raises(VmError) as err:
+            vm.exec_ident(name, 7)
+        assert str(err.value) == f"{name}: stack underflow (line 7)"
+        assert err.value.line == 7
+
     def test_only_control_builtins_have_operand_dependent_effects(self):
         # lint special-cases exactly these three
         unknown = {n for n, (_fn, pops, pushes) in BUILTINS.items() if pops is None or pushes is None}
