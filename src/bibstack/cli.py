@@ -24,7 +24,9 @@ from .bstparse import parse_bst
 from .database import parse_bib
 from .diagnostics import ERROR
 from .emitter import BlgLog
-from .latexpass import PassResult, TexScan, TexScanError, fixpoint, run_pass, scan_tex
+from .latexpass import (
+    PassResult, TexScan, TexScanError, bibitem_keys, fixpoint, run_pass, scan_tex,
+)
 from .lint import lint_program
 from .vm import run
 
@@ -149,7 +151,7 @@ def _bbl_items(cfg: argparse.Namespace, tex: TexScan) -> list[str] | None:
     bbl_path = Path(cfg.base + ".bbl")
     if (tex.style is None and not tex.data) or not bbl_path.exists():
         return None
-    return _load(bbl_path, scan_tex).inline_bib
+    return _load(bbl_path, bibitem_keys)
 
 
 def _report_passes(cfg: argparse.Namespace, results: list[PassResult]) -> None:

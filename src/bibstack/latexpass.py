@@ -8,7 +8,8 @@ unknown words and words that go on with other letters (str.isalpha) are
 passed over; an empty word is an escaped character such as \\%.  Each
 recognized command reads its {...} group in one place, _read_group, but
 for the optional {width} after \\begin{thebibliography}, which stays text
-when it does not close.
+when it does not close.  A line, and a comment, ends at CR, CRLF or LF.
+bibitem_keys reads a .bbl the same way, recognizing \\bibitem alone.
 
 run_pass renders each cite as "[label]" using the labels of the previous
 .aux (or "[?]" plus a warning), regenerates the .aux, and reports
@@ -25,8 +26,9 @@ from .auxfile import AuxFile
 from .database import group_end
 
 
-# a comment, or a backslash and the ASCII letters after it
-_CONTROL = re.compile(r"%[^\n]*\n?|\\([a-zA-Z]*)")
+# a comment (to the end of its line: CR, CRLF or LF), or a backslash and
+# the ASCII letters after it
+_CONTROL = re.compile(r"%[^\r\n]*(?:\r\n?|\n)?|\\([a-zA-Z]*)")
 _COMMANDS = frozenset(("cite", "bibitem", "bibliographystyle", "bibliography", "begin"))
 _OPTIONAL_ARG = re.compile(r"\s*\[[^\]]*\]")
 _OPEN = re.compile(r"\s*\{")
@@ -68,7 +70,20 @@ class PassResult:
 
 def scan_tex(text: str) -> TexScan:
     """Scan .tex source; raises TexScanError when a recognized command lacks its {...} group."""
+    return _scan(text, _COMMANDS)
+
+
+def bibitem_keys(text: str) -> list[str]:
+    """The \\bibitem keys of a .bbl, read as scan_tex reads them, and nothing
+    else; raises TexScanError when a \\bibitem lacks its {key}."""
+    return _scan(text, frozenset({"bibitem"})).inline_bib
+
+
+def _scan(text: str, commands: frozenset[str]) -> TexScan:
+    """scan_tex, recognizing only the given commands."""
     scan = TexScan(text=text)
+    # a line ends at CR, CRLF or LF: counted in a same-length copy with LF alone
+    lf_text = text.replace("\r\n", " \n").replace("\r", "\n") if "\r" in text else text
     # commands arrive in text order, so the line count only moves forward
     counted, line = 0, 1
     unclosed: set[int] = set()  # filled at the first width group that does not close
@@ -79,9 +94,9 @@ def scan_tex(text: str) -> TexScan:
         # after the ASCII ones (\citeé) makes a longer, unknown word
         if name == "":
             pos += 1  # an escaped single character such as \% or \{
-        elif name in _COMMANDS and not text[pos : pos + 1].isalpha():
+        elif name in commands and not text[pos : pos + 1].isalpha():
             start = m.start()
-            line += text.count("\n", counted, start)
+            line += lf_text.count("\n", counted, start)
             counted = start
             if name == "bibitem":
                 optional = _OPTIONAL_ARG.match(text, pos)

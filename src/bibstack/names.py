@@ -11,16 +11,20 @@ stray } is text, and an unclosed { runs to the end):
 
 The von part is the span from the first to the last lowercase-initial
 word strictly before the final word; a brace-group token counts as
-uppercase-initial.  Templates are sequences of pieces such as {ff} or
-{l.}: a doubled letter renders the full part, a single letter abbreviates
-each token to its first character, and any trailing characters in the
-piece are a literal suffix appended when the part is non-empty.
+uppercase-initial.  Templates are sequences of pieces such as {ff},
+{l.} or {, jj}: a doubled letter renders the full part, a single letter
+abbreviates each token to its first character, and the text before and
+after the letters is a literal prefix and suffix, written only when the
+part is non-empty.  A token that starts with a brace or a backslash
+abbreviates as in BibTeX instead: to its first letter (str.isalpha), or
+to a special character, a whole {\\...} group, met before it, or to
+nothing if it has neither.
 
 parse_name returns a NameParts NamedTuple of word lists and
-parse_template a list of (NameParts index, full, suffix) pieces.  They
-and split_names keep 64-entry LRU caches; their results and the lists
-inside are shared and must not be mutated.  Most repeat calls of
-split_names and parse_template hit, but only about a third of
+parse_template a list of (NameParts index, full, prefix, suffix)
+pieces.  They and split_names keep 64-entry LRU caches; their results
+and the lists inside are shared and must not be mutated.  Most repeat
+calls of split_names and parse_template hit, but only about a third of
 parse_name's: a style that formats each name again in a later pass
 finds it evicted (the README gives measured rates).
 """
@@ -37,6 +41,8 @@ from .database import group_end
 _CACHE_SIZE = 64
 _SPACE_OR_BRACE = re.compile(r"[{}\s]")
 _COMMA_OR_BRACE = re.compile(r"[{},]")
+# a piece's body: its prefix, its letter, the letter again if full, its suffix
+_PIECE = re.compile(r"([^a-zA-Z]*)([a-zA-Z]?)(\2?)(.*)", re.S)
 
 
 class NameParseError(ValueError):
@@ -107,10 +113,11 @@ def parse_name(name: str) -> NameParts:
 def format_name(name: str, template: str) -> str:
     parts = parse_name(name)
     out = []
-    for index, full, suffix in parse_template(template):
+    for index, full, prefix, suffix in parse_template(template):
         tokens = parts[index]
         if not tokens:
             continue
+        out.append(prefix)
         if full:
             text = " ".join(tokens)
         else:
@@ -120,7 +127,7 @@ def format_name(name: str, template: str) -> str:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def parse_template(template: str) -> list[tuple[int, bool, str]]:
+def parse_template(template: str) -> list[tuple[int, bool, str, str]]:
     pieces = []
     i, n = 0, len(template)
     while i < n:
@@ -132,23 +139,26 @@ def parse_template(template: str) -> list[tuple[int, bool, str]]:
         body = template[i + 1 : j]
         if "{" in body:
             raise TemplateError(f"nested braces are not allowed in a piece: {{{body}}}")
-        if not body or body[0] not in _LETTERS:
+        prefix, letter, double, suffix = _PIECE.fullmatch(body).groups()
+        if not letter or letter not in _LETTERS:
             raise TemplateError(f"piece must start with one of {', '.join(_LETTERS)}: {{{body}}}")
-        letter = body[0]
-        full = body[1:2] == letter
-        k = 1 + full
-        if body[k : k + 1] == letter:
+        if suffix.startswith(letter):
             raise TemplateError(f"tripled piece letter: {{{body}}}")
-        pieces.append((_LETTERS.index(letter), full, body[k:]))
+        pieces.append((_LETTERS.index(letter), bool(double), prefix, suffix))
         i = j + 1
     return pieces
 
 
 def _initial(token: str) -> str:
-    # for a brace group, the first character after the brace
-    if token.startswith("{"):
-        return token[1:2]
-    return token[0]
+    if token[0] not in "{\\":
+        return token[0]
+    for i, ch in enumerate(token):
+        if ch.isalpha():
+            return ch
+        if token.startswith("{\\", i):  # a special character: its whole group
+            end = group_end(token, i)
+            return token[i:end] if end > 0 else token[i:]
+    return ""
 
 
 def _is_von_word(token: str) -> bool:

@@ -14,9 +14,10 @@ dispatcher: it turns a name into the (handler, operand) pair that runs
 it, a builtin to call, a body to enter, a field or variable to read, or
 the error of an unknown name.  A builtin's operand is its (name, line):
 the name is said once, as its BUILTINS key, and its errors read
-`NAME: detail'.  Every VmError ends with ` (line L)'.  Where each variable kind's values live,
-and its initial value, whose type is the one type it holds, are said
-once, in VARIABLES: declarations, reads and := all look them up there.
+`NAME: detail'.  Every VmError ends with ` (line L)'.  Where each
+variable kind's values live, and its initial value, whose type is the
+one type it holds, are said once, in VARIABLES: declarations, reads and
+:= all look them up there.
 READ gives each entry a copy of the per-entry variables of a blank entry.
 Bodies are resolved the first time they run and dropped whenever a
 declaration changes the table; quoted names are resolved as they run.
@@ -248,7 +249,6 @@ class Vm:
         return self.current
 
     # the pops of a builtin, whose (name, line) operand is at
-
     def pop(self, at: tuple):
         try:
             return self.stack.pop()

@@ -11,13 +11,14 @@ SCANNER_TEXT = st.text(st.one_of(
 
 # any text, weighted toward the pieces that drive .tex and .aux scanning:
 # the recognized command names, longer words that start with them, whole
-# groups and commands (some naming what an .aux line cannot carry), and
-# letters outside ASCII that str.isalpha accepts (é, Ⅻ) or rejects (²)
+# groups and commands (some naming what an .aux line cannot carry), a
+# comment line, the three line ends (LF, CRLF and a lone CR), and letters
+# outside ASCII that str.isalpha accepts (é, Ⅻ) or rejects (²)
 TEX_TEXT = st.lists(st.one_of(
-    st.sampled_from(["\\", "%", "{", "}", "[", "]", ",", "\n", "\r\n", " ", "é", "²", "Ⅻ"]),
+    st.sampled_from(["\\", "%", "{", "}", "[", "]", ",", "\n", "\r\n", "\r", " ", "é", "²", "Ⅻ"]),
     st.sampled_from(["{k}", "{a, b}", "{thebibliography}", "[o]", "\\cite{k}", "\\cite {a,b}",
                      "\\bibitem[o]{k}", "\\citation{k}", "\\bibcite{k}{1}",
-                     "\\cite{k,}", "\\bibliography{x{y}z}", "\\bibitem{a\x85b}"]),
+                     "\\cite{k,}", "\\bibliography{x{y}z}", "\\bibitem{a\x85b}", "% \\cite{c}\n"]),
     st.sampled_from([
         "\\cite", "\\bibitem", "\\bibliographystyle", "\\bibliography", "\\begin",
         "\\citeauthor", "\\bibliographyx", "thebibliography",
@@ -70,10 +71,12 @@ BIB_TEXT = st.lists(st.one_of(
     st.characters(),
 ), max_size=6).map("".join)
 
-# any text, weighted toward the characters the name engine splits on
+# any text, weighted toward the characters the name engine splits on and
+# the tokens whose initials are brace groups: a special character, a
+# doubled group and an empty one
 NAME_TEXT = st.lists(st.one_of(
     st.sampled_from(list("{}, \t\nA")),
-    st.sampled_from([" and ", "and", "{\\'e}", "von", "Jr"]),
+    st.sampled_from([" and ", "and", "{\\'e}", "von", "Jr", "{\\'E}mile", "{{X}}", "{}"]),
     st.characters(),
 ), max_size=40).map("".join)
 TEMPLATE_TEXT = st.one_of(

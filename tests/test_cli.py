@@ -267,6 +267,27 @@ class TestPipeline:
         assert main(["pipeline", "test2"]) == 0
         assert "\\cite{x{y}z}" in (workdir / "test2.bbl").read_text()
 
+    def test_tex_commands_in_bib_field_text_leave_the_bbl_readable(self, workdir, capsys):
+        # only the .bbl's \bibitem keys are read: a \cite or \begin without its group is text
+        write_files(workdir, {
+            "s.bst": HELLO_BST,
+            "d.bib": "@article{a, author = {Ann How to \\cite a paper}}\n"
+                     "@book{b, author={Bob \\begin x}}\n",
+            "t.tex": "\\bibliographystyle{s}\\bibliography{d}\\cite{a}\\cite{b}",
+        })
+        assert main(["pipeline", "t"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "t: 2 citation(s), 2 resolved, labels stable"
+        assert cite_marks((workdir / "t.rendered.txt").read_text()) == ["[1]", "[2]"]
+        assert main(["latexpass", "t"]) == 0
+        assert capsys.readouterr().out == "t: 2 citation(s), 2 resolved, labels stable\n"
+
+    def test_bbl_bibitem_without_its_key_is_an_error(self, workdir, capsys):
+        files = self.files()
+        files["my.bib"] = SAMPLE_BIB.replace("Poincar\\'e", "Poincar\\'e \\bibitem x")
+        write_files(workdir, files)
+        assert main(["pipeline", "test2"]) == 2
+        assert capsys.readouterr().err.endswith("test2.bbl: line 6: expected '{' after \\bibitem\n")
+
     def test_bbl_key_the_aux_cannot_carry_is_an_error(self, workdir, capsys):
         files = self.files()
         files["my.bib"] = SAMPLE_BIB.replace("Poincar\\'e", "Poincar\\'e \\bibitem{x{y}}")

@@ -1,5 +1,6 @@
 """Tests for the .tex scanner and the citation-pass simulation."""
 
+import re
 import string
 import time
 
@@ -8,9 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bibstack.auxfile import AuxError, AuxFile, parse_aux, unwritable, write_aux
-from bibstack.latexpass import TexScan, TexScanError, fixpoint, run_pass, scan_tex
+from bibstack.latexpass import TexScan, TexScanError, bibitem_keys, fixpoint, run_pass, scan_tex
 
 from fixtures import EXTERNAL_TEX, INLINE_AUX, INLINE_TEX, TEX_TEXT, cite_marks
+
+_LINE_END = re.compile(r"\r\n?|\n")
+
+
+def _line_at(text: str, offset: int) -> int:
+    """The line of text that offset is on; a line ends at CR, CRLF or LF."""
+    return 1 + len(_LINE_END.findall(text, 0, offset))
+
+
+def _to_lf(text: str) -> str:
+    return _LINE_END.sub("\n", text)
 
 
 class TestScanTex:
@@ -74,12 +86,32 @@ class TestScanTex:
         with pytest.raises(TexScanError):
             scan_tex("\\bibliographystyle plain")
 
+    @pytest.mark.parametrize("eol", ["\r", "\r\n"])
+    def test_cr_line_ends_end_comments_and_count_lines(self, eol):
+        text = f"% note{eol}\\cite{{a}}{eol}text \\cite{{b}}{eol}"
+        scan = scan_tex(text)
+        assert scan.cites == ["a", "b"]
+        assert [span.line for span in scan.cite_spans] == [2, 3]
+        assert scan.text == text
+
     def test_unclosed_width_groups_are_linear(self):
         # each width group reads to the end of the text once it is known not to close
         start = time.perf_counter()
         scan = scan_tex("\\begin{thebibliography}{" * 8_000)
         assert time.perf_counter() - start < 2.0
         assert scan.cites == [] and scan.inline_bib == []
+
+
+class TestBibitemKeys:
+    def test_reads_only_the_bibitem_keys(self):
+        text = ("\\begin{thebibliography}{9}\n\\bibitem{a}\nHow to \\cite a paper\n"
+                "\\bibitem[Doe]{b} \\begin x % \\bibitem{hidden}\n\\\\bibitem \\bibitemx\n")
+        assert bibitem_keys(text) == ["a", "b"]
+
+    def test_bibitem_without_its_key_raises_with_line(self):
+        with pytest.raises(TexScanError) as err:
+            bibitem_keys("\\bibitem{a}\r\n\\bibitem b")
+        assert str(err.value) == "line 2: expected '{' after \\bibitem"
 
 
 class TestRunPass:
@@ -220,11 +252,11 @@ def test_any_text_scans_or_raises_tex_scan_error(text):
     try:
         scan = scan_tex(text)
     except TexScanError as err:
-        assert 1 <= err.line <= text.count("\n") + 1
+        assert 1 <= err.line <= _line_at(text, len(text))
         return
     assert isinstance(scan, TexScan)
     for span in scan.cite_spans:
-        assert span.line == 1 + text.count("\n", 0, span.start)
+        assert span.line == _line_at(text, span.start)
         assert text[span.start:span.end].startswith("\\cite")
     assert scan.cites == [key for span in scan.cite_spans for key in span.keys]
 
@@ -244,3 +276,22 @@ def test_unwritable_says_whether_the_next_run_reads_the_aux(text):
     except AuxError:
         reads_back = False
     assert (unwritable(aux) is None) == reads_back
+
+
+def _scanned(text: str):
+    """What scan_tex finds in text, with its line ends read as LF, or its error."""
+    try:
+        scan = scan_tex(text)
+    except TexScanError as err:
+        return str(err)
+    return ([(span.line, [_to_lf(k) for k in span.keys]) for span in scan.cite_spans],
+            [_to_lf(k) for k in scan.inline_bib], scan.style and _to_lf(scan.style),
+            [_to_lf(d) for d in scan.data])
+
+
+@given(TEX_TEXT)
+def test_cr_or_crlf_line_ends_give_the_same_cites_keys_and_lines(text):
+    text = _to_lf(text)
+    expected = _scanned(text)
+    for eol in ("\r", "\r\n"):
+        assert _scanned(text.replace("\n", eol)) == expected

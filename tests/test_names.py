@@ -139,6 +139,38 @@ class TestFormatName:
     def test_suffix_only_on_nonempty_piece(self):
         assert format_name("Cruz, Maria", "{vv.}{ll}") == "Cruz"
 
+    def test_special_character_abbreviates_to_its_group(self):
+        assert format_name("{\\'E}mile Zola", "{f.}") == "{\\'E}."
+        assert format_name("{\\v{C}}apek, O.", "{f.~}{l.}") == "O.~{\\v{C}}."
+
+    @pytest.mark.parametrize("name,initials", [
+        ("{{Barnes}} X", "B."),
+        ("{} X", "."),
+        ("{}{Ab} X", "A."),
+        ("{{\\'E}}mile X", "{\\'E}."),
+        ("\\AA{}sa X", "A."),
+        ("1st X", "1."),
+    ])
+    def test_brace_or_backslash_token_abbreviates_to_its_first_letter(self, name, initials):
+        assert format_name(name, "{f.}") == initials
+
+    def test_prefix_only_on_nonempty_piece(self):
+        template = "{ff~}{vv~}{ll}{, jj}"
+        assert parse_template(template)[-1] == (3, True, ", ", "")
+        assert format_name("Doe, Jr., John", template) == "John~Doe, Jr."
+        assert format_name("John Doe", template) == "John~Doe"
+        assert format_name("Ludwig van Beethoven", "{ff}{ vv}{ l.}") == "Ludwig van B."
+
+    @pytest.mark.parametrize("piece", ["{, x}", "{. }", "{}", "{, F}"])
+    def test_piece_needs_a_part_letter(self, piece):
+        with pytest.raises(TemplateError) as err:
+            parse_template(piece)
+        assert str(err.value) == f"piece must start with one of f, v, l, j: {piece}"
+
+    def test_tripled_letter_after_a_prefix(self):
+        with pytest.raises(TemplateError, match="tripled piece letter"):
+            parse_template("{, jjj}")
+
     def test_bad_template_letter(self):
         with pytest.raises(TemplateError):
             format_name("A B", "{xx}")
@@ -239,3 +271,27 @@ def test_caches_change_no_result(text, template):
     for cached in (split_names, parse_name, parse_template):
         cached.cache_clear()
     assert [_outcome(fn, *args) for fn, *args in calls] == first
+
+
+def _paired_only(text: str) -> str:
+    """text without the braces that do not pair up."""
+    unmatched, opened = set(), []
+    for i, ch in enumerate(text):
+        if ch == "{":
+            opened.append(i)
+        elif ch == "}":
+            if opened:
+                opened.pop()
+            else:
+                unmatched.add(i)
+    unmatched.update(opened)
+    return "".join(ch for i, ch in enumerate(text) if i not in unmatched)
+
+
+@given(NAME_TEXT.map(_paired_only))
+def test_abbreviated_names_keep_braces_balanced(name):
+    try:
+        formatted = format_name(name, "{f.}{ll}")
+    except NameParseError:
+        return
+    assert _paired_only(formatted) == formatted
