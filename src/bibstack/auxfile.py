@@ -8,7 +8,8 @@ with other packages writing to the same file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+
+from .diagnostics import Record
 
 
 class AuxError(Exception):
@@ -17,13 +18,14 @@ class AuxError(Exception):
         self.line = line
 
 
-@dataclass
-class AuxFile:
-    citations: list[str] = field(default_factory=list)
-    style: str | None = None
-    data: list[str] = field(default_factory=list)
-    bibcites: dict[str, str] = field(default_factory=dict)
-    raw_lines: list[str] = field(default_factory=list)
+class AuxFile(Record):
+    __slots__ = ("citations", "style", "data", "bibcites", "raw_lines")
+    def __init__(self, citations=None, style=None, data=None, bibcites=None, raw_lines=None):
+        self.citations: list[str] = [] if citations is None else citations
+        self.style: str | None = style
+        self.data: list[str] = [] if data is None else data
+        self.bibcites: dict[str, str] = {} if bibcites is None else bibcites
+        self.raw_lines: list[str] = [] if raw_lines is None else raw_lines
 
 
 # each recognized command and the number of {...} groups it takes

@@ -12,31 +12,30 @@ an explicit stack, so no nesting depth reaches Python's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .diagnostics import ERROR, Diagnostic
+from .diagnostics import ERROR, Diagnostic, Record
 from .vm import BUILTINS as KNOWN_BUILTINS
 
 
-@dataclass
-class Token:
-    kind: str  # string | int | id | quoted | block
-    value: object  # str payload, int value, or nested token list
-    line: int = 0
+class Token(Record):
+    # kind: string | int | id | quoted | block; value: str payload, int value, or nested token list
+    __slots__ = ("kind", "value", "line")
+    def __init__(self, kind: str, value: object, line: int = 0):
+        self.kind, self.value, self.line = kind, value, line
 
 
-@dataclass
-class BstCommand:
-    kind: str
-    operand: object = None
-    line: int = 0
+class BstCommand(Record):
+    __slots__ = ("kind", "operand", "line")
+    def __init__(self, kind: str, operand: object = None, line: int = 0):
+        self.kind, self.operand, self.line = kind, operand, line
 
 
-@dataclass
-class BstProgram:
-    commands: list[BstCommand] = field(default_factory=list)
-    functions: dict[str, list[Token]] = field(default_factory=dict)
-    source: str = "<bst>"
+class BstProgram(Record):
+    __slots__ = ("commands", "functions", "source")
+    def __init__(self, commands=None, functions=None, source: str = "<bst>"):
+        self.commands: list[BstCommand] = [] if commands is None else commands
+        self.functions: dict[str, list[Token]] = {} if functions is None else functions
+        self.source = source
 
 
 def parse_bst(text: str, source_name: str = "<bst>") -> tuple[BstProgram, list[Diagnostic]]:

@@ -20,9 +20,8 @@ names use it too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .diagnostics import ERROR, WARNING, Diagnostic
+from .diagnostics import ERROR, WARNING, Diagnostic, Record
 
 
 def normalize_value(raw: str) -> str:
@@ -30,16 +29,17 @@ def normalize_value(raw: str) -> str:
     return " ".join(raw.split())
 
 
-@dataclass
-class Entry:
-    key: str
-    entry_type: str
-    fields: dict[str, str] = field(default_factory=dict)
+class Entry(Record):
+    __slots__ = ("key", "entry_type", "fields")
+    def __init__(self, key: str, entry_type: str, fields=None):
+        self.key, self.entry_type = key, entry_type
+        self.fields: dict[str, str] = {} if fields is None else fields
 
 
-@dataclass
-class Database:
-    by_key: dict[str, Entry] = field(default_factory=dict)
+class Database(Record):
+    __slots__ = ("by_key",)
+    def __init__(self, by_key=None):
+        self.by_key: dict[str, Entry] = {} if by_key is None else by_key
 
     @property
     def entries(self) -> list[Entry]:

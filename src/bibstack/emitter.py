@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .diagnostics import ERROR, WARNING
+from .diagnostics import ERROR, WARNING, Record
 
 
 class BblDocument:
@@ -33,9 +31,10 @@ class BblDocument:
         return "\n".join(self.lines) + "\n"
 
 
-@dataclass
-class BlgLog:
-    records: list[tuple[str, str]] = field(default_factory=list)
+class BlgLog(Record):
+    __slots__ = ("records",)
+    def __init__(self, records=None):
+        self.records: list[tuple[str, str]] = [] if records is None else records
 
     def warning(self, message: str) -> None:
         self.records.append((WARNING, message))

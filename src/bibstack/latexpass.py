@@ -20,10 +20,10 @@ typesetting: the rendered text is the source with cites replaced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .auxfile import AuxFile
 from .database import group_end
+from .diagnostics import Record
 
 
 # a comment (to the end of its line: CR, CRLF or LF), or a backslash and
@@ -41,31 +41,30 @@ class TexScanError(Exception):
         self.line = line
 
 
-@dataclass
-class CiteSpan:
-    start: int
-    end: int
-    keys: list[str]
-    line: int
+class CiteSpan(Record):
+    __slots__ = ("start", "end", "keys", "line")
+    def __init__(self, start: int, end: int, keys: list[str], line: int):
+        self.start, self.end, self.keys, self.line = start, end, keys, line
 
 
-@dataclass
-class TexScan:
-    cites: list[str] = field(default_factory=list)
-    style: str | None = None
-    data: list[str] = field(default_factory=list)
-    inline_bib: list[str] = field(default_factory=list)
-    text: str = ""
-    cite_spans: list[CiteSpan] = field(default_factory=list)
+class TexScan(Record):
+    __slots__ = ("cites", "style", "data", "inline_bib", "text", "cite_spans")
+    def __init__(self, cites=None, style=None, data=None, inline_bib=None, text="", cite_spans=None):
+        self.cites: list[str] = [] if cites is None else cites
+        self.style: str | None = style
+        self.data: list[str] = [] if data is None else data
+        self.inline_bib: list[str] = [] if inline_bib is None else inline_bib
+        self.text: str = text
+        self.cite_spans: list[CiteSpan] = [] if cite_spans is None else cite_spans
 
 
-@dataclass
-class PassResult:
-    rendered: str
-    new_aux: AuxFile
-    warnings: list[str]
-    labels_changed: bool
-    resolved: int  # the cites whose label old_aux gave
+class PassResult(Record):
+    __slots__ = ("rendered", "new_aux", "warnings", "labels_changed", "resolved")
+    def __init__(self, rendered: str, new_aux: AuxFile, warnings: list[str],
+                 labels_changed: bool, resolved: int):
+        self.rendered, self.new_aux, self.warnings = rendered, new_aux, warnings
+        self.labels_changed = labels_changed
+        self.resolved = resolved  # the cites whose label old_aux gave
 
 
 def scan_tex(text: str) -> TexScan:

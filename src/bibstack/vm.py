@@ -33,12 +33,12 @@ the last command finishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import names
 from .auxfile import AuxFile, unique_citation_order
 from .database import Database, lookup
+from .diagnostics import Record
 from .emitter import BblDocument, BlgLog
 
 if TYPE_CHECKING:  # bstparse imports the builtin table from here
@@ -51,25 +51,24 @@ WHILE_LIMIT = 1_000_000  # iterations of one while$
 CALL_DEPTH_LIMIT = 200
 
 
-@dataclass
-class MissingField:
-    field_name: str
-    entry_key: str
+class MissingField(Record):
+    __slots__ = ("field_name", "entry_key")
+    def __init__(self, field_name: str, entry_key: str):
+        self.field_name, self.entry_key = field_name, entry_key
 
 
-@dataclass
-class FnRef:
-    name: str | None = None
-    body: list[Token] | None = None
+class FnRef(Record):
+    __slots__ = ("name", "body")
+    def __init__(self, name: str | None = None, body: list[Token] | None = None):
+        self.name, self.body = name, body
 
 
-@dataclass
-class RuntimeEntry:
-    key: str
-    entry_type: str
-    fields: dict[str, str]
-    ints: dict[str, int] = field(default_factory=dict)
-    strs: dict[str, str] = field(default_factory=dict)
+class RuntimeEntry(Record):
+    __slots__ = ("key", "entry_type", "fields", "ints", "strs")
+    def __init__(self, key: str, entry_type: str, fields: dict[str, str], ints=None, strs=None):
+        self.key, self.entry_type, self.fields = key, entry_type, fields
+        self.ints: dict[str, int] = {} if ints is None else ints
+        self.strs: dict[str, str] = {} if strs is None else strs
 
 
 class VmError(Exception):

@@ -18,7 +18,9 @@ TEX_TEXT = st.lists(st.one_of(
     st.sampled_from(["\\", "%", "{", "}", "[", "]", ",", "\n", "\r\n", "\r", " ", "é", "²", "Ⅻ"]),
     st.sampled_from(["{k}", "{a, b}", "{thebibliography}", "[o]", "\\cite{k}", "\\cite {a,b}",
                      "\\bibitem[o]{k}", "\\citation{k}", "\\bibcite{k}{1}",
-                     "\\cite{k,}", "\\bibliography{x{y}z}", "\\bibitem{a\x85b}", "% \\cite{c}\n"]),
+                     "\\cite{k,}", "\\bibliography{x{y}z}", "\\bibitem{a\x85b}", "% \\cite{c}\n",
+                     # a comment or a line that a lone CR ends, then a cite on the next line
+                     "% c\r\\cite{k}", "x\r\\cite{k}"]),
     st.sampled_from([
         "\\cite", "\\bibitem", "\\bibliographystyle", "\\bibliography", "\\begin",
         "\\citeauthor", "\\bibliographyx", "thebibliography",

@@ -104,12 +104,14 @@ def load(rev: str, workdir: Path):
 
 def plain(value):
     """value as lists, tuples and scalars, so that the two packages' records compare:
-    a dataclass or NamedTuple becomes its class name and fields, an error
-    its type, message and line."""
+    a dataclass, NamedTuple or slotted record becomes its class name and
+    fields, an error its type, message and line."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return (type(value).__name__, *(plain(getattr(value, f.name)) for f in dataclasses.fields(value)))
     if hasattr(value, "_fields"):
         return (type(value).__name__, *(plain(v) for v in value))
+    if slots := getattr(type(value), "__slots__", ()):
+        return (type(value).__name__, *(plain(getattr(value, name)) for name in slots))
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     if isinstance(value, dict):
