@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import Record
+from .diagnostics import LINE_END, Record
 
 
 class AuxError(Exception):
@@ -34,21 +34,24 @@ _RECOGNIZED = re.compile(rf"\\({'|'.join(_GROUPS)})(?![a-zA-Z])")
 # the whole line each recognized command must match
 _COMMANDS = {cmd: re.compile(rf"\\{cmd}" + r"\{([^{}]*)\}" * groups + "$")
              for cmd, groups in _GROUPS.items()}
-# what no name in those commands can hold: a brace, or a character that
-# str.splitlines (and so parse_aux) ends a line at
-_UNWRITABLE = re.compile(r"[{}\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_LINE_END = re.compile(LINE_END)
+# what no name in those commands can hold: a brace, or a line end's CR or LF
+_UNWRITABLE = re.compile(r"[{}\r\n]")
 
 
 def parse_aux(text: str) -> AuxFile:
     """Parse .aux text; malformed recognized commands raise AuxError."""
     aux = AuxFile()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = _LINE_END.split(text)
+    if not lines[-1]:
+        lines.pop()  # the piece after a final line end, or of an empty text, is not a line
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line == "\\relax":
             continue
         head = _RECOGNIZED.match(line)
         if head is None:
-            aux.raw_lines.append(raw.rstrip("\r"))
+            aux.raw_lines.append(raw)
             continue
         cmd = head.group(1)
         m = _COMMANDS[cmd].match(line)
@@ -79,7 +82,7 @@ def unique_citation_order(aux: AuxFile) -> list[str]:
 
 def unwritable(aux: AuxFile) -> str | None:
     """Why parse_aux could not read write_aux(aux) back as aux, or None: an
-    empty citation key, or a name holding a brace or a line break."""
+    empty citation key, or a name holding a brace or a line break (CR or LF)."""
     if "" in aux.citations:
         return "empty citation key"
     style = [] if aux.style is None else [aux.style]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import ERROR, Diagnostic, Record
+from .diagnostics import ERROR, LINE_END, Diagnostic, Record
 from .vm import BUILTINS as KNOWN_BUILTINS
 
 
@@ -52,10 +52,10 @@ def parse_bst(text: str, source_name: str = "<bst>") -> tuple[BstProgram, list[D
 
 _IDENT = r"[a-zA-Z0-9.$\-_:=<>+*]"
 _TOKEN = re.compile(
-    r"(?P<newline>\n)"
-    r"|(?P<space>[^\S\n]+)"
-    r"|(?P<comment>%[^\n]*)"
-    r'|(?P<string>"[^"\n]*"?)'
+    rf"(?P<newline>{LINE_END})"
+    r"|(?P<space>[^\S\r\n]+)"
+    r"|(?P<comment>%[^\r\n]*)"
+    r'|(?P<string>"[^"\r\n]*"?)'
     r"|(?P<int>#[+-]?\d*)"
     rf"|(?P<quoted>'{_IDENT}*)"
     r"|(?P<open>\{)"
@@ -66,7 +66,6 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text: str, source: str, diags: list[Diagnostic]) -> list[Token]:
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
     line = 1
     # stack[-1] is the token list of the innermost open {...} group
     stack: list[list[Token]] = [[]]

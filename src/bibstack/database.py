@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import ERROR, WARNING, Diagnostic, Record
+from .diagnostics import ERROR, WARNING, Diagnostic, Record, line_counter
 
 
 def normalize_value(raw: str) -> str:
@@ -104,17 +104,13 @@ def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Dia
     is ignored.  Broken entries are skipped with a diagnostic and parsing
     resumes at the next `@`.  Raises nothing: every problem is a Diagnostic.
     """
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
     db = Database()
     diags: list[Diagnostic] = []
-    # diagnostics arrive in text order, so the line count only moves forward
-    counted, line = 0, 1
+    # diagnostics arrive in text order, so one forward counter serves them all
+    line_at = line_counter(text)
 
     def diag(severity: str, message: str, pos: int) -> None:
-        nonlocal counted, line
-        line += text.count("\n", counted, pos)
-        counted = pos
-        diags.append(Diagnostic(severity, message, line, source_name))
+        diags.append(Diagnostic(severity, message, line_at(pos), source_name))
 
     pos = text.find("@")
     while pos >= 0:

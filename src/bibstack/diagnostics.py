@@ -1,5 +1,7 @@
-"""Record, the base of the package's records, and Diagnostic, the record of the .bib and .bst
-parsers and of lint (the VM logs through emitter.BlgLog, sharing only the severity names)."""
+"""Record, the base of the package's records; Diagnostic, the record of the .bib and .bst
+parsers and of lint (the VM logs through emitter.BlgLog, sharing only the severity names);
+and the one line-end rule of the .bib, .bst, .tex and .aux readers: a line ends at CR, CRLF
+or LF, and nowhere else.  LINE_END states it as a pattern, line_counter as a line count."""
 
 WARNING = "warning"
 ERROR = "error"
@@ -33,3 +35,27 @@ class Diagnostic(Record):
         if self.source and self.line:
             return f"{self.source}, line {self.line}: {self.message}"
         return self.message
+
+
+# the one line-end rule, as pattern source that other patterns can embed
+LINE_END = r"\r\n?|\n"
+
+
+def line_counter(text: str):
+    """A function from offsets into text, asked in nondecreasing order, to
+    1-based lines: 1 plus the line ends that start before the offset."""
+    has_cr = "\r" in text
+    counted, line = 0, 1
+
+    def line_at(pos: int) -> int:
+        nonlocal counted, line
+        line += text.count("\n", counted, pos)
+        if has_cr:
+            # every CR ends a line, so an LF right after one (CRLF) ends none;
+            # that CR may sit just before counted
+            line += (text.count("\r", counted, pos)
+                     - text.count("\r\n", max(counted - 1, 0), pos))
+        counted = pos
+        return line
+
+    return line_at

@@ -8,7 +8,8 @@ unknown words and words that go on with other letters (str.isalpha) are
 passed over; an empty word is an escaped character such as \\%.  Each
 recognized command reads its {...} group in one place, _read_group, but
 for the optional {width} after \\begin{thebibliography}, which stays text
-when it does not close.  A line, and a comment, ends at CR, CRLF or LF.
+when it does not close.  A line, and a comment, ends at CR, CRLF or LF
+(diagnostics.LINE_END), and line_counter gives each command's line.
 bibitem_keys reads a .bbl the same way, recognizing \\bibitem alone.
 
 run_pass renders each cite as "[label]" using the labels of the previous
@@ -23,12 +24,11 @@ import re
 
 from .auxfile import AuxFile
 from .database import group_end
-from .diagnostics import Record
+from .diagnostics import LINE_END, Record, line_counter
 
 
-# a comment (to the end of its line: CR, CRLF or LF), or a backslash and
-# the ASCII letters after it
-_CONTROL = re.compile(r"%[^\r\n]*(?:\r\n?|\n)?|\\([a-zA-Z]*)")
+# a comment (to the end of its line), or a backslash and the ASCII letters after it
+_CONTROL = re.compile(rf"%[^\r\n]*(?:{LINE_END})?|\\([a-zA-Z]*)")
 _COMMANDS = frozenset(("cite", "bibitem", "bibliographystyle", "bibliography", "begin"))
 _OPTIONAL_ARG = re.compile(r"\s*\[[^\]]*\]")
 _OPEN = re.compile(r"\s*\{")
@@ -81,10 +81,8 @@ def bibitem_keys(text: str) -> list[str]:
 def _scan(text: str, commands: frozenset[str]) -> TexScan:
     """scan_tex, recognizing only the given commands."""
     scan = TexScan(text=text)
-    # a line ends at CR, CRLF or LF: counted in a same-length copy with LF alone
-    lf_text = text.replace("\r\n", " \n").replace("\r", "\n") if "\r" in text else text
-    # commands arrive in text order, so the line count only moves forward
-    counted, line = 0, 1
+    # commands arrive in text order, so one forward counter serves them all
+    line_at = line_counter(text)
     unclosed: set[int] = set()  # filled at the first width group that does not close
     m = _CONTROL.search(text)
     while m:
@@ -95,8 +93,7 @@ def _scan(text: str, commands: frozenset[str]) -> TexScan:
             pos += 1  # an escaped single character such as \% or \{
         elif name in commands and not text[pos : pos + 1].isalpha():
             start = m.start()
-            line += lf_text.count("\n", counted, start)
-            counted = start
+            line = line_at(start)
             if name == "bibitem":
                 optional = _OPTIONAL_ARG.match(text, pos)
                 if optional:

@@ -1,6 +1,16 @@
 """Shared input texts and small helpers for the test suite."""
 
+import re
+
 from hypothesis import strategies as st
+
+_LINE_END = re.compile(r"\r\n?|\n")
+
+
+def _line_at(text: str, offset: int) -> int:
+    """The line of text that offset is on; a line ends at CR, CRLF or LF."""
+    return 1 + len(_LINE_END.findall(text, 0, offset))
+
 
 # any text, weighted toward the characters that drive .bib and .bst scanning
 SCANNER_TEXT = st.text(st.one_of(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bibstack.auxfile import (
     AuxError, AuxFile, parse_aux, unique_citation_order, unwritable, write_aux)
 
-from fixtures import BIBTEX_AUX, EXTERNAL_AUX, INLINE_AUX, TEX_TEXT
+from fixtures import BIBTEX_AUX, EXTERNAL_AUX, INLINE_AUX, TEX_TEXT, _line_at
 
 
 class TestParseAux:
@@ -84,6 +84,11 @@ class TestWriteAux:
     def test_round_trips_bibtex_aux_bytes(self):
         assert write_aux(parse_aux(BIBTEX_AUX)) == BIBTEX_AUX
 
+    def test_round_trips_a_pass_through_line_that_splitlines_would_break(self):
+        # \x85 and \x0c end a line for str.splitlines, but not in an .aux
+        text = "\\relax\n\\newlabel{x}{a\x85b\x0cc}\n"
+        assert write_aux(parse_aux(text)) == text
+
     def test_empty_aux(self):
         assert write_aux(AuxFile()) == "\\relax\n"
 
@@ -99,11 +104,11 @@ class TestUnwritable:
     @pytest.mark.parametrize("aux, fault", [
         (AuxFile(citations=["a", ""]), "empty citation key"),
         (AuxFile(citations=["x{y}z"]), "\\citation name 'x{y}z' holds a brace or a line break"),
-        (AuxFile(citations=["a\x0cb"]), "\\citation name 'a\\x0cb' holds a brace or a line break"),
+        (AuxFile(citations=["a\x0c{b"]), "\\citation name 'a\\x0c{b' holds a brace or a line break"),
         (AuxFile(style="a\rb"), "\\bibstyle name 'a\\rb' holds a brace or a line break"),
         (AuxFile(data=["my", "a\nb"]), "\\bibdata name 'a\\nb' holds a brace or a line break"),
         (AuxFile(bibcites={"k}": "1"}), "\\bibcite name 'k}' holds a brace or a line break"),
-        (AuxFile(bibcites={"a\x85b": "1"}), "\\bibcite name 'a\\x85b' holds a brace or a line break"),
+        (AuxFile(bibcites={"a\x85b}": "1"}), "\\bibcite name 'a\\x85b}' holds a brace or a line break"),
     ])
     def test_names_parse_aux_cannot_read_back(self, aux, fault):
         assert unwritable(aux) == fault
@@ -111,9 +116,11 @@ class TestUnwritable:
             parse_aux(write_aux(aux))
 
     def test_empty_names_that_round_trip(self):
-        aux = AuxFile(citations=["a"], style="", data=["", "b"], bibcites={"": "1"})
-        assert unwritable(aux) is None
-        assert parse_aux(write_aux(aux)) == aux
+        for aux in (AuxFile(citations=["a"], style="", data=["", "b"], bibcites={"": "1"}),
+                    # \x0c and \x85 end a line for str.splitlines, but not in an .aux
+                    AuxFile(citations=["a\x0cb"]), AuxFile(bibcites={"a\x85b": "1"})):
+            assert unwritable(aux) is None
+            assert parse_aux(write_aux(aux)) == aux
 
 
 _keys = st.text(alphabet=string.ascii_letters + string.digits + "-:._", min_size=1, max_size=10)
@@ -140,11 +147,26 @@ def test_unique_order_stable_under_appended_duplicates(citations, pick):
         assert unique_citation_order(AuxFile(citations=citations + [dup])) == base
 
 
+def _parsed_or_error(text: str):
+    try:
+        return parse_aux(text)
+    except AuxError as err:
+        return str(err), err.line
+
+
+@given(TEX_TEXT)
+def test_cr_or_crlf_line_ends_give_the_same_aux_or_error(text):
+    lf = text.replace("\r", "")
+    expected = _parsed_or_error(lf)
+    for eol in ("\r", "\r\n"):
+        assert _parsed_or_error(lf.replace("\n", eol)) == expected
+
+
 @given(TEX_TEXT)
 def test_any_text_parses_or_raises_aux_error(text):
     try:
         aux = parse_aux(text)
     except AuxError as err:
-        assert 1 <= err.line <= len(text.splitlines())
+        assert 1 <= err.line <= _line_at(text, len(text))
         return
     assert isinstance(aux, AuxFile)

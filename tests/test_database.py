@@ -426,8 +426,11 @@ def test_field_readers_agree(text):
 @settings(max_examples=50)
 @given(BIB_TEXT)
 def test_crlf_line_ends_change_nothing(text):
+    # entries and every diagnostic, its line included, for LF, CR and CRLF
     lf = text.replace("\r", "")
-    assert _parsed(lf.replace("\n", "\r\n")) == _parsed(lf)
+    expected = _parsed(lf)
+    for eol in ("\r", "\r\n"):
+        assert _parsed(lf.replace("\n", eol)) == expected
 
 
 _good_field = st.tuples(st.sampled_from(["note", "Title", "year", "a#b"]),

@@ -1,6 +1,5 @@
 """Tests for the .tex scanner and the citation-pass simulation."""
 
-import re
 import string
 import time
 
@@ -11,14 +10,7 @@ from hypothesis import strategies as st
 from bibstack.auxfile import AuxError, AuxFile, parse_aux, unwritable, write_aux
 from bibstack.latexpass import TexScan, TexScanError, bibitem_keys, fixpoint, run_pass, scan_tex
 
-from fixtures import EXTERNAL_TEX, INLINE_AUX, INLINE_TEX, TEX_TEXT, cite_marks
-
-_LINE_END = re.compile(r"\r\n?|\n")
-
-
-def _line_at(text: str, offset: int) -> int:
-    """The line of text that offset is on; a line ends at CR, CRLF or LF."""
-    return 1 + len(_LINE_END.findall(text, 0, offset))
+from fixtures import EXTERNAL_TEX, INLINE_AUX, INLINE_TEX, TEX_TEXT, _LINE_END, _line_at, cite_marks
 
 
 def _to_lf(text: str) -> str:

@@ -888,8 +888,12 @@ def _bbl_and_blg(program) -> tuple:
 @settings(max_examples=50)
 @given(STYLE_TEXT)
 def test_crlf_line_ends_in_the_style_change_no_output(style):
-    lf, crlf = (parse_bst(text)[0] for text in (style, style.replace("\n", "\r\n")))
-    assert _bbl_and_blg(crlf) == _bbl_and_blg(lf)
+    # the same program (token lines included), diagnostics and output for LF, CR and CRLF
+    lf = parse_bst(style)
+    for eol in ("\r", "\r\n"):
+        other = parse_bst(style.replace("\n", eol))
+        assert other == lf
+        assert _bbl_and_blg(other[0]) == _bbl_and_blg(lf[0])
 
 
 @settings(max_examples=50)
