@@ -6,15 +6,22 @@ citation keys are matched verbatim.  Field values accept both "..." and
 @string/@preamble/@comment constructs and `#` concatenation are rejected
 with a warning diagnostic and the offending block is skipped.
 
-The parser matches precompiled patterns at an integer offset.  Most
-fields take one match of _FIELD: the separators before the field, its
-name, `=', a value ({...} with at most one level of inner groups, "..."
-without braces, or an ASCII digit run) and the whitespace up to the `,'
-or `}' after it.  Where that pattern does not match (`#', deeper groups,
-an unclosed value, other digits, a macro, a missing `=' or comma), the
-general reader runs from the same offset, so every diagnostic keeps its
-text and line.  group_end is the one brace-group scanner; latexpass and
-names use it too.
+Every entry is checked when the text is parsed, but an entry's field
+dict is built only when it is first read.  Most entries take one match
+of _ENTRY: the type, `{', the key, a run of well-formed fields and the
+`}'.  A well-formed field is one match of _FIELD: the separators before
+it, its name, `=', a value ({...} with at most two levels of inner
+groups, "..." whose groups have at most one level inside, or an ASCII
+digit run) and the whitespace up to the `,' or `}' after it.  Such an
+entry keeps its span instead of its fields, after one more match of the
+field names over that span finds no duplicate.  Its `fields' are built
+on first read with one _FIELD.findall over the span.
+
+Any entry _ENTRY rejects (a special type, a duplicate field, `#', a
+macro, deeper groups, no closing brace) is read eagerly from the same
+`@' by the general reader, field by field, so every diagnostic keeps its
+text and line, and all of them are known before any field is read.  group_end is the one
+brace-group scanner; latexpass and names use it too.
 """
 
 from __future__ import annotations
@@ -30,10 +37,26 @@ def normalize_value(raw: str) -> str:
 
 
 class Entry(Record):
-    __slots__ = ("key", "entry_type", "fields")
+    # _source, (text, start, end), stands in for fields until they are read
+    __slots__ = ("key", "entry_type", "fields", "_source")
     def __init__(self, key: str, entry_type: str, fields=None):
         self.key, self.entry_type = key, entry_type
         self.fields: dict[str, str] = {} if fields is None else fields
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: fields not yet built from _source
+        if name != "fields":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        text, start, end = self._source
+        # at most one of the three value groups is not empty
+        fields = {
+            field.lower(): normalize_value(braced + quoted + digits)
+            for field, braced, quoted, digits in re.compile(_FIELD).findall(text, start, end)
+        }
+        # the span goes only once the dict is whole, so a cut-off build can be retried
+        self.fields = fields
+        del self._source
+        return fields
 
 
 class Database(Record):
@@ -67,13 +90,32 @@ _KEY = re.compile(r"[^,}\s]*")
 _FIELD_NAME = re.compile(r"[^=,{}\"\s]*")
 _BARE_WORD = re.compile(r"[^,}#\s]*")
 _QUOTED_STOP = re.compile(r'[{}"]')
-# one well-formed field (see above); every quantifier is possessive, so a
-# failed match is linear in what it read
-_FIELD = re.compile(
-    r'[\s,]*+([^=,{}"\s]++)\s*+=\s*+'
-    r'(?:\{((?:[^{}]++|\{[^{}]*+\})*+)\}|"([^{}"]*+)"|([0-9]++))'
+_SPECIAL_TYPES = ("string", "preamble", "comment")
+
+# One well-formed field (see above) is a name and a value.  Every
+# quantifier is possessive, so a failed match is linear in what it read.
+_GROUP = r"\{(?:[^{}]++|\{[^{}]*+\})*+\}"  # a brace group, at most one level inside
+_NAME_SOURCE = r'[\s,]*+([^=,{}"\s]++)\s*+=\s*+'
+_VALUE_SOURCE = (
+    r'(?:\{((?:[^{}]++|' + _GROUP + r')*+)\}|"((?:[^{}"]++|' + _GROUP + r')*+)"|([0-9]++))'
     r'\s*+(?=[,}])'
 )
+
+
+def _uncaptured(source: str) -> str:
+    """Pattern source with each capturing group made non-capturing (the
+    sources here hold no literal `(', so each `(' opens a group)."""
+    return source.replace("(", "(?:").replace("(?:?", "(?")
+
+
+# The three patterns below are sources that re.compile turns into patterns
+# on first use and keeps in re's cache: every command imports this module,
+# and only the .bib reader needs them.
+_FIELD = _NAME_SOURCE + _VALUE_SOURCE
+# the names alone, for the duplicate-field check
+_FIELD_NAMES = _NAME_SOURCE + _uncaptured(_VALUE_SOURCE)
+# a whole entry after its `@': type, `{', key, well-formed fields, `}'
+_ENTRY = r"\s*+([^{(,\s]++)\s*+\{\s*+([^,}\s{]++)(?:" + _uncaptured(_FIELD) + r")*+[\s,]*+\}"
 
 
 def group_end(text: str, pos: int) -> int:
@@ -112,15 +154,43 @@ def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Dia
     def diag(severity: str, message: str, pos: int) -> None:
         diags.append(Diagnostic(severity, message, line_at(pos), source_name))
 
+    match_entry, field_names = re.compile(_ENTRY).match, re.compile(_FIELD_NAMES).findall
     pos = text.find("@")
     while pos >= 0:
-        try:
-            pos = _parse_entry(text, pos + 1, db, diag)
-        except _EntryError as err:
-            diag(err.severity, err.message, err.pos)
-            pos = err.pos
+        m = match_entry(text, pos + 1)
+        if m is not None and (entry := _unread_entry(text, m, field_names)) is not None:
+            _check_key(db, entry.key, m.start(2), diag)
+            db.add(entry)
+            pos = m.end()
+        else:
+            try:
+                pos = _parse_entry(text, pos + 1, db, diag)
+            except _EntryError as err:
+                diag(err.severity, err.message, err.pos)
+                pos = err.pos
         pos = text.find("@", pos)
     return db, diags
+
+
+def _unread_entry(text: str, m: re.Match, field_names) -> Entry | None:
+    """The entry _ENTRY matched, its fields not yet built, unless its type
+    is special or a field repeats; those take _parse_entry."""
+    etype = m[1].lower()
+    if etype in _SPECIAL_TYPES:
+        return None
+    # the end stays at the `}', so that the last field's lookahead sees it
+    start, end = m.end(2), m.end()
+    names = field_names(text, start, end)
+    if len({name.lower() for name in names}) < len(names):
+        return None
+    entry = Entry.__new__(Entry)
+    entry.key, entry.entry_type, entry._source = m[2], etype, (text, start, end)
+    return entry
+
+
+def _check_key(db: Database, key: str, at: int, diag) -> None:
+    if key in db.by_key:
+        diag(WARNING, f"duplicate entry key `{key}'; later entry dropped", at)
 
 
 def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
@@ -131,7 +201,7 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
         raise _EntryError(ERROR, "expected an entry type after `@'", pos)
     etype = m.group().lower()
     pos = _SPACE.match(text, m.end()).end()
-    if etype in ("string", "preamble", "comment"):
+    if etype in _SPECIAL_TYPES:
         if text.startswith("{", pos):
             end = group_end(text, pos)
             pos = len(text) if end < 0 else end
@@ -144,37 +214,31 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
     key = m.group()
     if not key or "{" in key:
         raise _EntryError(ERROR, f"invalid entry key {key!r}", pos)
-    if key in db.by_key:
-        diag(WARNING, f"duplicate entry key `{key}'; later entry dropped", m.start())
+    _check_key(db, key, m.start(), diag)
     entry = Entry(key=key, entry_type=etype)
 
     while True:
-        if (m := _FIELD.match(text, pos)) is not None:
-            # the value is the one alternative's group that matched, the last one
-            name, value, at, pos = m[1].lower(), m[m.lastindex], m.start(1), m.end()
-        else:
-            # anything else takes the general reader from the same offset
-            pos = _SPACE.match(text, pos).end()
-            if pos == len(text):
-                raise _EntryError(ERROR, f"unexpected end of file inside entry `{key}'", pos)
-            ch = text[pos]
-            if ch == "}":
-                pos += 1
-                break
-            if ch == ",":
-                pos += 1
-                continue
-            m = _FIELD_NAME.match(text, pos)
-            name, at = m.group().lower(), pos
-            if not name:
-                raise _EntryError(ERROR, f"expected a field name in entry `{key}'", pos)
-            pos = _SPACE.match(text, m.end()).end()
-            if not text.startswith("=", pos):
-                raise _EntryError(ERROR, f"expected `=' after field `{name}' in entry `{key}'", pos)
-            value, pos = _read_value(text, _SPACE.match(text, pos + 1).end(), name, key)
-            pos = _SPACE.match(text, pos).end()
-            if text.startswith("#", pos):
-                raise _EntryError(WARNING, f"string concatenation with `#' is not supported; entry `{key}' skipped", pos)
+        pos = _SPACE.match(text, pos).end()
+        if pos == len(text):
+            raise _EntryError(ERROR, f"unexpected end of file inside entry `{key}'", pos)
+        ch = text[pos]
+        if ch == "}":
+            pos += 1
+            break
+        if ch == ",":
+            pos += 1
+            continue
+        m = _FIELD_NAME.match(text, pos)
+        name, at = m.group().lower(), pos
+        if not name:
+            raise _EntryError(ERROR, f"expected a field name in entry `{key}'", pos)
+        pos = _SPACE.match(text, m.end()).end()
+        if not text.startswith("=", pos):
+            raise _EntryError(ERROR, f"expected `=' after field `{name}' in entry `{key}'", pos)
+        value, pos = _read_value(text, _SPACE.match(text, pos + 1).end(), name, key)
+        pos = _SPACE.match(text, pos).end()
+        if text.startswith("#", pos):
+            raise _EntryError(WARNING, f"string concatenation with `#' is not supported; entry `{key}' skipped", pos)
         if name in entry.fields:
             diag(WARNING, f"duplicate field `{name}' in entry `{key}'; first value kept", at)
         else:

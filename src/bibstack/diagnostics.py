@@ -8,18 +8,22 @@ ERROR = "error"
 
 
 class Record:
-    """Fields are the __slots__, in order.  A record equals one of its own
-    class with equal fields, is unhashable, and shows as Name(field=value, ...)."""
+    """Fields are the __slots__ not starting with `_', in order.  A record
+    equals one of its own class with equal fields, is unhashable, and shows
+    as Name(field=value, ...); a `_' slot is private and neither compares
+    nor shows."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__ if name[0] != "_")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
         return f"{type(self).__name__}({fields})"
 
 

@@ -121,7 +121,8 @@ def format_name(name: str, template: str) -> str:
         if full:
             text = " ".join(tokens)
         else:
-            text = ". ".join(_initial(t) for t in tokens)
+            # a token with no initial, such as {} or {1984}, adds nothing
+            text = ". ".join(initial for t in tokens if (initial := _initial(t)))
         out.append(text + suffix)
     return "".join(out)
 

@@ -53,21 +53,23 @@ BST_TEXT = st.lists(st.one_of(
     ]),
 ), max_size=12).map(" ".join)
 
-# .bib values that parse: flat, one level and two levels of inner groups,
-# quoted with and without a group, ASCII and non-ASCII digit runs
+# .bib values that parse: flat, one, two and three levels of inner groups,
+# quoted with no group, a group, a group holding a `"' and groups two and
+# three levels deep, ASCII and non-ASCII digit runs
 BIB_GOOD_VALUES = ["{x}", "{}", "{a b}", "{Zo{\\\"e} M{\\\"u}ller}", "{Corporate and Co}",
-                   "{A {B {C}} D}", "{line\nbreak}", '"q"', '""', '"a {b} c"', "1984", "\u0663"]
+                   "{A {B {C}} D}", "{a {b {c {d}}}}", "{line\nbreak}", '"q"', '""', '"a {b} c"',
+                   '"a {b "c} d"', '"a {b {c}} d"', '"{a {b {c}}}"', "1984", "\u0663"]
 
 # .bib text: entries built from the pieces that steer parse_bib between
-# its one-match field reader and its general reader (the values above;
-# `#' after a value; `a#b' names; duplicate fields and keys; missing
-# commas; CRLF; @string blocks; unterminated values), mixed with loose
-# characters
+# its whole-entry match and its general reader
+# (the values above; `#' after a value; `a#b' names; duplicate fields and
+# keys; missing commas; CRLF; @string blocks; unterminated values), mixed
+# with loose characters
 _BIB_FIELD = st.tuples(
     st.sampled_from(["note", "year", "NOTE", "a#b"]),
     st.sampled_from([" = ", "=", " =\r\n  "]),
     st.one_of(st.sampled_from(BIB_GOOD_VALUES), st.sampled_from(BIB_GOOD_VALUES),
-              st.sampled_from(['"x" # "y"', "{x} #", "1 # 2", "{a {b {c {d}}}}", '"a}b"',
+              st.sampled_from(['"x" # "y"', "{x} #", "1 # 2", '"a}b"',
                                "12ab", "1\u0663", "jan", "{open", '"open'])),
 ).map("".join)
 _BIB_ENTRY = st.tuples(

@@ -320,7 +320,7 @@ def test_accepted_values_have_balanced_braces():
             assert depth == 0
 
 
-# -- the one-match field reader against the general reader -------------------
+# -- two readers: the whole-entry match with lazy fields, the general reader --
 
 _NEVER = re.compile(r"(?!)")
 
@@ -331,18 +331,26 @@ def _parsed(text: str):
 
 
 def _parsed_by_general_reader(text: str):
-    # a fast-path pattern that never matches leaves only the general reader
-    with mock.patch.object(database, "_FIELD", _NEVER):
+    # an entry pattern that never matches reads every entry field by field
+    with mock.patch.object(database, "_ENTRY", _NEVER):
         return _parsed(text)
 
 
-@pytest.fixture(params=["fast path", "general reader"])
+# the fast path is the default one, with lazy fields
+_READERS = {"fast path": _parsed, "general reader": _parsed_by_general_reader}
+
+
+@pytest.fixture(params=list(_READERS))
 def parsed(request):
-    return _parsed if request.param == "fast path" else _parsed_by_general_reader
+    return _READERS[request.param]
+
+
+_MANY_FIELDS = "".join(f", f{i} = {{x}}" for i in range(50000))
+_JAN = ("warning", "unquoted value `jan' (macros are not supported); entry `j' skipped", 1)
 
 
 class TestFieldReaders:
-    """Exact results for the edges between the two field readers, from both."""
+    """Exact results for the edges between the field readers, from each."""
 
     @pytest.mark.parametrize("text, entries, diags", [
         ("@misc{k, note = {a  b}, year = 1984, title = \"T\"}",
@@ -400,20 +408,32 @@ class TestFieldReaders:
         assert got_entries == entries
         assert [(d.severity, d.message, d.line) for d in got_diags] == diags
 
-    @pytest.mark.parametrize("text, entries, diag", [
+    @pytest.mark.parametrize("text, entries, diags", [
         # many groups, then a `{' that never closes
         ("@misc{k, note = {" + "ab {a} " * 30000 + "{", [],
-         ("error", "unterminated value of `note'; entry `k' skipped", 1)),
+         [("error", "unterminated value of `note'; entry `k' skipped", 1)]),
         ("@misc{k, note = \"" + "ab " * 70000, [],
-         ("error", "unterminated value of `note'; entry `k' skipped", 1)),
+         [("error", "unterminated value of `note'; entry `k' skipped", 1)]),
         ("@misc{k, note = " + "{" * 100000 + "}" * 100000 + "}",
-         [("k", "misc", [("note", "{" * 99999 + "}" * 99999)])], None),
-    ], ids=["unclosed-group", "unterminated-quote", "deep-nesting"])
-    def test_long_values_read_in_one_pass(self, parsed, text, entries, diag):
-        # a field pattern that backtracks would not finish on these
+         [("k", "misc", [("note", "{" * 99999 + "}" * 99999)])], []),
+        # the whole entry is read, rejected at its end and read again
+        ("@misc{k" + _MANY_FIELDS, [],
+         [("error", "unexpected end of file inside entry `k'", 1)]),
+        ("@misc{k" + _MANY_FIELDS + ", F0 = {y}}",
+         [("k", "misc", [(f"f{i}", "x") for i in range(50000)])],
+         [("warning", "duplicate field `f0' in entry `k'; first value kept", 1)]),
+        # after an early error, each `@' inside the values starts an entry
+        ("@misc{j, x = jan, " + ", ".join(f'v{i} = "@a{{k{i}, f = {{x}}}}"' for i in range(20000)) + "}",
+         [(f"k{i}", "a", [("f", "x")]) for i in range(20000)], [_JAN]),
+        ("@misc{j, x = jan, note = {" + "@a{k, " * 30000, [],
+         [_JAN] + [("error", "expected `=' after field `@a' in entry `k'", 1)] * 15000),
+    ], ids=["unclosed-group", "unterminated-quote", "deep-nesting", "unclosed-entry",
+            "duplicate-last-field", "entries-in-values", "entry-heads-in-values"])
+    def test_long_values_read_in_one_pass(self, parsed, text, entries, diags):
+        # a field or entry pattern that backtracks would not finish on these
         got_entries, got_diags = parsed(text)
         assert got_entries == entries
-        assert [(d.severity, d.message, d.line) for d in got_diags] == ([diag] if diag else [])
+        assert [(d.severity, d.message, d.line) for d in got_diags] == diags
 
 
 @given(BIB_TEXT)

@@ -154,6 +154,11 @@ class TestFormatName:
     def test_brace_or_backslash_token_abbreviates_to_its_first_letter(self, name, initials):
         assert format_name(name, "{f.}") == initials
 
+    def test_token_with_no_initial_adds_nothing(self):
+        assert format_name("{} John Smith", "{f.}") == "J."
+        assert format_name("{1984} {} Ann Bo Smith", "{f.}") == "A. B."
+        assert format_name("John {} Smith", "{ff~}{f.~}{l.}") == "John {}~J.~S."
+
     def test_prefix_only_on_nonempty_piece(self):
         template = "{ff~}{vv~}{ll}{, jj}"
         assert parse_template(template)[-1] == (3, True, ", ", "")

@@ -51,7 +51,7 @@ def test_finds_no_difference_in_a_copy_and_finds_a_planted_mutation(parentdiff, 
     mutant = _differences(capsys.readouterr().out)
 
     assert {"names.format_name", "parse_bib", "parse_bst", "lint", "parse_aux", "scan_tex", "vm",
-            "cli.sort-names.pipeline", "cli.cite-dense.lint"} <= set(same)
+            "cli.sort-names.pipeline", "cli.cite-dense.lint", "parse_bib.big-bib"} <= set(same)
     assert set(same.values()) == {0}
     # the sort-names style formats every name
     assert mutant["cli.sort-names.pipeline"] > 0 and mutant["cli.sort-names.bibtex"] > 0
@@ -78,6 +78,8 @@ def test_plain_reads_a_slotted_record_as_a_dataclass_of_the_same_name_and_fields
     slotted = database.Entry("k", "book", {"title": "T"})
     assert plain(slotted) == plain(Entry("k", "book", {"title": "T"}))
     assert plain(slotted) == ("Entry", "k", "book", [("title", "T")])
+    # a parsed entry, whose fields are built when plain reads them
+    assert plain(database.parse_bib("@book{k, title = {T}}")[0].by_key["k"]) == plain(slotted)
     for changed in (Entry("j", "book", {"title": "T"}), Entry("k", "misc", {"title": "T"}),
                     Entry("k", "book", {"title": "U"})):
         assert plain(slotted) != plain(changed)

@@ -12,7 +12,7 @@ import pytest
 
 from bibstack.auxfile import AuxFile
 from bibstack.bstparse import BstCommand, BstProgram, Token
-from bibstack.database import Database, Entry
+from bibstack.database import Database, Entry, parse_bib
 from bibstack.diagnostics import ERROR, WARNING, Diagnostic
 from bibstack.emitter import BlgLog
 from bibstack.latexpass import CiteSpan, PassResult, TexScan
@@ -39,6 +39,12 @@ RECORDS = [
 ]
 _IDS = [cls.__name__ for cls, _ in RECORDS]
 
+
+def _fields(cls) -> list[str]:
+    """A record's fields: its slots, less the private `_' ones."""
+    return [name for name in cls.__slots__ if not name.startswith("_")]
+
+
 # each defaulted container field, from a record built with its defaults
 DEFAULT_CONTAINERS = [
     (AuxFile, "citations", []), (AuxFile, "data", []), (AuxFile, "bibcites", {}),
@@ -58,19 +64,19 @@ DEFAULT_CONTAINERS = [
 class TestContract:
     def test_fields_are_the_slots_in_order(self, cls, args):
         record = cls(*args)
-        assert [getattr(record, name) for name in cls.__slots__] == list(args)
+        assert [getattr(record, name) for name in _fields(cls)] == list(args)
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):
             record.unknown = 1
 
     def test_keywords_build_the_same_record(self, cls, args):
-        assert cls(**dict(zip(cls.__slots__, args))) == cls(*args)
+        assert cls(**dict(zip(_fields(cls), args))) == cls(*args)
 
     def test_equal_by_every_field(self, cls, args):
         assert cls(*args) == cls(*copy.deepcopy(args))
         for index in range(len(args)):
             changed = args[:index] + (object(),) + args[index + 1:]
-            assert cls(*args) != cls(*changed), cls.__slots__[index]
+            assert cls(*args) != cls(*changed), _fields(cls)[index]
 
     def test_not_equal_to_a_tuple_of_its_fields(self, cls, args):
         assert cls(*args) != args
@@ -80,7 +86,7 @@ class TestContract:
             hash(cls(*args))
 
     def test_repr_names_the_class_and_each_field(self, cls, args):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, args))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_fields(cls), args))
         assert repr(cls(*args)) == f"{cls.__name__}({fields})"
 
 
@@ -100,6 +106,28 @@ def test_mutable_defaults_are_fresh_per_record(make, name, empty):
     first, second = getattr(make(), name), getattr(make(), name)
     assert first == second == empty
     assert first is not second
+
+
+@pytest.mark.parametrize("first", ["fields", "eq", "repr"])
+def test_a_parsed_entry_is_the_record_of_its_fields_before_and_after_they_are_read(first):
+    expected = Entry("k", "book", {"title": "A {B {C}}", "year": "1984", "note": "x {y}"})
+    entry = parse_bib('@Book{k, title = {A  {B {C}}}, year = 1984, note = "x {y}"}')[0].by_key["k"]
+    assert entry._source, "fields are built at parse time"
+    if first == "fields":
+        assert entry.fields == expected.fields
+    elif first == "repr":
+        assert repr(entry) == repr(expected)
+    assert entry == expected and expected == entry
+    assert repr(entry) == repr(expected)
+    assert entry != Entry("k", "book", {"title": "A {B {C}}"})
+    assert not hasattr(entry, "_source")
+
+
+def test_reading_parsed_fields_twice_gives_the_same_dict():
+    entry = parse_bib("@misc{k, note = {x}}")[0].by_key["k"]
+    assert entry.fields is entry.fields
+    with pytest.raises(AttributeError):
+        entry.unknown
 
 
 def test_a_given_container_is_kept_not_copied():

@@ -12,15 +12,16 @@ package is relative), and both get the same inputs:
   format_name, and which templates parse_template accepts and into how
   many pieces (the piece record itself is internal);
 - parse_bib, parse_bst, parse_aux and scan_tex: the result with every
-  Diagnostic field, or the error's type, message and line; lint's
-  findings and format_program on each parsed style;
+  Diagnostic field and every .bib entry's fields (built on first read),
+  or the error's type, message and line; lint's findings and
+  format_program on each parsed style;
 - the VM on generated styles, .bib texts and citations: the .bbl, the
   .blg records, the final stack, the globals and every entry's ints
   and strs;
 - the CLI on the seed-1 and seed-2 corpora of every perfbench workload
   (`pipeline` in one directory; `latexpass`, `bibtex` and `lint` in
   turn in another): exit code, stdout, stderr and the bytes of every
-  file left behind.
+  file left behind; and parse_bib on each corpus's .bib, cited or not.
 
 The random inputs come from the strategies in tests/fixtures.py, BUDGET
 of them per generator; the corpora come from perfbench/corpus.py, built
@@ -111,7 +112,9 @@ def plain(value):
     if hasattr(value, "_fields"):
         return (type(value).__name__, *(plain(v) for v in value))
     if slots := getattr(type(value), "__slots__", ()):
-        return (type(value).__name__, *(plain(getattr(value, name)) for name in slots))
+        # a private `_' slot is no field (an Entry's fields are built here on first read)
+        return (type(value).__name__,
+                *(plain(getattr(value, name)) for name in slots if name[0] != "_"))
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     if isinstance(value, dict):
@@ -214,6 +217,8 @@ def compare_corpora(report: Report, workdir: Path) -> None:
     for workload in corpus.WORKLOADS:
         for seed in CORPUS_SEEDS:
             built = corpus.build(workload, seed, CORPUS_SCALE)
+            bib = built.files[f"{corpus.BIB}.bib"]
+            report.compare(f"parse_bib.{workload}", seed, lambda p: p.database.parse_bib(bib))
             runs = [[["pipeline", corpus.BASE]],
                     [["latexpass", corpus.BASE], ["bibtex", corpus.BASE], ["lint", built.style]]]
             for i, steps in enumerate(runs):
