@@ -22,11 +22,12 @@ nothing if it has neither.
 
 parse_name returns a NameParts NamedTuple of word lists and
 parse_template a list of (NameParts index, full, prefix, suffix)
-pieces.  They and split_names keep 64-entry LRU caches; their results
-and the lists inside are shared and must not be mutated.  Most repeat
-calls of split_names and parse_template hit, but only about a third of
-parse_name's: a style that formats each name again in a later pass
-finds it evicted (the README gives measured rates).
+pieces.  They and split_names keep 64-entry LRU caches for library
+callers; their results and the lists inside are shared and must not be
+mutated.  format_name takes the parsed parts from a caller that has
+them: the VM parses each distinct name once per run and keeps the parts
+for its later passes, which a 64-entry cache would have evicted (the
+README gives measured counts).
 """
 
 from __future__ import annotations
@@ -110,8 +111,10 @@ def parse_name(name: str) -> NameParts:
     return NameParts(first=first, von=von, last=last, jr=jr)
 
 
-def format_name(name: str, template: str) -> str:
-    parts = parse_name(name)
+def format_name(name: str, template: str, parts: NameParts | None = None) -> str:
+    """name formatted by template; parts, if given, must be what parse_name(name) gives."""
+    if parts is None:
+        parts = parse_name(name)
     out = []
     for index, full, prefix, suffix in parse_template(template):
         tokens = parts[index]

@@ -21,6 +21,17 @@ one type it holds, are said once, in VARIABLES: declarations, reads and
 READ gives each entry a copy of the per-entry variables of a blank entry.
 Bodies are resolved the first time they run and dropped whenever a
 declaration changes the table; quoted names are resolved as they run.
+Resolving a body binds two operand pairs into one op each, a superoperator
+in Proebsting's sense: a quoted variable name and the := after it, an op
+that pops only the value, and two literal refs (a {...} block or a quoted
+name) and the if$ after them, an op that pops only the condition.  Each
+makes the checks, in the same order, and raises the errors of the builtin
+it stands for.  Binding a name's kind into a body is sound because only a
+declaration changes a kind, and every declaration drops the resolved
+bodies.  A := or if$ that a declaration shadows, or that no such pair
+precedes, resolves as any other name.  format.name$ parses each distinct
+name once per run: the Vm keeps every parsed name, so the memo lives and
+dies with it and holds no more names than the run's input.
 Every body entered counts one call level, up to CALL_DEPTH_LIMIT, and
 call_ref counts one for a quoted name that if$ or while$ runs and that
 enters no body.
@@ -108,6 +119,8 @@ class Vm:
         self.depth = 0
         # id(body) -> (body, resolved ops); holding the body keeps its id unique
         self._resolved: dict[int, tuple[list[Token], list[tuple]]] = {}
+        # name -> its parts, for every name format.name$ has parsed in this run
+        self._names: dict[str, names.NameParts] = {}
 
     # -- top level ----------------------------------------------------------
 
@@ -176,13 +189,39 @@ class Vm:
         tokens, line = body_line
         resolved = self._resolved.get(id(tokens))
         if resolved is None:
-            resolved = self._resolved[id(tokens)] = (tokens, [self._resolve_token(t) for t in tokens])
+            resolved = self._resolved[id(tokens)] = (tokens, self._resolve_body(tokens))
         self._enter(line)
         try:
             for handler, operand in resolved[1]:
                 handler(self, operand)
         finally:
             self.depth -= 1
+
+    def _resolve_body(self, tokens: list[Token]) -> list[tuple]:
+        """The (handler, operand) ops that run a body as self.kinds stands now:
+        one per token, except that `'v :=' on a variable and `{..} {..} if$'
+        each become one op that takes no operand from the stack but the value
+        or the condition.  A builtin that the table shadows, or whose handler
+        is wrapped, resolves to some other handler and binds nothing."""
+        ops: list[tuple] = []
+        for i, tok in enumerate(tokens):
+            op = self._resolve_token(tok)
+            if op[0] is _bi_assign and i >= 1 and tokens[i - 1].kind == "quoted":
+                name = tokens[i - 1].value
+                kind = self.kinds.get(name)
+                if kind in VARIABLES:
+                    ops[-1] = _assign, self._assignment(name, kind, op[1])
+                    continue
+            elif op[0] is _bi_if and i >= 2 and all(t.kind in ("quoted", "block") for t in tokens[i - 2 : i]):
+                ops[-2:] = [(_if, (ops[-2][1], ops[-1][1], op[1]))]
+                continue
+            ops.append(op)
+        return ops
+
+    def _assignment(self, name: str, kind: int, at: tuple) -> tuple:
+        """The operand of _assign for variable name of kind, assigned by the := at."""
+        per_entry, attr, initial = VARIABLES[kind]
+        return attr if per_entry else getattr(self, attr), initial, name, at
 
     def _resolve_token(self, tok: Token) -> tuple:
         """The (handler, operand) pair that runs tok as self.kinds stands now."""
@@ -319,6 +358,31 @@ def _fail(vm: Vm, operand: tuple) -> None:
     raise VmError(*operand)
 
 
+def _assign(vm: Vm, operand: tuple) -> None:
+    """`'v :=' bound at resolve time: pop the value and store it in v as := does.
+
+    The values of v live in the dict store, or, for a per-entry variable,
+    in the current entry's dict that store names."""
+    store, initial, name, at = operand
+    value = vm.pop(at)
+    if isinstance(store, str):
+        if vm.current is None:
+            raise _error(at, f"`{name}' assigned outside ITERATE")
+        store = getattr(vm.current, store)
+    if isinstance(value, MissingField) and isinstance(initial, str):
+        value = ""
+    if not isinstance(value, type(initial)):
+        what = "a string" if isinstance(initial, str) else "an integer"
+        raise _error(at, f"`{name}' is {what} variable, got {Vm._show(value)}")
+    store[name] = value
+
+
+def _if(vm: Vm, operand: tuple) -> None:
+    """`{..} {..} if$' bound at resolve time: pop the condition and run a branch as if$ does."""
+    then_ref, else_ref, at = operand
+    vm.call_ref(then_ref if vm.pop_int(at) > 0 else else_ref, at[1])
+
+
 # ---------------------------------------------------------------------------
 # builtins: each takes the (name, line) operand that _resolve_name gives it
 
@@ -384,16 +448,8 @@ def _bi_assign(vm: Vm, at: tuple) -> None:
         raise _error(at, f"cannot assign to field `{name}'")
     if kind not in VARIABLES:
         raise _error(at, f"`{name}' is not a declared variable")
-    per_entry, attr, initial = VARIABLES[kind]
-    owner = vm.current if per_entry else vm
-    if owner is None:
-        raise _error(at, f"`{name}' assigned outside ITERATE")
-    if isinstance(value, MissingField) and isinstance(initial, str):
-        value = ""
-    if not isinstance(value, type(initial)):
-        what = "a string" if isinstance(initial, str) else "an integer"
-        raise _error(at, f"`{name}' is {what} variable, got {Vm._show(value)}")
-    getattr(owner, attr)[name] = value
+    vm.stack.append(value)  # for _assign to pop again and check
+    _assign(vm, vm._assignment(name, kind, at))
 
 
 def _bi_num_names(vm: Vm, at: tuple) -> None:
@@ -408,8 +464,12 @@ def _bi_format_name(vm: Vm, at: tuple) -> None:
     if index < 1 or index > len(parts):
         where = f"entry {vm.current.key}" if vm.current is not None else f'"{name_list}"'
         raise _error(at, f"name index {index} out of range for {where}")
+    name = parts[index - 1]
     try:
-        vm.stack.append(names.format_name(parts[index - 1], template))
+        parsed = vm._names.get(name)
+        if parsed is None:
+            parsed = vm._names[name] = names.parse_name(name)
+        vm.stack.append(names.format_name(name, template, parsed))
     except (names.NameParseError, names.TemplateError) as err:
         raise _error(at, str(err)) from err
 

@@ -87,14 +87,18 @@ BIB_TEXT = st.lists(st.one_of(
 
 # any text, weighted toward the characters the name engine splits on and
 # the tokens whose initials are brace groups: a special character, a
-# doubled group and an empty one
+# doubled group and an empty one, and whole names in which a token with
+# no initial stands beside tokens that have one
 NAME_TEXT = st.lists(st.one_of(
     st.sampled_from(list("{}, \t\nA")),
     st.sampled_from([" and ", "and", "{\\'e}", "von", "Jr", "{\\'E}mile", "{{X}}", "{}"]),
+    st.sampled_from(["{} John Smith", "{1984} X Y", "Smith, {} John"]),
     st.characters(),
 ), max_size=40).map("".join)
+# templates that abbreviate a part, and so join its initials, among the rest
 TEMPLATE_TEXT = st.one_of(
     st.text(st.sampled_from(list("{}fvlj.~ ,")), max_size=12),
+    st.sampled_from(["{f.}", "{ff}{l.}", "{f.~}{ll}"]),
     st.text(max_size=8),
 )
 
@@ -121,6 +125,7 @@ _STYLE_PHRASES = st.sampled_from([
     "cite$ write$ newline$",
     'title empty$ { "none" } { title } if$ write$ newline$',
     "n #1 + 'n := s \".\" * 's :=",
+    "\"k\" 's := title 's := year 'n :=",
 ])
 _STYLE_BODY = st.lists(st.one_of(_STYLE_PHRASES, _STYLE_WORDS, _STYLE_PHRASES),
                        min_size=1, max_size=6).map(" ".join)

@@ -18,8 +18,8 @@ _MUTATION = """
 _format_name = format_name
 
 
-def format_name(name, template):
-    return _format_name(name, template)[:-1]
+def format_name(name, template, parts=None):
+    return _format_name(name, template, parts)[:-1]
 """
 
 

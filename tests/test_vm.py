@@ -1,10 +1,13 @@
 """Tests for the stack-machine interpreter and its builtins."""
 
-import pytest
-from hypothesis import given, settings
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings
+
+from bibstack import names
 from bibstack.auxfile import AuxFile, parse_aux
-from bibstack.bstparse import format_program, parse_bst
+from bibstack.bstparse import BstProgram, Token, format_program, parse_bst
 from bibstack.database import parse_bib
 from bibstack.diagnostics import ERROR, WARNING
 from bibstack.vm import (
@@ -15,6 +18,7 @@ from bibstack.vm import (
     RuntimeEntry,
     Vm,
     VmError,
+    declare,
     run,
 )
 
@@ -816,6 +820,93 @@ class TestRedeclaration:
         assert records == [(ERROR, 'stack not empty at end: ["s", "s"]')]
 
 
+class TestBoundOps:
+    """`'v :=' on a variable and `{..} {..} if$' run as one op each.  A
+    skip$ between the pair (written for <> below) makes the generic :=
+    and if$ run instead; both forms give the same errors and lines."""
+
+    @pytest.mark.parametrize("source,bbl,records", [
+        ("INTEGERS {x}\nFUNCTION {f} {\n'x<> := }\nEXECUTE {f}\n",
+         "", [(ERROR, ":=: stack underflow (line 3)")]),
+        ("INTEGERS {n}\nFUNCTION {f} {\n\"x\" 'n<> := }\nEXECUTE {f}\n",
+         "", [(ERROR, ":=: `n' is an integer variable, got \"x\" (line 3)")]),
+        ("ENTRY {number}{}{s}\nREAD\n"
+         "FUNCTION {f} { \"old\" 's := number 's<> := s write$ newline$ }\nITERATE {f}\n",
+         "\n\n", [(WARNING, "`number' is a missing field, not a string, for entry Ulam-1964"),
+                  (WARNING, "`number' is a missing field, not a string, for entry Poincare")]),
+        ("ENTRY {}{}{s}\nFUNCTION {f} { \"x\" 's<> := }\nEXECUTE {f}\n",
+         "", [(ERROR, ":=: `s' assigned outside ITERATE (line 2)")]),
+        # a field before := binds nothing
+        ("ENTRY {title}{}{}\nREAD\nFUNCTION {f} { \"x\" 'title<> := }\nITERATE {f}\n",
+         "", [(ERROR, ":=: cannot assign to field `title' (line 3)")]),
+        ("FUNCTION {f} {\n\n{ } { }<> if$ }\nEXECUTE {f}\n",
+         "", [(ERROR, "if$: stack underflow (line 3)")]),
+        ("FUNCTION {f} { \"x\" { } 'skip$<> if$ }\nEXECUTE {f}\n",
+         "", [(ERROR, 'if$: expected an integer, got "x" (line 1)')]),
+    ])
+    def test_outcomes_match_the_generic_builtins(self, source, bbl, records):
+        bound = _run_style(source.replace("<>", ""))
+        assert bound == ([], bbl, records)
+        assert _run_style(source.replace("<>", " skip$")) == bound
+
+    # ops per body: one per token, less one per bound := and two per bound if$
+    @pytest.mark.parametrize("body,ops", [
+        ("'x := { } 'skip$ if$", 2),
+        ("#1 'x := #1 { } { } if$ ", 4),
+        ("'title := 'ghost := 'f := 'skip$ := { } if$", 10),
+        ("{ } { } { } if$ 'x 'x :=", 4),
+        ("'x skip$ := { } skip$ { } if$", 7),
+    ])
+    def test_which_pairs_bind(self, body, ops):
+        vm = make_vm(f"ENTRY {{title}}{{}}{{}}\nINTEGERS {{x}}\nFUNCTION {{f}} {{ {body} }}\n")
+        vm.execute(AuxFile())
+        assert len(vm._resolve_body(vm.program.functions["f"])) == ops
+
+    def test_a_declaration_that_shadows_assign_and_if_unbinds_them(self):
+        _, bbl, records = _run_style(
+            "INTEGERS {x}\n"
+            "FUNCTION {f} { x #1 + 'x := #1 { \"then\" write$ } { } if$ }\n"
+            "EXECUTE {f}\n"
+            "INTEGERS { := if$ }\n"
+            "EXECUTE {f}\n"
+        )
+        # the first EXECUTE sets x to 1 and writes; in the second, := and if$ push 0
+        assert bbl == "then\n"
+        assert records == [(ERROR, "stack not empty at end: [2, 'x, 0, 1, {...}, {...}, 0]")]
+
+
+_PASSES_STYLE = (
+    "ENTRY {author}{}{}\nINTEGERS {i}\n"
+    'FUNCTION {presort} { author #1 "{vv~}{ll}" format.name$ \'sort.key$ := }\n'
+    "FUNCTION {output} { #0 'i := { i author num.names$ < }\n"
+    '  { i #1 + \'i := author i "{f.~}{ll}" format.name$ write$ " " write$ } while$ newline$ }\n'
+    "READ\nITERATE {presort}\nSORT\nITERATE {output}\n"
+)
+
+
+class TestNameMemo:
+    def test_each_name_parsed_once_per_run(self):
+        # presort formats Stein P. R. and H. Poincar\'e, output those two and Ulam S. M.
+        program, _ = parse_bst(_PASSES_STYLE)
+        aux, db = parse_aux(BIBTEX_AUX), parse_bib(SAMPLE_BIB)[0]
+        with mock.patch.object(names, "parse_name", wraps=names.parse_name) as parse, \
+                mock.patch.object(names, "format_name", wraps=names.format_name) as fmt:
+            doc, log = run(program, aux, [db])
+            assert (parse.call_count, fmt.call_count) == (3, 5)
+            again, _ = run(program, aux, [db])
+            assert (parse.call_count, fmt.call_count) == (6, 10)
+        assert log.records == []
+        assert doc.finalize() == again.finalize() == "H.~Poincar\\'e \nS. P.~R. U. S.~M. \n"
+
+    def test_a_name_that_does_not_parse_is_not_kept(self):
+        program, _ = parse_bst('FUNCTION {f} { "a, b, c, d" #1 "{ll}" format.name$ }\n'
+                               "EXECUTE {f}\nEXECUTE {f}\n")
+        with mock.patch.object(names, "parse_name", wraps=names.parse_name) as parse:
+            _, log = run(program, AuxFile(), [])
+        assert parse.call_count == 1
+        assert log.records == [(ERROR, "format.name$: too many commas in name 'a, b, c, d' (line 1)")]
+
+
 def _deep_style(levels: int) -> str:
     """One line of style whose EXECUTE enters `levels' bodies, one inside the other:
     every fourth a FUNCTION call, the others blocks run by if$."""
@@ -903,3 +994,33 @@ def test_formatted_style_writes_the_same_bbl(style):
     program, _ = parse_bst(style)
     again, _ = parse_bst(format_program(program))
     assert _bbl_and_blg(again)[0] == _bbl_and_blg(program)[0]
+
+
+def _with_skips(tokens: list) -> list:
+    """The tokens with a skip$ between every two, inside blocks too."""
+    out = []
+    for tok in tokens:
+        if out:
+            out.append(Token("id", "skip$", tok.line))
+        out.append(Token("block", _with_skips(tok.value), tok.line) if tok.kind == "block" else tok)
+    return out
+
+
+def _outcome(program) -> tuple:
+    vm = Vm(program, [_STYLE_DB])
+    vm.execute(_STYLE_AUX)
+    # a block left on the stack holds the tokens of its own program
+    stack = [("block",) if isinstance(v, FnRef) and v.body is not None else v for v in vm.stack]
+    return (vm.doc.finalize(), vm.log.records, stack, vm.globals_int, vm.globals_str,
+            [(e.key, e.ints, e.strs) for e in vm.entries])
+
+
+@settings(max_examples=300)
+@given(STYLE_TEXT)
+def test_a_skip_between_every_two_tokens_changes_no_outcome(style):
+    # a skip$ between 'v and := or before if$ runs the generic builtin where a bound op ran
+    program, _ = parse_bst(style)
+    assume(not any("skip$" in declared for cmd in program.commands for _, declared in declare({}, cmd)))
+    skipped = BstProgram(program.commands, {name: _with_skips(body) for name, body in program.functions.items()},
+                         program.source)
+    assert _outcome(skipped) == _outcome(program)
