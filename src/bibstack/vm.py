@@ -24,17 +24,33 @@ declaration changes the table; quoted names are resolved as they run.
 Resolving a body binds two operand pairs into one op each, a superoperator
 in Proebsting's sense: a quoted variable name and the := after it, an op
 that pops only the value, and two literal refs (a {...} block or a quoted
-name) and the if$ after them, an op that pops only the condition.  Each
-makes the checks, in the same order, and raises the errors of the builtin
-it stands for.  Binding a name's kind into a body is sound because only a
-declaration changes a kind, and every declaration drops the resolved
-bodies.  A := or if$ that a declaration shadows, or that no such pair
-precedes, resolves as any other name.  format.name$ parses each distinct
-name once per run: the Vm keeps every parsed name, so the memo lives and
-dies with it and holds no more names than the run's input.
-Every body entered counts one call level, up to CALL_DEPTH_LIMIT, and
-call_ref counts one for a quoted name that if$ or while$ runs and that
-enters no body.
+name) and the if$ after them, an op that pops only the condition and holds
+the ops that run the refs.  Each makes the checks, in the same order, and
+raises the errors of the builtin it stands for.  Binding a name's kind into
+a body is sound because only a declaration changes a kind, and every
+declaration drops the resolved bodies; so while$ resolves its two refs once
+per loop.  A := or if$ that a declaration shadows, or that no such pair
+precedes, resolves as any other name.  num.names$ and format.name$ split
+each distinct name list once per run, and format.name$ parses each
+distinct name once: the Vm keeps both memos, so they live and die with it
+and hold no more than the run's input.
+
+The compiled tier: after COMPILE_AFTER runs through its ops, a body
+compiles, on its next entry, into one Python function that keeps the
+values its ops push in local variables (vmcompile says how).  Bodies
+that compile to the same source share one code object.  The function
+checks only the values whose type no op of the body fixed; where a check
+fails (an underflow, a wrong type, no current entry), it puts the live
+values back on the stack and returns the index of the op, and _call runs
+that op and the rest of the body through their handlers, which raise
+the same errors at the same lines as a body that never compiled.  A
+body, if$, while$, call.type$ or any other call runs after the function
+has put every value on the stack, as the handlers run it.  Either tier
+gives the same output, records, stack and variables.
+Every body entered counts one call level, up to CALL_DEPTH_LIMIT, and a
+quoted name that if$ or while$ runs and that enters no body counts one as
+_level runs it.  A level costs at most three Python frames on every path,
+so the limit trips long before Python's recursion limit.
 
 Reading a declared field that an entry does not have pushes a
 MissingField and logs the missing-field warning; write$ on such a value
@@ -53,13 +69,25 @@ from .diagnostics import Record
 from .emitter import BblDocument, BlgLog
 
 if TYPE_CHECKING:  # bstparse imports the builtin table from here
+    from types import CodeType
+
     from .bstparse import BstCommand, BstProgram, Token
 
 WHILE_LIMIT = 1_000_000  # iterations of one while$
-# Each level costs at most three Python frames (a body, if$ or while$,
-# call_ref), so the limit trips well inside Python's default
-# recursion limit of 1000 frames, leaving room for the caller and the builtins.
+# Each level costs at most three Python frames on every path, compiled or
+# not: the body's _call (or _level, for a quoted name that enters no body),
+# its compiled function, and the op that enters the next level (a bound
+# if$, or a builtin such as if$, while$ or call.type$).  So the limit trips
+# well inside Python's default recursion limit of 1000 frames, leaving
+# room for the caller and the builtins.
 CALL_DEPTH_LIMIT = 200
+# A body runs through its ops this many times; on its next entry it compiles
+# into one Python function (see vmcompile).  A compile costs about 0.1 to
+# 0.2 ms, and a body entered this often is mostly entered far more often: in
+# process, 10 to 20 ran all three benchmark workloads fastest, while 0 made
+# big-bib slower, whose 137 bodies run about 75 times each.  Tests set it to
+# 0, to compile each body at its first entry, or to infinity, to compile none.
+COMPILE_AFTER = 20
 
 
 class MissingField(Record):
@@ -117,8 +145,12 @@ class Vm:
         # the variables the table starts with (sort.key$) get their storage here
         self._store((kind, [name]) for name, kind in self.kinds.items())
         self.depth = 0
-        # id(body) -> (body, resolved ops); holding the body keeps its id unique
-        self._resolved: dict[int, tuple[list[Token], list[tuple]]] = {}
+        # id(body) -> the body resolved; holding its tokens keeps their id unique
+        self._resolved: dict[int, _Body] = {}
+        # generated source -> its code, shared by every body compiled to that source
+        self._codes: dict[str, CodeType] = {}
+        # name list -> its names, for every list num.names$ or format.name$ has split in this run
+        self._lists: dict[str, list[str]] = {}
         # name -> its parts, for every name format.name$ has parsed in this run
         self._names: dict[str, names.NameParts] = {}
 
@@ -185,14 +217,29 @@ class Vm:
         self._call((tokens, line))
 
     def _call(self, body_line: tuple) -> None:
-        """The handler that runs a (body, line) operand as exec_tokens does."""
+        """The handler that runs a (body, line) operand as exec_tokens does:
+        through its ops, or, once it has compiled, through its function,
+        and then through the ops from the one it fell back at, if it did."""
         tokens, line = body_line
-        resolved = self._resolved.get(id(tokens))
-        if resolved is None:
-            resolved = self._resolved[id(tokens)] = (tokens, self._resolve_body(tokens))
-        self._enter(line)
+        body = self._resolved.get(id(tokens))
+        if body is None:
+            body = self._resolved[id(tokens)] = _Body(tokens, self._resolve_body(tokens))
+        if self.depth >= CALL_DEPTH_LIMIT:
+            raise self._too_deep(line)
+        self.depth += 1
         try:
-            for handler, operand in resolved[1]:
+            ops, run = body.ops, body.run
+            if run is None:
+                body.runs_left -= 1
+                if body.runs_left < 0:
+                    from .vmcompile import compile_body  # loaded by the first compile only
+                    run = body.run = compile_body(self, ops)
+            if run is not None:
+                start = run(self)
+                if start is None:
+                    return
+                ops = ops[start:]
+            for handler, operand in ops:
                 handler(self, operand)
         finally:
             self.depth -= 1
@@ -201,8 +248,9 @@ class Vm:
         """The (handler, operand) ops that run a body as self.kinds stands now:
         one per token, except that `'v :=' on a variable and `{..} {..} if$'
         each become one op that takes no operand from the stack but the value
-        or the condition.  A builtin that the table shadows, or whose handler
-        is wrapped, resolves to some other handler and binds nothing."""
+        or the condition; the if$ op holds the ops that run its two refs.  A
+        builtin that the table shadows, or whose handler is wrapped, resolves
+        to some other handler and binds nothing."""
         ops: list[tuple] = []
         for i, tok in enumerate(tokens):
             op = self._resolve_token(tok)
@@ -213,7 +261,8 @@ class Vm:
                     ops[-1] = _assign, self._assignment(name, kind, op[1])
                     continue
             elif op[0] is _bi_if and i >= 2 and all(t.kind in ("quoted", "block") for t in tokens[i - 2 : i]):
-                ops[-2:] = [(_if, (ops[-2][1], ops[-1][1], op[1]))]
+                line = op[1][1]
+                ops[-2:] = [(_if, (self._ref_op(ops[-2][1], line), self._ref_op(ops[-1][1], line), op[1]))]
                 continue
             ops.append(op)
         return ops
@@ -259,27 +308,29 @@ class Vm:
         handler, operand = self._resolve_name(name, line)
         handler(self, operand)
 
-    def call_ref(self, ref: FnRef, line: int) -> None:
-        """Run a {...} block, or a quoted name as it resolves now, as one call level."""
+    def _ref_op(self, ref: FnRef, line: int) -> tuple:
+        """The (handler, operand) op that runs a {...} block, or a quoted name
+        as it resolves now (as self.kinds stands), as one call level."""
         if ref.body is not None:
-            handler, operand = Vm._call, (ref.body, line)
-        else:
-            handler, operand = self._resolve_name(ref.name, line)
+            return Vm._call, (ref.body, line)
+        handler, operand = self._resolve_name(ref.name, line)
         if handler is Vm._call:  # entering the body counts the level
-            handler(self, operand)
-            return
-        self._enter(line)
-        try:
-            handler(self, operand)
-        finally:
-            self.depth -= 1
+            return handler, operand
+        return _level, (handler, operand, line)
 
     # -- helpers ------------------------------------------------------------
 
-    def _enter(self, line: int) -> None:
-        if self.depth >= CALL_DEPTH_LIMIT:
-            raise VmError(f"function call depth exceeded (limit {CALL_DEPTH_LIMIT})", line)
-        self.depth += 1
+    @staticmethod
+    def _too_deep(line: int) -> VmError:
+        """The error of entering one call level past CALL_DEPTH_LIMIT."""
+        return VmError(f"function call depth exceeded (limit {CALL_DEPTH_LIMIT})", line)
+
+    def _names_of(self, name_list: str) -> list[str]:
+        """The names of a name list, split once per run (the list is shared: do not mutate it)."""
+        split = self._lists.get(name_list)
+        if split is None:
+            split = self._lists[name_list] = names.split_names(name_list)
+        return split
 
     def _need_entry(self, name: str, line: int) -> RuntimeEntry:
         if self.current is None:
@@ -326,6 +377,16 @@ class Vm:
         return "{...}"
 
 
+class _Body:
+    """A body as resolved: its tokens, its ops, the runs through its ops
+    left before it compiles, and the function it compiled to, if it has."""
+
+    __slots__ = ("tokens", "ops", "runs_left", "run")
+
+    def __init__(self, tokens: list[Token], ops: list[tuple]):
+        self.tokens, self.ops, self.runs_left, self.run = tokens, ops, COMPILE_AFTER, None
+
+
 # ---------------------------------------------------------------------------
 # handlers of resolved bodies
 
@@ -342,10 +403,13 @@ def _push_field(vm: Vm, operand: tuple) -> None:
     name, line = operand
     entry = vm._need_entry(name, line)
     value = entry.fields.get(name)
-    if value is None:
-        vm.log.warning(missing_field_message(name, entry.key))
-        value = MissingField(name, entry.key)
-    vm.stack.append(value)
+    vm.stack.append(_missing(vm, name, entry) if value is None else value)
+
+
+def _missing(vm: Vm, name: str, entry: RuntimeEntry) -> MissingField:
+    """The value of field name, which entry does not have, read: logs the warning."""
+    vm.log.warning(missing_field_message(name, entry.key))
+    return MissingField(name, entry.key)
 
 
 def _push_entry_var(vm: Vm, operand: tuple) -> None:
@@ -379,8 +443,21 @@ def _assign(vm: Vm, operand: tuple) -> None:
 
 def _if(vm: Vm, operand: tuple) -> None:
     """`{..} {..} if$' bound at resolve time: pop the condition and run a branch as if$ does."""
-    then_ref, else_ref, at = operand
-    vm.call_ref(then_ref if vm.pop_int(at) > 0 else else_ref, at[1])
+    then_op, else_op, at = operand
+    handler, op = then_op if vm.pop_int(at) > 0 else else_op
+    handler(vm, op)
+
+
+def _level(vm: Vm, operand: tuple) -> None:
+    """Run the (handler, operand) of a quoted name that enters no body, as one call level."""
+    handler, op, line = operand
+    if vm.depth >= CALL_DEPTH_LIMIT:
+        raise vm._too_deep(line)
+    vm.depth += 1
+    try:
+        handler(vm, op)
+    finally:
+        vm.depth -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +493,21 @@ def _bi_if(vm: Vm, at: tuple) -> None:
     else_ref = vm.pop_ref(at)
     then_ref = vm.pop_ref(at)
     cond = vm.pop_int(at)
-    vm.call_ref(then_ref if cond > 0 else else_ref, at[1])
+    handler, operand = vm._ref_op(then_ref if cond > 0 else else_ref, at[1])
+    handler(vm, operand)
 
 
 def _bi_while(vm: Vm, at: tuple) -> None:
     body = vm.pop_ref(at)
     pred = vm.pop_ref(at)
-    line = at[1]
+    # no declaration runs inside a body, so each ref resolves once for the loop
+    pred_run, pred_op = vm._ref_op(pred, at[1])
+    body_run, body_op = vm._ref_op(body, at[1])
     for _ in range(WHILE_LIMIT):
-        vm.call_ref(pred, line)
+        pred_run(vm, pred_op)
         if vm.pop_int(at) <= 0:
             return
-        vm.call_ref(body, line)
+        body_run(vm, body_op)
     raise _error(at, f"iteration limit of {WHILE_LIMIT} exceeded")
 
 
@@ -453,14 +533,14 @@ def _bi_assign(vm: Vm, at: tuple) -> None:
 
 
 def _bi_num_names(vm: Vm, at: tuple) -> None:
-    vm.stack.append(names.count_names(vm.pop_str(at)))
+    vm.stack.append(len(vm._names_of(vm.pop_str(at))))
 
 
 def _bi_format_name(vm: Vm, at: tuple) -> None:
     template = vm.pop_str(at)
     index = vm.pop_int(at)
     name_list = vm.pop_str(at)
-    parts = names.split_names(name_list)
+    parts = vm._names_of(name_list)
     if index < 1 or index > len(parts):
         where = f"entry {vm.current.key}" if vm.current is not None else f'"{name_list}"'
         raise _error(at, f"name index {index} out of range for {where}")
@@ -495,12 +575,18 @@ def _make_int_op(fn):
     return op
 
 
+_bi_lt = _make_int_op(lambda a, b: 1 if a < b else 0)
+_bi_gt = _make_int_op(lambda a, b: 1 if a > b else 0)
+_bi_add = _make_int_op(lambda a, b: a + b)
+_bi_sub = _make_int_op(lambda a, b: a - b)
+
+
 def _bi_call_type(vm: Vm, at: tuple) -> None:
     entry_type = vm._need_entry(*at).entry_type
     if vm.kinds.get(entry_type) != FUNCTION:  # a function hidden by a declaration is not run
         vm.log.warning(f"no handler function for entry type `{entry_type}'")
         return
-    vm.exec_ident(entry_type, at[1])
+    vm._call((vm.program.functions[entry_type], at[1]))
 
 
 # The one builtin table: name -> (function, pops, pushes).  pops and
@@ -518,10 +604,10 @@ BUILTINS = {
     "num.names$": (_bi_num_names, 1, 1),
     "format.name$": (_bi_format_name, 3, 1),
     "=": (_bi_eq, 2, 1),
-    "<": (_make_int_op(lambda a, b: 1 if a < b else 0), 2, 1),
-    ">": (_make_int_op(lambda a, b: 1 if a > b else 0), 2, 1),
-    "+": (_make_int_op(lambda a, b: a + b), 2, 1),
-    "-": (_make_int_op(lambda a, b: a - b), 2, 1),
+    "<": (_bi_lt, 2, 1),
+    ">": (_bi_gt, 2, 1),
+    "+": (_bi_add, 2, 1),
+    "-": (_bi_sub, 2, 1),
     "call.type$": (_bi_call_type, None, None),
 }
 

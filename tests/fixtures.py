@@ -170,6 +170,17 @@ EXTRA_BIB_ENTRY = r'''@article{YangYu,
     number = "4"}
 '''
 
+# a VM run's inputs: a style, one or two .bib texts, and the .aux text of
+# its citations: the keys of SAMPLE_BIB and EXTRA_BIB_ENTRY, keys BIB_TEXT
+# writes, and one that no .bib has
+_CITED_KEYS = ["Ulam-1964", "Poincare", "YangYu", "k", "j", "absent"]
+VM_INPUTS = st.tuples(
+    STYLE_TEXT,
+    st.lists(st.one_of(st.just(SAMPLE_BIB), st.just(EXTRA_BIB_ENTRY), BIB_TEXT), min_size=1, max_size=2),
+    st.lists(st.sampled_from(_CITED_KEYS), max_size=6)
+    .map(lambda keys: "".join(f"\\citation{{{k}}}\n" for k in keys)),
+)
+
 HELLO_BST = r'''ENTRY
   { author
   }{}{}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import bibstack
 from bibstack import bstparse, database
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +21,11 @@ _format_name = format_name
 
 def format_name(name, template, parts=None):
     return _format_name(name, template, parts)[:-1]
+"""
+# appended to a copy's vmcompile.py: the compiled - adds
+_COMPILER_MUTATION = """
+
+_ARITH[_vm._bi_sub] = _ARITH[_vm._bi_add]
 """
 
 
@@ -51,11 +57,40 @@ def test_finds_no_difference_in_a_copy_and_finds_a_planted_mutation(parentdiff, 
     mutant = _differences(capsys.readouterr().out)
 
     assert {"names.format_name", "parse_bib", "parse_bst", "lint", "parse_aux", "scan_tex", "vm",
-            "cli.sort-names.pipeline", "cli.cite-dense.lint", "parse_bib.big-bib"} <= set(same)
+            "vm.compiled", "cli.sort-names.pipeline", "cli.cite-dense.lint", "parse_bib.big-bib"} <= set(same)
     assert set(same.values()) == {0}
     # the sort-names style formats every name
     assert mutant["cli.sort-names.pipeline"] > 0 and mutant["cli.sort-names.bibtex"] > 0
     assert mutant["parse_bib"] == mutant["lint"] == 0
+    # the mutation ran and changed only the output: a mutant that crashed would
+    # change the exit code and stderr too
+    planted = parentdiff.load(str(names.parent), tmp_path / "load")
+    tree_run = _pipeline(parentdiff, bibstack, tmp_path / "tree-run")
+    mutant_run = _pipeline(parentdiff, planted, tmp_path / "mutant-run")
+    assert mutant_run[:2] == tree_run[:2]
+    assert mutant_run[2] != tree_run[2]
+
+
+def _pipeline(parentdiff, pkg, workdir: Path) -> tuple:
+    """Exit code, stderr and .bbl of a `pipeline` run of pkg on a small sort-names corpus."""
+    import corpus
+
+    workdir.mkdir()
+    for name, text in corpus.build("sort-names", 1, 0.01).files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    code, _out, err, files = parentdiff.cli_run(pkg, workdir, ["pipeline", corpus.BASE])
+    return code, err, files.get(f"{corpus.BASE}.bbl")
+
+
+def test_finds_a_planted_mutation_of_the_compiled_tier(parentdiff, tmp_path, capsys):
+    compiler = _copy_of_tree(tmp_path / "mutant") / "vmcompile.py"
+    compiler.write_text(compiler.read_text(encoding="utf-8") + _COMPILER_MUTATION, encoding="utf-8")
+    assert parentdiff.main([str(compiler.parent), *_ARGS]) == 1
+    mutant = _differences(capsys.readouterr().out)
+    # the mutation runs only in compiled bodies, which vm.compiled compiles at their first entry;
+    # the sort-names style counts down with - in its name loops
+    assert mutant["vm.compiled.sort-names"] > 0
+    assert mutant["vm"] == mutant["parse_bst"] == 0
 
 
 # database.Entry and bstparse.Token as dataclasses, as an older package has them

@@ -164,3 +164,14 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = _modules_loaded_by("import bibstack.cli") - _modules_loaded_by("pass")
     assert "bibstack.cli" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+def test_the_cli_and_lint_load_no_compiler():
+    # the compiled tier is imported by the first body that compiles
+    assert "bibstack.vmcompile" not in _modules_loaded_by(
+        "import bibstack.cli\nfrom bibstack import bstparse, lint\n"
+        "lint.lint_program(bstparse.parse_bst('FUNCTION {f} { #1 #2 + } EXECUTE {f}')[0])")
+    assert "bibstack.vmcompile" in _modules_loaded_by(
+        "from bibstack import auxfile, bstparse, vm\n"
+        "vm.run(bstparse.parse_bst('FUNCTION {f} { skip$ } FUNCTION {g} { "
+        + "f " * 100 + "} EXECUTE {g}')[0], auxfile.AuxFile(), [])")

@@ -1,13 +1,16 @@
 """Tests for the stack-machine interpreter and its builtins."""
 
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 
+import bibstack.vm as vm_module
 from bibstack import names
 from bibstack.auxfile import AuxFile, parse_aux
 from bibstack.bstparse import BstProgram, Token, format_program, parse_bst
+from bibstack.cli import main
 from bibstack.database import parse_bib
 from bibstack.diagnostics import ERROR, WARNING
 from bibstack.vm import (
@@ -21,6 +24,7 @@ from bibstack.vm import (
     declare,
     run,
 )
+from bibstack.vmcompile import compile_body
 
 from fixtures import (
     AUTHOR_SORT_FRAGMENT,
@@ -31,11 +35,25 @@ from fixtures import (
     HELLO_BST,
     SAMPLE_BIB,
     STYLE_TEXT,
+    VM_INPUTS,
     bibitem_keys,
     with_sort_fragment,
+    write_files,
 )
 
 MISSING_NUMBER_WARNING = "`number' is a missing field, not a string, for entry Ulam-1964"
+NEVER = float("inf")  # a COMPILE_AFTER under which no body compiles
+
+
+class Tiered:
+    """Runs its tests with no body compiled; each subclass named ...Compiled
+    runs them again with every body compiled at its first entry."""
+
+    compile_after = NEVER
+
+    @pytest.fixture(autouse=True)
+    def _tier(self, monkeypatch):
+        monkeypatch.setattr(vm_module, "COMPILE_AFTER", self.compile_after)
 
 
 def make_vm(bst: str = "", bibs: tuple = ()) -> Vm:
@@ -56,7 +74,7 @@ def run_texts(bst: str, aux_text: str, *bibs: str):
     return run(program, parse_aux(aux_text), databases)
 
 
-class TestRun:
+class TestRun(Tiered):
     def test_golden_output(self):
         doc, log = run_texts(HELLO_BST, BIBTEX_AUX, SAMPLE_BIB)
         assert doc.finalize() == EXPECTED_BBL
@@ -229,7 +247,7 @@ class TestEmpty:
             vm.exec_ident("empty$", 0)
 
 
-class TestSkip:
+class TestSkip(Tiered):
     def test_identity(self):
         vm = make_vm()
         vm.stack.extend([1, "x"])
@@ -243,7 +261,7 @@ class TestSkip:
         assert vm.stack == []
 
 
-class TestIf:
+class TestIf(Tiered):
     def test_true_runs_then_branch(self):
         program, _ = parse_bst('FUNCTION {f} { #1 {"a"} {"b"} if$ }')
         vm = make_vm()
@@ -282,7 +300,7 @@ class TestIf:
             vm.exec_tokens(program.functions["f"])
 
 
-class TestWhile:
+class TestWhile(Tiered):
     def test_false_predicate_never_runs_body(self):
         program, _ = parse_bst('FUNCTION {f} { {#0} {"never"} while$ }')
         vm = make_vm()
@@ -343,7 +361,7 @@ class TestConcat:
             vm.exec_ident("*", 0)
 
 
-class TestAssign:
+class TestAssign(Tiered):
     def test_author_into_sort_key(self):
         style = with_sort_fragment(HELLO_BST, AUTHOR_SORT_FRAGMENT)
         program, _ = parse_bst(style)
@@ -376,6 +394,12 @@ class TestAssign:
         vm = Vm(program, [])
         vm.execute(AuxFile())
         assert any("cannot assign to field" in e for e in vm.log.errors())
+
+    def test_a_value_read_before_a_store_is_the_old_value(self):
+        stack, _, _ = _run_style(
+            "INTEGERS {n}\nSTRINGS {s}\nENTRY {}{i}{t}\nREAD\n"
+            "FUNCTION {f} { n s i t #1 'n := \"a\" 's := #2 'i := \"b\" 't := n s i t }\nITERATE {f}\n")
+        assert stack == [0, "", 0, "", 1, "a", 2, "b"] + [1, "a", 0, "", 1, "a", 2, "b"]
 
     def test_undeclared_variable_rejected(self):
         vm = make_vm()
@@ -468,7 +492,7 @@ class TestFormatName:
             vm.exec_ident("format.name$", 0)
 
 
-class TestIntOps:
+class TestIntOps(Tiered):
     def run_ops(self, source):
         program, _ = parse_bst(f"FUNCTION {{f}} {{ {source} }}")
         vm = make_vm()
@@ -519,8 +543,20 @@ class TestIntOps:
         with pytest.raises(VmError, match="\\+"):
             self.run_ops('"a" "b" +')
 
+    # each op of a chain takes the one before it as an operand: compiled into one
+    # expression, 250 of them would nest past what Python's parser takes
+    @pytest.mark.parametrize("source,expected", [
+        ('""' + ' "x" *' * 250, ["x" * 250]),
+        ("#0" + " #1 +" * 250, [250]),
+        ("#0" + " #2 + #1 -" * 125, [125]),
+        ("#1" + " #1 =" * 250, [1]),
+        ("#1" + " #0 >" * 250, [1]),
+    ], ids=["*", "+", "+-", "=", ">"])
+    def test_a_long_chain_of_ops_runs(self, source, expected):
+        assert self.run_ops(source) == expected
 
-class TestCallType:
+
+class TestCallType(Tiered):
     def test_dispatch_by_entry_type(self):
         doc, _ = run_texts(HELLO_BST, BIBTEX_AUX, SAMPLE_BIB)
         text = doc.finalize()
@@ -583,7 +619,7 @@ class TestWarningAccounting:
         )
 
 
-class TestEntryVariables:
+class TestEntryVariables(Tiered):
     def test_defaults_per_entry(self):
         source = (
             "ENTRY {author}{count}{note}\nREAD\n"
@@ -627,7 +663,7 @@ _ARITY_OPERANDS = {
 }
 
 
-class TestBuiltinTable:
+class TestBuiltinTable(Tiered):
     @pytest.mark.parametrize("name", sorted(n for n, (_fn, pops, _) in BUILTINS.items()
                                             if pops is not None))
     def test_stack_depth_changes_by_declared_effect(self, name):
@@ -638,7 +674,7 @@ class TestBuiltinTable:
         vm.execute(AuxFile())
         vm.current = RuntimeEntry(key="k", entry_type="article", fields={})
         vm.stack = ["below"] + operands
-        vm.exec_ident(name, 0)
+        vm.exec_tokens([Token("id", name, 0)])
         assert len(vm.stack) - (1 + len(operands)) == pushes - pops
         assert vm.stack[0] == "below"
 
@@ -647,7 +683,7 @@ class TestBuiltinTable:
     def test_underflow_names_the_builtin_and_its_line(self, name):
         vm = make_vm()
         with pytest.raises(VmError) as err:
-            vm.exec_ident(name, 7)
+            vm.exec_tokens([Token("id", name, 7)])
         assert str(err.value) == f"{name}: stack underflow (line 7)"
         assert err.value.line == 7
 
@@ -655,6 +691,21 @@ class TestBuiltinTable:
         # lint special-cases exactly these three
         unknown = {n for n, (_fn, pops, pushes) in BUILTINS.items() if pops is None or pushes is None}
         assert unknown == {"if$", "while$", "call.type$"}
+
+    def test_a_wrapped_builtin_is_called_once_per_use(self, monkeypatch):
+        # as a counter that wraps the table's entries before the run sees them
+        calls = []
+        add, pops, pushes = BUILTINS["+"]
+
+        def counting(vm, at):
+            calls.append(at)
+            add(vm, at)
+
+        monkeypatch.setitem(BUILTINS, "+", (counting, pops, pushes))
+        stack, _, records = _run_style(
+            "INTEGERS {n}\nFUNCTION {f} { n #1 + 'n := n #2 + #3 + }\nEXECUTE {f}\nEXECUTE {f}\n")
+        assert calls == [("+", 2)] * 6
+        assert stack == [6, 7]
 
 
 def _resolve(source: str, name: str, value) -> tuple:
@@ -739,7 +790,7 @@ def _run_untitled(source: str) -> Vm:
     return vm
 
 
-class TestRedeclaration:
+class TestRedeclaration(Tiered):
     """A body run both before and after a declaration that changes a name in it."""
 
     def test_function_later_declared_integer(self):
@@ -820,7 +871,7 @@ class TestRedeclaration:
         assert records == [(ERROR, 'stack not empty at end: ["s", "s"]')]
 
 
-class TestBoundOps:
+class TestBoundOps(Tiered):
     """`'v :=' on a variable and `{..} {..} if$' run as one op each.  A
     skip$ between the pair (written for <> below) makes the generic :=
     and if$ run instead; both forms give the same errors and lines."""
@@ -884,7 +935,18 @@ _PASSES_STYLE = (
 )
 
 
-class TestNameMemo:
+class TestNameMemo(Tiered):
+    def test_each_name_list_split_once_per_run(self):
+        # two author lists, each split by presort's format.name$ and then by
+        # output's num.names$ (once per while$ test) and format.name$
+        program, _ = parse_bst(_PASSES_STYLE)
+        aux, db = parse_aux(BIBTEX_AUX), parse_bib(SAMPLE_BIB)[0]
+        with mock.patch.object(names, "split_names", wraps=names.split_names) as split:
+            run(program, aux, [db])
+            assert split.call_count == 2
+            run(program, aux, [db])
+            assert split.call_count == 4
+
     def test_each_name_parsed_once_per_run(self):
         # presort formats Stein P. R. and H. Poincar\'e, output those two and Ulam S. M.
         program, _ = parse_bst(_PASSES_STYLE)
@@ -922,7 +984,7 @@ def _deep_style(levels: int) -> str:
     return " ".join(functions) + " EXECUTE {main}\n"
 
 
-class TestCallDepth:
+class TestCallDepth(Tiered):
     def test_limit_deep_runs_within_pythons_recursion_limit(self):
         stack, bbl, records = _run_style(_deep_style(CALL_DEPTH_LIMIT))
         assert (stack, bbl, records) == ([], "bottom\n", [])
@@ -963,6 +1025,168 @@ class TestCallDepth:
             vm.exec_ident("if$", 7)
         assert str(err.value) == f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 7)"
         assert vm.depth == CALL_DEPTH_LIMIT
+
+    # styles that recurse without end, each through one way of entering a level
+    @pytest.mark.parametrize("style", [
+        "FUNCTION {f} { #1 'f 'skip$ if$ } EXECUTE {f}",  # a bound if$ runs a quoted name
+        "FUNCTION {f} { #1 { f } 'skip$ if$ } EXECUTE {f}",  # ... a block
+        "FUNCTION {f} { #1 'f 'skip$ skip$ if$ } EXECUTE {f}",  # if$ not bound
+        "FUNCTION {f} { { #1 } { f } while$ } EXECUTE {f}",
+        "FUNCTION {f} { f } EXECUTE {f}",
+        "FUNCTION {r} { 'f } FUNCTION {f} { #1 r 'skip$ if$ } EXECUTE {f}",  # a ref from a call
+        "ENTRY {}{}{} READ FUNCTION {misc} { call.type$ } ITERATE {call.type$}",
+        # a quoted if$ that if$ runs, as in test_chain_of_quoted_if_is_bounded
+        "INTEGERS {n} FUNCTION {main} { #1 { skip$ } 'skip$ #1000 'n := "
+        "{ n #0 > } { #1 'if$ 'skip$ n #1 - 'n := } while$ if$ } EXECUTE {main}",
+    ])
+    def test_each_level_costs_at_most_three_python_frames(self, style):
+        bib = '@misc{k, note = "x"}\n'
+        aux = parse_aux("\\citation{k}\n")
+        program, _ = parse_bst(style)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        # room for three frames a level and the frames between here and the first level
+        sys.setrecursionlimit(depth + 3 * CALL_DEPTH_LIMIT + 20)
+        try:
+            _, log = run(program, aux, [parse_bib(bib)[0]])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert log.records == [
+            (ERROR, f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 1)")]
+
+    @pytest.mark.parametrize("levels,message", [
+        # the deepest level takes "x" as an integer: its +, compiled, falls back to the
+        # handler, which raises the error
+        (CALL_DEPTH_LIMIT, '+: expected an integer, got "x" (line 3)'),
+        (CALL_DEPTH_LIMIT + 1, f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 3)"),
+    ])
+    def test_a_chain_through_quoted_names_that_falls_back_at_the_end(self, workdir, capsys,
+                                                                    levels, message):
+        write_files(workdir, {
+            "t.aux": "\\citation{k}\n\\bibstyle{t}\n\\bibdata{t}\n",
+            "t.bib": '@misc{k, note = "x"}\n',
+            # f at level d runs f at level d + 1 until d reaches levels - 1, then a block
+            "t.bst": "INTEGERS {d}\nFUNCTION {f} {\n"
+                     f"d #1 + 'd := \"x\" d #{levels - 1} < 'f {{ #1 + }} if$ }}\nEXECUTE {{f}}\n",
+        })
+        assert main(["bibtex", "t"]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert (workdir / "t.blg").read_text() == message + "\n"
+
+
+class TestCompiledTier:
+    def test_a_body_compiles_on_the_entry_after_compile_after(self, monkeypatch):
+        monkeypatch.setattr(vm_module, "COMPILE_AFTER", 2)
+        vm = make_vm("INTEGERS {n}\nFUNCTION {f} { n #1 + 'n := }\n")
+        vm.execute(AuxFile())
+        body = vm.program.functions["f"]
+        compiled = []
+        for _ in range(4):
+            vm.exec_tokens(body)
+            compiled.append(vm._resolved[id(body)].run is not None)
+        assert compiled == [False, False, True, True]
+        assert vm.globals_int["n"] == 4
+
+    def test_bodies_of_one_shape_share_one_code_object(self):
+        vm = make_vm('FUNCTION {a} { "x" write$ #1 }\nFUNCTION {b} { "y" write$ #2 }\n'
+                     "FUNCTION {c} { #1 #2 + }\n")
+        a, b, c = (compile_body(vm, vm._resolve_body(vm.program.functions[f])) for f in "abc")
+        assert a.__code__ is b.__code__ is not c.__code__
+        assert len(vm._codes) == 2
+        assert (a(vm), b(vm), vm.stack, vm.doc.pending) == (None, None, [1, 2], "xy")
+
+    def test_a_missing_field_read_does_not_fall_back(self):
+        vm = _run_untitled("ENTRY {title}{}{s}\nREAD\n"
+                           "FUNCTION {f} { title 's := title write$ title empty$ title }\n")
+        vm.current = vm.entries[0]
+        run_compiled = compile_body(vm, vm._resolve_body(vm.program.functions["f"]))
+        assert run_compiled(vm) is None
+        assert vm.stack == [1, MissingField("title", "k")]
+        assert vm.current.strs["s"] == ""
+        assert vm.log.records == [(WARNING, "`title' is a missing field, not a string, for entry k")] * 5
+
+    def test_a_failed_guard_puts_the_slots_back_and_returns_the_op(self):
+        vm = make_vm('INTEGERS {n}\nFUNCTION {f} { #1 "a" n * }\nFUNCTION {g} { #1 + }\n')
+        vm.execute(AuxFile())
+        f, g = (compile_body(vm, vm._resolve_body(vm.program.functions[name])) for name in "fg")
+        # * takes n, an integer, as a string: the ops from it run through the handlers
+        vm.stack = ["below"]
+        assert f(vm) == 3
+        assert vm.stack == ["below", 1, "a", 0]
+        # + takes "x" from below the body, and it goes back under the body's 1
+        vm.stack = ["below", "x"]
+        assert g(vm) == 1
+        assert vm.stack == ["below", "x", 1]
+
+
+@settings(max_examples=300)
+@given(VM_INPUTS)
+def test_the_compiled_and_the_generic_tier_give_the_same_outcome(inputs):
+    style, bibs, aux = inputs
+    outcomes = []
+    for compile_after in (NEVER, 0):
+        with mock.patch.object(vm_module, "COMPILE_AFTER", compile_after):
+            vm = Vm(parse_bst(style)[0], [parse_bib(b)[0] for b in bibs])
+            vm.execute(parse_aux(aux))
+        outcomes.append((vm.doc.finalize(), vm.log.records, vm.stack, vm.globals_int, vm.globals_str,
+                         [(e.key, e.ints, e.strs) for e in vm.entries]))
+    assert outcomes[0] == outcomes[1]
+
+
+# the tiered tests again, with every body compiled at its first entry
+
+class TestRunCompiled(TestRun):
+    compile_after = 0
+
+
+class TestSkipCompiled(TestSkip):
+    compile_after = 0
+
+
+class TestIfCompiled(TestIf):
+    compile_after = 0
+
+
+class TestWhileCompiled(TestWhile):
+    compile_after = 0
+
+
+class TestAssignCompiled(TestAssign):
+    compile_after = 0
+
+
+class TestIntOpsCompiled(TestIntOps):
+    compile_after = 0
+
+
+class TestCallTypeCompiled(TestCallType):
+    compile_after = 0
+
+
+class TestEntryVariablesCompiled(TestEntryVariables):
+    compile_after = 0
+
+
+class TestBuiltinTableCompiled(TestBuiltinTable):
+    compile_after = 0
+
+
+class TestRedeclarationCompiled(TestRedeclaration):
+    compile_after = 0
+
+
+class TestBoundOpsCompiled(TestBoundOps):
+    compile_after = 0
+
+
+class TestNameMemoCompiled(TestNameMemo):
+    compile_after = 0
+
+
+class TestCallDepthCompiled(TestCallDepth):
+    compile_after = 0
 
 
 # -- metamorphic relations ----------------------------------------------------

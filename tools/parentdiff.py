@@ -17,7 +17,9 @@ package is relative), and both get the same inputs:
   format_program on each parsed style;
 - the VM on generated styles, .bib texts and citations: the .bbl, the
   .blg records, the final stack, the globals and every entry's ints
-  and strs;
+  and strs; and the same again (`vm.compiled`) with every body of both
+  packages compiled at its first entry, where a package has that tier,
+  on those inputs and on each corpus below;
 - the CLI on the seed-1 and seed-2 corpora of every perfbench workload
   (`pipeline` in one directory; `latexpass`, `bibtex` and `lint` in
   turn in another): exit code, stdout, stderr and the bytes of every
@@ -47,6 +49,7 @@ import tarfile
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":
@@ -60,20 +63,11 @@ import bibstack  # noqa: E402
 import bibstack.cli  # noqa: E402
 import corpus  # noqa: E402
 from fixtures import (  # noqa: E402
-    BIB_TEXT, BST_TEXT, EXTRA_BIB_ENTRY, NAME_TEXT, SAMPLE_BIB, SCANNER_TEXT, STYLE_TEXT,
-    TEMPLATE_TEXT, TEX_TEXT,
+    BIB_TEXT, BST_TEXT, NAME_TEXT, SCANNER_TEXT, STYLE_TEXT, TEMPLATE_TEXT, TEX_TEXT, VM_INPUTS,
 )
 
 CORPUS_SEEDS = (1, 2)
 CORPUS_SCALE = 1.0
-# cited keys: those of SAMPLE_BIB and EXTRA_BIB_ENTRY, those BIB_TEXT writes, and one nowhere
-_CITED_KEYS = ["Ulam-1964", "Poincare", "YangYu", "k", "j", "absent"]
-_VM_INPUTS = st.tuples(
-    STYLE_TEXT,
-    st.lists(st.one_of(st.just(SAMPLE_BIB), st.just(EXTRA_BIB_ENTRY), BIB_TEXT), min_size=1, max_size=2),
-    st.lists(st.sampled_from(_CITED_KEYS), max_size=6)
-    .map(lambda keys: "".join(f"\\citation{{{k}}}\n" for k in keys)),
-)
 
 
 def load(rev: str, workdir: Path):
@@ -200,6 +194,13 @@ def vm_run(pkg, style: str, bibs: list[str], aux: str):
             [(e.key, e.ints, e.strs) for e in vm.entries])
 
 
+def vm_run_compiled(pkg, *inputs):
+    """vm_run with every body compiled at its first entry (COMPILE_AFTER is the
+    compiled tier's test seam; a package without that tier ignores it)."""
+    with mock.patch.object(pkg.vm, "COMPILE_AFTER", 0, create=True):
+        return vm_run(pkg, *inputs)
+
+
 def cli_run(pkg, workdir: Path, argv: list[str]):
     """Exit code, stdout, stderr and the files left, of one command run in workdir."""
     out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
@@ -219,6 +220,9 @@ def compare_corpora(report: Report, workdir: Path) -> None:
             built = corpus.build(workload, seed, CORPUS_SCALE)
             bib = built.files[f"{corpus.BIB}.bib"]
             report.compare(f"parse_bib.{workload}", seed, lambda p: p.database.parse_bib(bib))
+            style = built.files[f"{built.style}.bst"]
+            report.compare(f"vm.compiled.{workload}", seed,
+                           lambda p: vm_run_compiled(p, style, [bib], built.aux))
             runs = [[["pipeline", corpus.BASE]],
                     [["latexpass", corpus.BASE], ["bibtex", corpus.BASE], ["lint", built.style]]]
             for i, steps in enumerate(runs):
@@ -251,7 +255,8 @@ def main(argv: list[str] | None = None) -> int:
              lambda t: report.compare("parse_bib", t, lambda p: p.database.parse_bib(t))),
             (st.one_of(BST_TEXT, STYLE_TEXT), lambda t: compare_bst(report, t)),
             (TEX_TEXT, lambda t: compare_tex(report, t)),
-            (_VM_INPUTS, lambda g: report.compare("vm", g, lambda p: vm_run(p, *g))),
+            (VM_INPUTS, lambda g: report.compare("vm", g, lambda p: vm_run(p, *g))),
+            (VM_INPUTS, lambda g: report.compare("vm.compiled", g, lambda p: vm_run_compiled(p, *g))),
         ]
         for strategy, check in generators:
             each_input(strategy, args.budget, check)
