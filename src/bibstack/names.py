@@ -22,11 +22,12 @@ nothing if it has neither.
 
 parse_name returns a NameParts NamedTuple of word lists and
 parse_template a list of (NameParts index, full, prefix, suffix)
-pieces.  They and split_names keep 64-entry LRU caches for library
-callers; their results and the lists inside are shared and must not be
-mutated.  format_name takes the parsed parts from a caller that has
-them: the VM parses each distinct name once per run and keeps the parts
-for its later passes, which a 64-entry cache would have evicted (the
+pieces.  Only parse_template keeps a cache, of 64 entries, since a style
+passes the same few templates on every format.name$; its results are
+shared and must not be mutated.  split_names and parse_name cache
+nothing: the VM splits each distinct name list and parses each distinct
+name once per run and keeps the results for its later passes, and
+format_name takes the parsed parts from a caller that has them (the
 README gives measured counts).
 """
 
@@ -38,8 +39,6 @@ from typing import NamedTuple
 
 from .database import group_end
 
-# entries per cache; a few entries' author lists and their names fit
-_CACHE_SIZE = 64
 _SPACE_OR_BRACE = re.compile(r"[{}\s]")
 _COMMA_OR_BRACE = re.compile(r"[{},]")
 # a piece's body: its prefix, its letter, the letter again if full, its suffix
@@ -64,7 +63,6 @@ class NameParts(NamedTuple):
 _LETTERS = "".join(name[0] for name in NameParts._fields)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def split_names(author: str) -> list[str]:
     """Split a name list on the word "and" at brace depth zero."""
     words = _split_top(author, None)
@@ -87,7 +85,6 @@ def count_names(author: str) -> int:
     return len(split_names(author))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def parse_name(name: str) -> NameParts:
     sections = _split_top(name, ",")
     if len(sections) > 3:
@@ -130,7 +127,7 @@ def format_name(name: str, template: str, parts: NameParts | None = None) -> str
     return "".join(out)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=64)  # a style passes a few templates, over and over
 def parse_template(template: str) -> list[tuple[int, bool, str, str]]:
     pieces = []
     i, n = 0, len(template)

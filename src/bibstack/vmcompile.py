@@ -3,15 +3,16 @@
 compile_body(vm, ops) takes the (handler, operand) ops that Vm._resolve_body
 built for a body and returns a function body(vm) that runs them, as
 closure generation does (Feeley and Lapalme, 1987) with the stack-slot
-superoperators of Proebsting (1995).  The values an op pushes stay in
-local variables, as long as the ops after it consume them, so that
-`nameptr #1 + 'nameptr :=' is one statement.  Each slot has a kind,
+superoperators of Proebsting (1995).  Each value an op makes goes into a
+local variable of its own, which the ops after it read, so that
+`nameptr #1 + 'nameptr :=' is three assignments that touch no stack, and
+no generated expression nests deeper than one op.  Each slot has a kind,
 known where the op that made it fixes its type: literals, INTEGERS and
-STRINGS globals and entry variables (whose type := enforces), the
-results of + - < > * = empty$ cite$, and field reads (a string or a
-MissingField).  Only values taken from vm.stack, which came from below
-the body or from a call, are checked, and only where an op needs a type.
-A builtin's pops and pushes come from vm.BUILTINS.
+STRINGS globals (whose type := enforces), the results of
++ - < > * = empty$ cite$, and field reads (a string or a MissingField).
+Only values taken from vm.stack, which came from below the body or from
+a call, are checked, and only where an op needs a type.  A builtin's
+pops and pushes come from vm.BUILTINS.
 
 A guard that fails (an underflow, a wrong type, no current entry) puts
 the live slots, and any value the op took from vm.stack, back on
@@ -21,11 +22,13 @@ errors at the same lines as a body that never compiled.  So an op either
 runs whole in the function or not at all, and the fallback adds no
 Python frame.  Every other op is a call (a body, a branch of a bound
 if$, an if$ that is not bound, while$, call.type$, num.names$,
-format.name$, := that is not bound, = of two values of unknown type, and
-any handler that is not its builtin's own function, such as a wrapped
-one): it runs after every slot is put on vm.stack, exactly as the generic
-loop runs it, and a value it leaves there is taken back as unknown.  The
-function returns None when it reaches the end of the body.
+format.name$, skip$, := that is not bound, = of two values of unknown
+type, a read of an entry variable, an unknown or unsupported name, whose
+handler raises its error, and any handler that is not its builtin's own
+function, such as a wrapped one): it runs after every slot is put on
+vm.stack, exactly as the generic loop runs it, and a value it leaves
+there is taken back as unknown.  The function returns None when it
+reaches the end of the body.
 
 Operands are not written into the source: each is a name, k0, k1, ...,
 in the function's namespace.  Bodies whose source comes out the same
@@ -47,9 +50,6 @@ INT, STR, FIELD, REF, ANY = range(5)  # FIELD: a str or a MissingField; ANY: any
 _NAMESPACE = {"type": type, "int": int, "str": str, "MissingField": MissingField,
               "missing": _vm._missing, "missing_message": _vm.missing_field_message}
 _PROLOGUE = {"cur": "cur = vm.current", "doc": "doc = vm.doc", "log": "log = vm.log"}
-
-# the parentheses a pure expression may hold before its value goes into a local
-_NESTING = 16
 
 # the integer builtins, as the expression of their result
 _ARITH = {
@@ -189,21 +189,10 @@ class _Gen:
         return False, expr
 
     def result(self, expr: str, kind: int) -> None:
-        """Push the value of expr, read now: it reads state that a later op may change."""
+        """Push the value of expr, computed now into a local of its own."""
         value = self.temp()
         self.emit(f"{value} = {expr}")
         self.slots.append((value, kind))
-
-    def pure(self, expr: str, kind: int) -> None:
-        """Push expr itself, to be read where the slot is used: it reads only
-        locals, each assigned once, and operands, and it raises nothing.  An
-        expr that nests past _NESTING parentheses goes into a local instead,
-        so that a long chain such as `"" "x" * "x" * ...' never nests past
-        what Python's parser takes (200 levels)."""
-        if expr.count("(") > _NESTING:
-            self.result(expr, kind)
-        else:
-            self.slots.append((f"({expr})", kind))
 
     # -- ops ------------------------------------------------------------------
 
@@ -236,15 +225,6 @@ class _Gen:
         self.emit(f"{value} = cur.fields.get({name})")
         self.emit(f"if {value} is None: {value} = missing(vm, {name}, cur)")
         self.slots.append((value, FIELD))
-
-    def push_entry_var(self, operand: tuple) -> None:
-        slot, initial, name, _line = operand
-        self.check([self.entry()])
-        self.result(f"cur.{slot}.get({self.const(name)}, {self.const(initial)})",
-                    INT if type(initial) is int else STR)
-
-    def fail(self, operand) -> None:
-        self.check([False])
 
     def assign(self, operand: tuple) -> None:
         store, initial, name, _at = operand
@@ -287,21 +267,18 @@ class _Gen:
 
     def cite(self, at: tuple) -> None:
         if self.check([self.entry()]):
-            self.pure("cur.key", STR)
+            self.result("cur.key", STR)
 
     def empty(self, at: tuple) -> None:
         [slot] = self.builtin(at)
         condition, expr = self.as_str(slot)
         if self.check([condition]):
-            self.pure(f"0 if {expr}.strip() else 1", INT)
-
-    def skip(self, at: tuple) -> None:
-        pass
+            self.result(f"0 if {expr}.strip() else 1", INT)
 
     def concat(self, at: tuple) -> None:
         (a_cond, a), (b_cond, b) = (self.as_str(slot) for slot in self.builtin(at))
         if self.check([a_cond, b_cond]):
-            self.pure(f"{a} + {b}", STR)
+            self.result(f"{a} + {b}", STR)
 
     def eq(self, at: tuple) -> None:
         known = {kind for _, kind in self.slots[-2:]} - {ANY}
@@ -311,27 +288,24 @@ class _Gen:
         as_type = self.as_int if known == {INT} else self.as_str
         (a_cond, a), (b_cond, b) = (as_type(slot) for slot in self.builtin(at))
         if self.check([a_cond, b_cond]):
-            self.pure(f"1 if {a} == {b} else 0", INT)
+            self.result(f"1 if {a} == {b} else 0", INT)
 
     def arith(self, template: str, at: tuple) -> None:
         (a_cond, a), (b_cond, b) = (self.as_int(slot) for slot in self.builtin(at))
         if self.check([a_cond, b_cond]):
-            self.pure(template.format(a, b), INT)
+            self.result(template.format(a, b), INT)
 
 
 _OPS = {
     _vm._push: _Gen.push,
     _vm._push_item: _Gen.push_item,
     _vm._push_field: _Gen.push_field,
-    _vm._push_entry_var: _Gen.push_entry_var,
-    _vm._fail: _Gen.fail,
     _vm._assign: _Gen.assign,
     _vm._if: _Gen.bound_if,
     _vm._bi_write: _Gen.write,
     _vm._bi_newline: _Gen.newline,
     _vm._bi_cite: _Gen.cite,
     _vm._bi_empty: _Gen.empty,
-    _vm._bi_skip: _Gen.skip,
     _vm._bi_concat: _Gen.concat,
     _vm._bi_eq: _Gen.eq,
 }

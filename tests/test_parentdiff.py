@@ -85,11 +85,13 @@ def _pipeline(parentdiff, pkg, workdir: Path) -> tuple:
 def test_finds_a_planted_mutation_of_the_compiled_tier(parentdiff, tmp_path, capsys):
     compiler = _copy_of_tree(tmp_path / "mutant") / "vmcompile.py"
     compiler.write_text(compiler.read_text(encoding="utf-8") + _COMPILER_MUTATION, encoding="utf-8")
-    assert parentdiff.main([str(compiler.parent), *_ARGS]) == 1
+    # 64 inputs, not 8: the first generated style whose output a compiled - chooses is the 52nd
+    assert parentdiff.main([str(compiler.parent), "--budget", "64"]) == 1
     mutant = _differences(capsys.readouterr().out)
     # the mutation runs only in compiled bodies, which vm.compiled compiles at their first entry;
-    # the sort-names style counts down with - in its name loops
-    assert mutant["vm.compiled.sort-names"] > 0
+    # the sort-names style counts down with - in its name loops, and a generated style writes
+    # what the result of - chooses
+    assert mutant["vm.compiled.sort-names"] > 0 and mutant["vm.compiled"] > 0
     assert mutant["vm"] == mutant["parse_bst"] == 0
 
 

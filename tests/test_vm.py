@@ -35,6 +35,7 @@ from fixtures import (
     HELLO_BST,
     SAMPLE_BIB,
     STYLE_TEXT,
+    STYLE_WHILE_LIMIT,
     VM_INPUTS,
     bibitem_keys,
     with_sort_fragment,
@@ -1121,6 +1122,7 @@ class TestCompiledTier:
         assert vm.stack == ["below", "x", 1]
 
 
+@mock.patch.object(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
 @settings(max_examples=300)
 @given(VM_INPUTS)
 def test_the_compiled_and_the_generic_tier_give_the_same_outcome(inputs):
@@ -1200,6 +1202,7 @@ def _bbl_and_blg(program) -> tuple:
     return doc.finalize(), log.records
 
 
+@mock.patch.object(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
 @settings(max_examples=50)
 @given(STYLE_TEXT)
 def test_crlf_line_ends_in_the_style_change_no_output(style):
@@ -1211,6 +1214,7 @@ def test_crlf_line_ends_in_the_style_change_no_output(style):
         assert _bbl_and_blg(other[0]) == _bbl_and_blg(lf[0])
 
 
+@mock.patch.object(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
 @settings(max_examples=50)
 @given(STYLE_TEXT)
 def test_formatted_style_writes_the_same_bbl(style):
@@ -1239,6 +1243,7 @@ def _outcome(program) -> tuple:
             [(e.key, e.ints, e.strs) for e in vm.entries])
 
 
+@mock.patch.object(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
 @settings(max_examples=300)
 @given(STYLE_TEXT)
 def test_a_skip_between_every_two_tokens_changes_no_outcome(style):

@@ -15,11 +15,12 @@ package is relative), and both get the same inputs:
   Diagnostic field and every .bib entry's fields (built on first read),
   or the error's type, message and line; lint's findings and
   format_program on each parsed style;
-- the VM on generated styles, .bib texts and citations: the .bbl, the
-  .blg records, the final stack, the globals and every entry's ints
-  and strs; and the same again (`vm.compiled`) with every body of both
-  packages compiled at its first entry, where a package has that tier,
-  on those inputs and on each corpus below;
+- the VM on generated styles, .bib texts and citations, with a while$
+  limit of STYLE_WHILE_LIMIT: the .bbl, the .blg records, the final
+  stack, the globals and every entry's ints and strs; and the same again
+  (`vm.compiled`) with every body of both packages compiled at its first
+  entry, where a package has that tier, on those inputs and on each
+  corpus below (with the package's own while$ limit);
 - the CLI on the seed-1 and seed-2 corpora of every perfbench workload
   (`pipeline` in one directory; `latexpass`, `bibtex` and `lint` in
   turn in another): exit code, stdout, stderr and the bytes of every
@@ -63,7 +64,8 @@ import bibstack  # noqa: E402
 import bibstack.cli  # noqa: E402
 import corpus  # noqa: E402
 from fixtures import (  # noqa: E402
-    BIB_TEXT, BST_TEXT, NAME_TEXT, SCANNER_TEXT, STYLE_TEXT, TEMPLATE_TEXT, TEX_TEXT, VM_INPUTS,
+    BIB_TEXT, BST_TEXT, NAME_TEXT, SCANNER_TEXT, STYLE_TEXT, STYLE_WHILE_LIMIT, TEMPLATE_TEXT, TEX_TEXT,
+    VM_INPUTS,
 )
 
 CORPUS_SEEDS = (1, 2)
@@ -201,6 +203,19 @@ def vm_run_compiled(pkg, *inputs):
         return vm_run(pkg, *inputs)
 
 
+def compare_vm(report: Report, given) -> None:
+    """The vm and vm.compiled checks on one generated input, with both packages'
+    while$ limit at STYLE_WHILE_LIMIT, so that a wrong - or > fails fast."""
+    def small_loops(run):
+        def run_small(pkg):
+            with mock.patch.object(pkg.vm, "WHILE_LIMIT", STYLE_WHILE_LIMIT):
+                return run(pkg, *given)
+        return run_small
+
+    report.compare("vm", given, small_loops(vm_run))
+    report.compare("vm.compiled", given, small_loops(vm_run_compiled))
+
+
 def cli_run(pkg, workdir: Path, argv: list[str]):
     """Exit code, stdout, stderr and the files left, of one command run in workdir."""
     out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
@@ -255,8 +270,7 @@ def main(argv: list[str] | None = None) -> int:
              lambda t: report.compare("parse_bib", t, lambda p: p.database.parse_bib(t))),
             (st.one_of(BST_TEXT, STYLE_TEXT), lambda t: compare_bst(report, t)),
             (TEX_TEXT, lambda t: compare_tex(report, t)),
-            (VM_INPUTS, lambda g: report.compare("vm", g, lambda p: vm_run(p, *g))),
-            (VM_INPUTS, lambda g: report.compare("vm.compiled", g, lambda p: vm_run_compiled(p, *g))),
+            (VM_INPUTS, lambda g: compare_vm(report, g)),
         ]
         for strategy, check in generators:
             each_input(strategy, args.budget, check)
