@@ -149,7 +149,7 @@ def _first_pass(cfg: argparse.Namespace, tex: TexScan) -> PassResult:
 def _bbl_items(cfg: argparse.Namespace, tex: TexScan) -> list[str] | None:
     """The \\bibitem keys of <base>.bbl in external mode, None if there are none to read."""
     bbl_path = Path(cfg.base + ".bbl")
-    if (tex.style is None and not tex.data) or not bbl_path.exists():
+    if not tex.external or not bbl_path.exists():
         return None
     return _load(bbl_path, bibitem_keys)
 

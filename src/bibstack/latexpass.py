@@ -57,6 +57,12 @@ class TexScan(Record):
         self.text: str = text
         self.cite_spans: list[CiteSpan] = [] if cite_spans is None else cite_spans
 
+    @property
+    def external(self) -> bool:
+        """External mode: a style or data declaration is present, so the
+        labels come from a generated bibliography, not from inline \\bibitems."""
+        return self.style is not None or bool(self.data)
+
 
 class PassResult(Record):
     __slots__ = ("rendered", "new_aux", "warnings", "labels_changed", "resolved")
@@ -126,14 +132,13 @@ def run_pass(tex: TexScan, old_aux: AuxFile | None, *, base: str = "texput",
              bbl_items: list[str] | None = None) -> PassResult:
     """One simulated pass: render cite marks from old_aux and rebuild the aux.
 
-    In external mode (a style or data declaration is present) the new
-    label table comes from bbl_items, the \\bibitem keys of a generated
-    bibliography; the pass never invents numbers itself.  In inline mode
-    the document's own \\bibitem keys are numbered from 1.  Raises nothing:
-    problems are returned as warnings.
+    In external mode (TexScan.external) the new label table comes from
+    bbl_items, the \\bibitem keys of a generated bibliography; the pass
+    never invents numbers itself.  In inline mode the document's own
+    \\bibitem keys are numbered from 1.  Raises nothing: problems are
+    returned as warnings.
     """
     warnings: list[str] = []
-    external = tex.style is not None or bool(tex.data)
     if old_aux is None:
         warnings.append(f"No file {base}.aux.")
         old_labels: dict[str, str] = {}
@@ -162,7 +167,7 @@ def run_pass(tex: TexScan, old_aux: AuxFile | None, *, base: str = "texput",
     pieces.append(tex.text[last:])
     rendered = "".join(pieces)
 
-    items = (bbl_items or []) if external else tex.inline_bib
+    items = (bbl_items or []) if tex.external else tex.inline_bib
     new_labels: dict[str, str] = {}
     for key in items:
         if key in new_labels:

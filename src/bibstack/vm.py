@@ -39,11 +39,12 @@ The compiled tier: after COMPILE_AFTER runs through its ops, a body
 compiles, on its next entry, into one Python function that keeps the
 values its ops push in local variables (vmcompile says how).  Bodies
 that compile to the same source share one code object.  The function
-checks only the values whose type no op of the body fixed; where a check
-fails (an underflow, a wrong type, no current entry), it puts the live
-values back on the stack and returns the index of the op, and _call runs
-that op and the rest of the body through their handlers, which raise
-the same errors at the same lines as a body that never compiled.  A
+checks a value wherever an op needs a type that no op of the body gave
+it; where a check fails (an underflow, a wrong type, no current entry),
+it puts the live values back on the stack and returns the index of the
+op, and _call runs that op and the rest of the body through their
+handlers, which raise the same errors at the same lines as a body that
+never compiled, so no op after it runs.  A
 body, if$, while$, call.type$ or any other call runs after the function
 has put every value on the stack, as the handlers run it.  Either tier
 gives the same output, records, stack and variables.

@@ -7,27 +7,31 @@ superoperators of Proebsting (1995).  Each value an op makes goes into a
 local variable of its own, which the ops after it read, so that
 `nameptr #1 + 'nameptr :=' is three assignments that touch no stack, and
 no generated expression nests deeper than one op.  Each slot has a kind,
-known where the op that made it fixes its type: literals, INTEGERS and
-STRINGS globals (whose type := enforces), the results of
-+ - < > * = empty$ cite$, and field reads (a string or a MissingField).
-Only values taken from vm.stack, which came from below the body or from
-a call, are checked, and only where an op needs a type.  A builtin's
-pops and pushes come from vm.BUILTINS.
+known where the op that made it fixes its type: integer and string
+literals, INTEGERS and STRINGS globals (whose type := enforces), the
+results of + - < > * = empty$ cite$, and field reads (a string or a
+MissingField).  A {...} block or quoted name, and a value taken from
+vm.stack (from below the body or left by a call), are of any kind.  A
+value is checked wherever an op needs a type that no op of the body gave
+it, and only there; a check that can never pass, such as + on a string
+literal, is made like any other and fails as it runs.  A builtin's pops
+and pushes come from vm.BUILTINS.
 
 A guard that fails (an underflow, a wrong type, no current entry) puts
 the live slots, and any value the op took from vm.stack, back on
 vm.stack, and the function returns the op's index: Vm._call runs that op
 and the rest of the body through their handlers, which raise the same
-errors at the same lines as a body that never compiled.  So an op either
-runs whole in the function or not at all, and the fallback adds no
-Python frame.  Every other op is a call (a body, a branch of a bound
-if$, an if$ that is not bound, while$, call.type$, num.names$,
-format.name$, skip$, := that is not bound, = of two values of unknown
-type, a read of an entry variable, an unknown or unsupported name, whose
-handler raises its error, and any handler that is not its builtin's own
-function, such as a wrapped one): it runs after every slot is put on
-vm.stack, exactly as the generic loop runs it, and a value it leaves
-there is taken back as unknown.  The function returns None when it
+errors at the same lines as a body that never compiled.  Each guard is
+a check that the op's handler makes, so the handler raises and no op
+after it runs.  An op runs whole in the function or not at all, and the
+fallback adds no Python frame.  Every other op is a call (a body, a
+branch of a bound if$, an if$ that is not bound, while$, call.type$,
+num.names$, format.name$, skip$, := that is not bound, = of two values
+of unknown type, a read of an entry variable, an unknown or unsupported
+name, whose handler raises its error, and any handler that is not its
+builtin's own function, such as a wrapped one): it runs after every slot
+is put on vm.stack, exactly as the generic loop runs it, and a value it
+leaves there is taken back as unknown.  The function returns None when it
 reaches the end of the body.
 
 Operands are not written into the source: each is a name, k0, k1, ...,
@@ -44,7 +48,7 @@ from . import vm as _vm
 from .vm import BUILTINS, MissingField, Vm
 
 # the kinds of a slot: what the value held in it can be
-INT, STR, FIELD, REF, ANY = range(5)  # FIELD: a str or a MissingField; ANY: any value
+INT, STR, FIELD, ANY = range(4)  # FIELD: a str or a MissingField; ANY: any value
 
 # the names the generated code reads besides its operands
 _NAMESPACE = {"type": type, "int": int, "str": str, "MissingField": MissingField,
@@ -66,10 +70,7 @@ def compile_body(vm: Vm, ops: list[tuple]):
     gen = _Gen(vm)
     for i, (handler, operand) in enumerate(ops):
         gen.op(i, handler, operand)
-        if gen.ended:
-            break
-    else:
-        gen.flush()
+    gen.flush()
     lines = ["def body(vm):", "    stack = vm.stack"]
     lines += [f"    {_PROLOGUE[name]}" for name in _PROLOGUE if name in gen.used]
     lines += gen.out
@@ -94,7 +95,6 @@ class _Gen:
         self.slots: list[tuple[str, int]] = []  # (expression, kind), bottom first
         self.temps = 0
         self.entry_checked = False  # cur is known not to be None
-        self.ended = False  # an op always falls back: the ops after it are not compiled
         # the op being compiled: its index, the slots before it, what it took from vm.stack
         self.i, self.before, self.taken = 0, [], []
 
@@ -147,16 +147,10 @@ class _Gen:
             taken.insert(0, (value, ANY))
         return taken + have
 
-    def check(self, conditions: list) -> bool:
-        """Fall back unless every condition holds; a condition False never holds,
-        and then the op and the rest of the body are left to the handlers."""
-        if False in conditions:
-            self.emit(self.back())
-            self.ended = True
-            return False
+    def check(self, conditions: list) -> None:
+        """Fall back unless every condition holds; a condition None holds already."""
         if conditions := [c for c in conditions if c]:
             self.emit(f"if not ({' and '.join(conditions)}): {self.back()}")
-        return True
 
     def entry(self) -> str | None:
         """The condition that there is a current entry, or None if already checked."""
@@ -167,13 +161,9 @@ class _Gen:
 
     @staticmethod
     def as_int(slot: tuple[str, int]) -> tuple:
-        """(condition, expression) of a slot taken as an integer; a condition False never holds."""
+        """(condition, expression) of a slot taken as an integer."""
         expr, kind = slot
-        if kind == INT:
-            return None, expr
-        if kind == ANY:
-            return f"type({expr}) is int", expr
-        return False, expr
+        return None if kind == INT else f"type({expr}) is int", expr
 
     @staticmethod
     def as_str(slot: tuple[str, int]) -> tuple:
@@ -184,9 +174,7 @@ class _Gen:
         text = f"({expr} if type({expr}) is str else '')"
         if kind == FIELD:
             return None, text
-        if kind == ANY:
-            return f"(type({expr}) is str or type({expr}) is MissingField)", text
-        return False, expr
+        return f"(type({expr}) is str or type({expr}) is MissingField)", text
 
     def result(self, expr: str, kind: int) -> None:
         """Push the value of expr, computed now into a local of its own."""
@@ -210,7 +198,7 @@ class _Gen:
         self.emit(f"{self.const(handler)}(vm, {self.const(operand)})")
 
     def push(self, value) -> None:
-        kind = INT if type(value) is int else STR if type(value) is str else REF
+        kind = INT if type(value) is int else STR if type(value) is str else ANY
         self.slots.append((self.const(value), kind))
 
     def push_item(self, operand: tuple) -> None:
@@ -231,19 +219,20 @@ class _Gen:
         [slot] = self.take(1)
         condition, expr = (self.as_str if type(initial) is str else self.as_int)(slot)
         if type(store) is str:  # a per-entry variable, in that dict of the current entry
-            if self.check([self.entry(), condition]):
-                self.emit(f"cur.{store}[{self.const(name)}] = {expr}")
-        elif self.check([condition]):
+            self.check([self.entry(), condition])
+            self.emit(f"cur.{store}[{self.const(name)}] = {expr}")
+        else:
+            self.check([condition])
             self.emit(f"{self.const(store)}[{self.const(name)}] = {expr}")
 
     def bound_if(self, operand: tuple) -> None:
         then_op, else_op, _at = operand
         [slot] = self.take(1)
         condition, expr = self.as_int(slot)
-        if self.check([condition]):
-            self.flush()
-            self.emit(f"if {expr} > 0: {self.const(then_op[0])}(vm, {self.const(then_op[1])})")
-            self.emit(f"else: {self.const(else_op[0])}(vm, {self.const(else_op[1])})")
+        self.check([condition])
+        self.flush()
+        self.emit(f"if {expr} > 0: {self.const(then_op[0])}(vm, {self.const(then_op[1])})")
+        self.emit(f"else: {self.const(else_op[0])}(vm, {self.const(else_op[1])})")
 
     def builtin(self, at: tuple) -> list[tuple[str, int]]:
         """The operands of the builtin whose (name, line) is at, as many as it pops."""
@@ -251,9 +240,7 @@ class _Gen:
 
     def write(self, at: tuple) -> None:
         [slot] = self.builtin(at)
-        condition, _ = self.as_str(slot)
-        if not self.check([condition]):
-            return
+        self.check([self.as_str(slot)[0]])
         expr, kind = slot
         append = f"{self.uses('doc')}.append({expr})"
         if kind == STR:
@@ -266,34 +253,34 @@ class _Gen:
         self.emit(f"{self.uses('doc')}.flush_line()")
 
     def cite(self, at: tuple) -> None:
-        if self.check([self.entry()]):
-            self.result("cur.key", STR)
+        self.check([self.entry()])
+        self.result("cur.key", STR)
 
     def empty(self, at: tuple) -> None:
         [slot] = self.builtin(at)
         condition, expr = self.as_str(slot)
-        if self.check([condition]):
-            self.result(f"0 if {expr}.strip() else 1", INT)
+        self.check([condition])
+        self.result(f"0 if {expr}.strip() else 1", INT)
 
     def concat(self, at: tuple) -> None:
         (a_cond, a), (b_cond, b) = (self.as_str(slot) for slot in self.builtin(at))
-        if self.check([a_cond, b_cond]):
-            self.result(f"{a} + {b}", STR)
+        self.check([a_cond, b_cond])
+        self.result(f"{a} + {b}", STR)
 
     def eq(self, at: tuple) -> None:
         known = {kind for _, kind in self.slots[-2:]} - {ANY}
-        if known not in ({INT}, {STR}, {FIELD}, {STR, FIELD}):
-            # no operand's type is known, or the two never compare: the handler decides
+        if not known:  # the handler decides
             return self.call(_vm._bi_eq, at)
+        # STR and FIELD compare as strings; INT beside either fails its guard as it runs
         as_type = self.as_int if known == {INT} else self.as_str
         (a_cond, a), (b_cond, b) = (as_type(slot) for slot in self.builtin(at))
-        if self.check([a_cond, b_cond]):
-            self.result(f"1 if {a} == {b} else 0", INT)
+        self.check([a_cond, b_cond])
+        self.result(f"1 if {a} == {b} else 0", INT)
 
     def arith(self, template: str, at: tuple) -> None:
         (a_cond, a), (b_cond, b) = (self.as_int(slot) for slot in self.builtin(at))
-        if self.check([a_cond, b_cond]):
-            self.result(template.format(a, b), INT)
+        self.check([a_cond, b_cond])
+        self.result(template.format(a, b), INT)
 
 
 _OPS = {

@@ -103,10 +103,12 @@ TEMPLATE_TEXT = st.one_of(
 )
 
 # styles that parse and run: ENTRY, STRINGS and INTEGERS declarations
-# (some giving a name a second kind), six FUNCTIONs, then READ, SORT,
-# EXECUTE and ITERATE with more declarations among them, and last an
-# EXECUTE or ITERATE that runs a FUNCTION, so that most styles run one
-# (263 of 300 drawn styles do, against 108 without it).  Bodies hold
+# (some giving a name a second kind), six FUNCTIONs and a seventh, out,
+# that writes the results of its phrases; then READ (in five styles of
+# six) and SORT, an ITERATE over out, EXECUTE and ITERATE with more
+# declarations among them, an EXECUTE or ITERATE that runs a FUNCTION,
+# and last an ITERATE over out again.  So most runs write what ops make
+# of real entries, and most still end in an error.  Bodies hold
 # literals, fields, variables, quoted names, blocks, := and builtins,
 # with unknown and unsupported names among them; f0, f1 and f2 may call
 # each other and so recurse past the call depth limit, the one while$
@@ -133,11 +135,29 @@ _STYLE_PHRASES = st.sampled_from([
     '#1 #2 < #2 #1 > + #2 = { "eq" } { "ne" } if$ write$',
     '#2 #3 + #6 = { "eq" } { "ne" } if$ write$',
 ])
+# phrases that each leave one string, the result of their ops (an integer
+# result chooses a string through if$), for out to write; title is not
+# declared by every ENTRY, so its phrase keeps an error path in out
+_STYLE_RESULTS = st.sampled_from([
+    "cite$",
+    '"[" cite$ * "]" *',
+    'author #1 "{vv~}{ll}{jj,}{f.}" format.name$',
+    'author empty$ { "anonymous" } { author } if$',
+    'author num.names$ #1 > { "and others" } { "alone" } if$',
+    'author num.names$ #2 - #0 < { "short" } { "long" } if$',
+    'sort.key$ empty$ { "unsorted" } { sort.key$ } if$',
+    'title empty$ { "none" } { title } if$',
+    '#5 #2 - #3 = { "eq" } { "ne" } if$',
+    '#1 #2 < #2 #1 > + #2 = { "eq" } { "ne" } if$',
+    '#2 #3 + #6 = { "eq" } { "ne" } if$',
+])
 # a while$ limit for runs of STYLE_TEXT: the countdown above ends in 4
 # iterations, where a wrong - or > would run it to vm.WHILE_LIMIT (1,000,000)
 STYLE_WHILE_LIMIT = 50
 _STYLE_BODY = st.lists(st.one_of(_STYLE_PHRASES, _STYLE_WORDS, _STYLE_PHRASES),
                        min_size=1, max_size=6).map(" ".join)
+_STYLE_WRITER = st.lists(_STYLE_RESULTS.map("{} write$".format), min_size=1, max_size=4).map(
+    lambda phrases: " ".join(phrases) + " newline$")
 _STYLE_FUNCTIONS = ["f0", "f1", "f2", "article", "book", "misc"]
 _STYLE_DECLARATIONS = ["STRINGS {gs s}", "INTEGERS {gi}", "INTEGERS {title}", "STRINGS {f1}",
                        "% a comment {"]
@@ -146,11 +166,14 @@ STYLE_TEXT = st.tuples(
     st.lists(st.sampled_from(_STYLE_DECLARATIONS), max_size=3).map("\n".join),
     st.tuples(*[_STYLE_BODY] * len(_STYLE_FUNCTIONS)).map(lambda bodies: "\n".join(
         f"FUNCTION {{{name}}}\n  {{ {body} }}" for name, body in zip(_STYLE_FUNCTIONS, bodies))),
-    st.sampled_from(["READ", "READ\nSORT", ""]),
+    _STYLE_WRITER.map("FUNCTION {{out}}\n  {{ {} }}".format),
+    st.sampled_from(["READ", "READ\nSORT", "READ", "READ\nSORT", "READ", ""]),
+    st.just("ITERATE {out}"),
     st.lists(st.sampled_from(["ITERATE {call.type$}", "ITERATE {f1}", "SORT", "EXECUTE {f2}",
                               "EXECUTE {f0}", "EXECUTE {ghost}"] + _STYLE_DECLARATIONS),
              min_size=1, max_size=5).map("\n".join),
     st.sampled_from(["EXECUTE {f0}", "EXECUTE {f2}", "ITERATE {call.type$}"]),
+    st.just("ITERATE {out}"),
 ).map("\n".join)
 
 SAMPLE_BIB = r'''@article{Ulam-1964,
@@ -180,16 +203,27 @@ EXTRA_BIB_ENTRY = r'''@article{YangYu,
     number = "4"}
 '''
 
-# a VM run's inputs: a style, one or two .bib texts, and the .aux text of
-# its citations: the keys of SAMPLE_BIB and EXTRA_BIB_ENTRY, keys BIB_TEXT
-# writes, and one that no .bib has
-_CITED_KEYS = ["Ulam-1964", "Poincare", "YangYu", "k", "j", "absent"]
-VM_INPUTS = st.tuples(
-    STYLE_TEXT,
-    st.lists(st.one_of(st.just(SAMPLE_BIB), st.just(EXTRA_BIB_ENTRY), BIB_TEXT), min_size=1, max_size=2),
-    st.lists(st.sampled_from(_CITED_KEYS), max_size=6)
-    .map(lambda keys: "".join(f"\\citation{{{k}}}\n" for k in keys)),
-)
+# a VM run's inputs: a style; one .bib text of known keys (SAMPLE_BIB or
+# EXTRA_BIB_ENTRY), with a second .bib text of any kind before or after it
+# half the time; and the .aux text of one to five citations of keys those
+# .bib texts define (BIB_TEXT's may define k and j), with one key, absent,
+# that no .bib has among them
+_KNOWN_BIB = st.sampled_from([(SAMPLE_BIB, ["Ulam-1964", "Poincare"]), (EXTRA_BIB_ENTRY, ["YangYu"])])
+_ANY_BIB = st.one_of(_KNOWN_BIB, BIB_TEXT.map(lambda text: (text, ["k", "j"])))
+
+
+@st.composite
+def _vm_inputs(draw):
+    style = draw(STYLE_TEXT)
+    bibs = draw(st.lists(_ANY_BIB, max_size=1))
+    bibs.insert(draw(st.integers(0, len(bibs))), draw(_KNOWN_BIB))
+    defined = [key for _, keys in bibs for key in keys]
+    keys = draw(st.lists(st.sampled_from(defined), min_size=1, max_size=5))
+    keys.insert(draw(st.integers(0, len(keys))), "absent")
+    return style, [text for text, _ in bibs], "".join(f"\\citation{{{key}}}\n" for key in keys)
+
+
+VM_INPUTS = _vm_inputs()
 
 HELLO_BST = r'''ENTRY
   { author

@@ -4,11 +4,14 @@ import dataclasses
 import re
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import bibstack
 from bibstack import bstparse, database
+from bibstack.diagnostics import ERROR
+from fixtures import STYLE_WHILE_LIMIT, VM_INPUTS
 
 ROOT = Path(__file__).resolve().parents[1]
 _ARGS = ["--budget", "8"]
@@ -26,6 +29,16 @@ def format_name(name, template, parts=None):
 _COMPILER_MUTATION = """
 
 _ARITH[_vm._bi_sub] = _ARITH[_vm._bi_add]
+"""
+# appended to a copy's vmcompile.py: a compiled bound if$ runs the other branch
+_BRANCH_MUTATION = """
+
+def _swapped_if(gen, operand):
+    then_op, else_op, at = operand
+    _Gen.bound_if(gen, (else_op, then_op, at))
+
+
+_OPS[_vm._if] = _swapped_if
 """
 
 
@@ -85,13 +98,37 @@ def _pipeline(parentdiff, pkg, workdir: Path) -> tuple:
 def test_finds_a_planted_mutation_of_the_compiled_tier(parentdiff, tmp_path, capsys):
     compiler = _copy_of_tree(tmp_path / "mutant") / "vmcompile.py"
     compiler.write_text(compiler.read_text(encoding="utf-8") + _COMPILER_MUTATION, encoding="utf-8")
-    # 64 inputs, not 8: the first generated style whose output a compiled - chooses is the 52nd
-    assert parentdiff.main([str(compiler.parent), "--budget", "64"]) == 1
+    assert parentdiff.main([str(compiler.parent), *_ARGS]) == 1
     mutant = _differences(capsys.readouterr().out)
     # the mutation runs only in compiled bodies, which vm.compiled compiles at their first entry;
     # the sort-names style counts down with - in its name loops, and a generated style writes
     # what the result of - chooses
     assert mutant["vm.compiled.sort-names"] > 0 and mutant["vm.compiled"] > 0
+    assert mutant["vm"] == mutant["parse_bst"] == 0
+
+
+def test_most_generated_vm_inputs_write_what_ops_make_of_entries_and_many_fail(parentdiff):
+    runs = []  # (read an entry and wrote a .bbl, ended in an error record), per input
+
+    def run(given):
+        with mock.patch.object(bibstack.vm, "WHILE_LIMIT", STYLE_WHILE_LIMIT):
+            bbl, records, *_, entries = parentdiff.vm_run(bibstack, *given)
+        runs.append((bool(entries) and bbl != "", bool(records) and records[-1][0] == ERROR))
+
+    # the inputs of the vm and vm.compiled checks at --budget 300
+    parentdiff.each_input(VM_INPUTS, 300, run)
+    assert len(runs) == 300
+    assert sum(wrote for wrote, _ in runs) >= 200
+    assert sum(failed for _, failed in runs) >= 100
+
+
+def test_finds_a_planted_branch_swap_in_the_compiled_tier(parentdiff, tmp_path, capsys):
+    compiler = _copy_of_tree(tmp_path / "mutant") / "vmcompile.py"
+    compiler.write_text(compiler.read_text(encoding="utf-8") + _BRANCH_MUTATION, encoding="utf-8")
+    assert parentdiff.main([str(compiler.parent), *_ARGS]) == 1
+    mutant = _differences(capsys.readouterr().out)
+    # generated styles write what a bound if$ chooses
+    assert mutant["vm.compiled"] > 0
     assert mutant["vm"] == mutant["parse_bst"] == 0
 
 

@@ -1120,6 +1120,16 @@ class TestCompiledTier:
         vm.stack = ["below", "x"]
         assert g(vm) == 1
         assert vm.stack == ["below", "x", 1]
+        # guards that never hold fail as they run: + takes a { } block, write$ a quoted
+        # name, and = takes an integer and a string
+        for body, pushed in [("#1 { } +", [1, FnRef(body=[])]),
+                             ("\"a\" 'g write$", ["a", FnRef(name="g")]),
+                             ('#1 "x" =', [1, "x"])]:
+            program, _ = parse_bst(f"FUNCTION {{h}} {{ {body} }}")
+            h = compile_body(vm, vm._resolve_body(program.functions["h"]))
+            vm.stack = ["below"]
+            assert h(vm) == 2
+            assert vm.stack == ["below", *pushed]
 
 
 @mock.patch.object(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
@@ -1135,6 +1145,42 @@ def test_the_compiled_and_the_generic_tier_give_the_same_outcome(inputs):
         outcomes.append((vm.doc.finalize(), vm.log.records, vm.stack, vm.globals_int, vm.globals_str,
                          [(e.key, e.ints, e.strs) for e in vm.entries]))
     assert outcomes[0] == outcomes[1]
+
+
+def test_a_compiled_body_falls_back_only_at_an_op_whose_handler_raises(monkeypatch):
+    # so the ops after a fallback never run
+    import bibstack.vmcompile
+
+    fallbacks = []
+
+    def compile_checked(vm, ops):
+        run_compiled = compile_body(vm, ops)
+
+        def body(vm):
+            start = run_compiled(vm)
+            if start is not None:
+                handler, operand = ops[start]
+                try:
+                    handler(vm, operand)
+                except VmError:
+                    fallbacks.append(start)
+                    raise
+                pytest.fail(f"the body fell back at op {start}, {ops[start]}, whose handler raised nothing")
+            return start
+        return body
+
+    monkeypatch.setattr(bibstack.vmcompile, "compile_body", compile_checked)  # Vm._call imports it
+    monkeypatch.setattr(vm_module, "COMPILE_AFTER", 0)
+    monkeypatch.setattr(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
+
+    @settings(max_examples=300)
+    @given(VM_INPUTS)
+    def run_style(inputs):
+        style, bibs, aux = inputs
+        Vm(parse_bst(style)[0], [parse_bib(b)[0] for b in bibs]).execute(parse_aux(aux))
+
+    run_style()
+    assert fallbacks
 
 
 # the tiered tests again, with every body compiled at its first entry
