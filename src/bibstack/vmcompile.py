@@ -6,11 +6,15 @@ closure generation does (Feeley and Lapalme, 1987) with the stack-slot
 superoperators of Proebsting (1995).  Each value an op makes goes into a
 local variable of its own, which the ops after it read, so that
 `nameptr #1 + 'nameptr :=' is three assignments that touch no stack, and
-no generated expression nests deeper than one op.  Each slot has a kind,
-known where the op that made it fixes its type: integer and string
-literals, INTEGERS and STRINGS globals (whose type := enforces), the
-results of + - < > * = empty$ cite$, and field reads (a string or a
-MissingField).  A {...} block or quoted name, and a value taken from
+no generated expression nests deeper than one op.  _OPS is the one table
+of the ops that compile inline, and so of the results of a known kind: a
+builtin that only computes (+ - < > * empty$, and = once an operand's kind
+is known) is a row giving its result's expression, the type its operands
+are taken as and its result's kind, which _Gen.pure compiles.  Each slot
+has a kind, known where the op that made it fixes its type: integer and
+string literals, INTEGERS and STRINGS globals (whose type := enforces),
+the results of those builtins and of cite$, and field reads (a string or
+a MissingField).  A {...} block or quoted name, and a value taken from
 vm.stack (from below the body or left by a call), are of any kind.  A
 value is checked wherever an op needs a type that no op of the body gave
 it, and only there; a check that can never pass, such as + on a string
@@ -24,8 +28,8 @@ and the rest of the body through their handlers, which raise the same
 errors at the same lines as a body that never compiled.  Each guard is
 a check that the op's handler makes, so the handler raises and no op
 after it runs.  An op runs whole in the function or not at all, and the
-fallback adds no Python frame.  Every other op is a call (a body, a
-branch of a bound if$, an if$ that is not bound, while$, call.type$,
+fallback adds no Python frame.  Every op _OPS does not compile is a call
+(a body, a branch of a bound if$, an if$ that is not bound, while$, call.type$,
 num.names$, format.name$, skip$, := that is not bound, = of two values
 of unknown type, a read of an entry variable, an unknown or unsupported
 name, whose handler raises its error, and any handler that is not its
@@ -54,14 +58,6 @@ INT, STR, FIELD, ANY = range(4)  # FIELD: a str or a MissingField; ANY: any valu
 _NAMESPACE = {"type": type, "int": int, "str": str, "MissingField": MissingField,
               "missing": _vm._missing, "missing_message": _vm.missing_field_message}
 _PROLOGUE = {"cur": "cur = vm.current", "doc": "doc = vm.doc", "log": "log = vm.log"}
-
-# the integer builtins, as the expression of their result
-_ARITH = {
-    _vm._bi_add: "{} + {}",
-    _vm._bi_sub: "{} - {}",
-    _vm._bi_lt: "1 if {} < {} else 0",
-    _vm._bi_gt: "1 if {} > {} else 0",
-}
 
 
 def compile_body(vm: Vm, ops: list[tuple]):
@@ -186,9 +182,7 @@ class _Gen:
 
     def op(self, i: int, handler, operand) -> None:
         self.i, self.before, self.taken = i, list(self.slots), []
-        if handler in _ARITH:
-            self.arith(_ARITH[handler], operand)
-        elif (method := _OPS.get(handler)) is not None:
+        if (method := _OPS.get(handler)) is not None:
             method(self, operand)
         else:
             self.call(handler, operand)
@@ -256,33 +250,26 @@ class _Gen:
         self.check([self.entry()])
         self.result("cur.key", STR)
 
-    def empty(self, at: tuple) -> None:
-        [slot] = self.builtin(at)
-        condition, expr = self.as_str(slot)
-        self.check([condition])
-        self.result(f"0 if {expr}.strip() else 1", INT)
-
-    def concat(self, at: tuple) -> None:
-        (a_cond, a), (b_cond, b) = (self.as_str(slot) for slot in self.builtin(at))
-        self.check([a_cond, b_cond])
-        self.result(f"{a} + {b}", STR)
+    def pure(self, at: tuple, template: str, taken_as, kind: int) -> None:
+        """A builtin that only computes: its operands, each taken by taken_as (as_int or
+        as_str), and the value of template, filled with their expressions, in a slot of kind."""
+        operands = [taken_as(slot) for slot in self.builtin(at)]
+        self.check([condition for condition, _ in operands])
+        self.result(template.format(*(expr for _, expr in operands)), kind)
 
     def eq(self, at: tuple) -> None:
         known = {kind for _, kind in self.slots[-2:]} - {ANY}
         if not known:  # the handler decides
             return self.call(_vm._bi_eq, at)
         # STR and FIELD compare as strings; INT beside either fails its guard as it runs
-        as_type = self.as_int if known == {INT} else self.as_str
-        (a_cond, a), (b_cond, b) = (as_type(slot) for slot in self.builtin(at))
-        self.check([a_cond, b_cond])
-        self.result(f"1 if {a} == {b} else 0", INT)
-
-    def arith(self, template: str, at: tuple) -> None:
-        (a_cond, a), (b_cond, b) = (self.as_int(slot) for slot in self.builtin(at))
-        self.check([a_cond, b_cond])
-        self.result(template.format(a, b), INT)
+        self.pure(at, "1 if {} == {} else 0", self.as_int if known == {INT} else self.as_str, INT)
 
 
+def _pure(template: str, taken_as, kind: int):
+    return lambda gen, at: gen.pure(at, template, taken_as, kind)
+
+
+# the handlers whose ops compile inline, each with its method; every other op is a call
 _OPS = {
     _vm._push: _Gen.push,
     _vm._push_item: _Gen.push_item,
@@ -292,7 +279,11 @@ _OPS = {
     _vm._bi_write: _Gen.write,
     _vm._bi_newline: _Gen.newline,
     _vm._bi_cite: _Gen.cite,
-    _vm._bi_empty: _Gen.empty,
-    _vm._bi_concat: _Gen.concat,
+    _vm._bi_add: _pure("{} + {}", _Gen.as_int, INT),
+    _vm._bi_sub: _pure("{} - {}", _Gen.as_int, INT),
+    _vm._bi_lt: _pure("1 if {} < {} else 0", _Gen.as_int, INT),
+    _vm._bi_gt: _pure("1 if {} > {} else 0", _Gen.as_int, INT),
+    _vm._bi_concat: _pure("{} + {}", _Gen.as_str, STR),
+    _vm._bi_empty: _pure("0 if {}.strip() else 1", _Gen.as_str, INT),
     _vm._bi_eq: _Gen.eq,
 }

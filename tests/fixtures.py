@@ -55,10 +55,12 @@ BST_TEXT = st.lists(st.one_of(
 
 # .bib values that parse: flat, one, two and three levels of inner groups,
 # quoted with no group, a group, a group holding a `"' and groups two and
-# three levels deep, ASCII and non-ASCII digit runs
+# three levels deep, ASCII and non-ASCII digit runs, and braced and quoted
+# text that reads like a second field
 BIB_GOOD_VALUES = ["{x}", "{}", "{a b}", "{Zo{\\\"e} M{\\\"u}ller}", "{Corporate and Co}",
                    "{A {B {C}} D}", "{a {b {c {d}}}}", "{line\nbreak}", '"q"', '""', '"a {b} c"',
-                   '"a {b "c} d"', '"a {b {c}} d"', '"{a {b {c}}}"', "1984", "\u0663"]
+                   '"a {b "c} d"', '"a {b {c}} d"', '"{a {b {c}}}"', "1984", "\u0663",
+                   "{a, note = b}", '"x, year = 1"']
 
 # .bib text: entries built from the pieces that steer parse_bib between
 # its whole-entry match and its general reader

@@ -142,6 +142,11 @@ class TestParseBib:
         assert db.entries[0].fields["note"] == "a"
         assert any("duplicate field" in d.message for d in diags)
 
+    def test_field_like_text_in_a_value_is_no_second_field(self):
+        db, diags = parse_bib('@misc{k, note = {a, year = b}, year = "x, note = 1"}')
+        assert diags == []
+        assert db.entries[0].fields == {"note": "a, year = b", "year": "x, note = 1"}
+
     def test_diagnostic_lines_point_into_file(self):
         text = 'leading\n\n@misc{bad, note = "oops}'
         _, diags = parse_bib(text)

@@ -28,7 +28,7 @@ def format_name(name, template, parts=None):
 # appended to a copy's vmcompile.py: the compiled - adds
 _COMPILER_MUTATION = """
 
-_ARITH[_vm._bi_sub] = _ARITH[_vm._bi_add]
+_OPS[_vm._bi_sub] = _OPS[_vm._bi_add]
 """
 # appended to a copy's vmcompile.py: a compiled bound if$ runs the other branch
 _BRANCH_MUTATION = """
@@ -95,6 +95,19 @@ def _pipeline(parentdiff, pkg, workdir: Path) -> tuple:
     return code, err, files.get(f"{corpus.BASE}.bbl")
 
 
+def _assert_the_compiled_mutant_ran(parentdiff, compiler: Path, workdir: Path) -> None:
+    """The planted package runs a small sort-names corpus with every body compiled, to
+    an outcome that differs from the tree's: a mutant that crashed raises here, since
+    an internal error escapes Vm.execute."""
+    import corpus
+
+    built = corpus.build("sort-names", 1, 0.01)
+    inputs = (built.files[f"{built.style}.bst"], [built.files[f"{corpus.BIB}.bib"]], built.aux)
+    planted = parentdiff.load(str(compiler.parent), workdir)
+    mutant, tree = (parentdiff.plain(parentdiff.vm_run_compiled(pkg, *inputs)) for pkg in (planted, bibstack))
+    assert mutant != tree
+
+
 def test_finds_a_planted_mutation_of_the_compiled_tier(parentdiff, tmp_path, capsys):
     compiler = _copy_of_tree(tmp_path / "mutant") / "vmcompile.py"
     compiler.write_text(compiler.read_text(encoding="utf-8") + _COMPILER_MUTATION, encoding="utf-8")
@@ -105,6 +118,7 @@ def test_finds_a_planted_mutation_of_the_compiled_tier(parentdiff, tmp_path, cap
     # what the result of - chooses
     assert mutant["vm.compiled.sort-names"] > 0 and mutant["vm.compiled"] > 0
     assert mutant["vm"] == mutant["parse_bst"] == 0
+    _assert_the_compiled_mutant_ran(parentdiff, compiler, tmp_path / "load")
 
 
 def test_most_generated_vm_inputs_write_what_ops_make_of_entries_and_many_fail(parentdiff):
@@ -130,6 +144,7 @@ def test_finds_a_planted_branch_swap_in_the_compiled_tier(parentdiff, tmp_path, 
     # generated styles write what a bound if$ chooses
     assert mutant["vm.compiled"] > 0
     assert mutant["vm"] == mutant["parse_bst"] == 0
+    _assert_the_compiled_mutant_ran(parentdiff, compiler, tmp_path / "load")
 
 
 # database.Entry and bstparse.Token as dataclasses, as an older package has them

@@ -75,6 +75,16 @@ def run_texts(bst: str, aux_text: str, *bibs: str):
     return run(program, parse_aux(aux_text), databases)
 
 
+def run_body(source: str, *below) -> Vm:
+    """The Vm after FUNCTION {f} { source } ran on the values below, with the
+    entry `k', which has an author and no title, as the current entry."""
+    vm = _run_untitled(f"ENTRY {{author title}}{{}}{{}}\nREAD\nFUNCTION {{f}} {{ {source} }}\n")
+    vm.current = vm.entries[0]
+    vm.stack.extend(below)
+    vm.exec_tokens(vm.program.functions["f"])
+    return vm
+
+
 class TestRun(Tiered):
     def test_golden_output(self):
         doc, log = run_texts(HELLO_BST, BIBTEX_AUX, SAMPLE_BIB)
@@ -228,7 +238,7 @@ class TestCite:
             vm.exec_ident("cite$", 0)
 
 
-class TestEmpty:
+class TestEmpty(Tiered):
     @pytest.mark.parametrize("value,expected", [
         (MissingField("number", "k"), 1),
         ("39", 0),
@@ -236,16 +246,25 @@ class TestEmpty:
         ("", 1),
     ])
     def test_values(self, value, expected):
-        vm = make_vm()
-        vm.stack.append(value)
-        vm.exec_ident("empty$", 0)
+        vm = run_body("empty$", value)
         assert vm.stack == [expected]
 
     def test_integer_is_type_error(self):
-        vm = make_vm()
-        vm.stack.append(3)
         with pytest.raises(VmError, match="empty\\$"):
-            vm.exec_ident("empty$", 0)
+            run_body("empty$", 3)
+
+    # `title empty$', of a field the entry lacks: TestCompiledTier.test_a_missing_field_read_does_not_fall_back
+    @pytest.mark.parametrize("source,expected", [
+        ('"  " empty$', [1]),
+        ('"x" empty$', [0]),
+        ("author empty$", [0]),
+    ])
+    def test_an_operand_of_the_body(self, source, expected):
+        assert run_body(source).stack == expected
+
+    def test_an_integer_of_the_body_is_type_error(self):
+        with pytest.raises(VmError, match="empty\\$"):
+            run_body("#3 empty$")
 
 
 class TestSkip(Tiered):
@@ -336,30 +355,35 @@ class TestWhile(Tiered):
             vm.exec_tokens(program.functions["f"])
 
 
-class TestConcat:
+class TestConcat(Tiered):
     def test_concatenates_in_order(self):
-        vm = make_vm()
-        vm.stack.extend([r"Poincar\'e", "X"])
-        vm.exec_ident("*", 0)
+        vm = run_body("*", r"Poincar\'e", "X")
         assert vm.stack == [r"Poincar\'eX"]
 
     def test_empty_is_identity(self):
-        vm = make_vm()
-        vm.stack.extend(["", "s"])
-        vm.exec_ident("*", 0)
+        vm = run_body("*", "", "s")
         assert vm.stack == ["s"]
 
     def test_missing_coerces_to_empty(self):
-        vm = make_vm()
-        vm.stack.extend(["a", MissingField("f", "k")])
-        vm.exec_ident("*", 0)
+        vm = run_body("*", "a", MissingField("f", "k"))
         assert vm.stack == ["a"]
 
     def test_integer_operand_errors(self):
-        vm = make_vm()
-        vm.stack.extend(["a", 1])
         with pytest.raises(VmError, match="\\*"):
-            vm.exec_ident("*", 0)
+            run_body("*", "a", 1)
+
+    @pytest.mark.parametrize("source,below,expected", [
+        ('author " and" *', [], ["A. B and"]),
+        ('title "b" *', [], ["b"]),
+        ('"x" *', ["w"], ["wx"]),
+        ("author *", [MissingField("f", "k")], ["A. B"]),
+    ])
+    def test_operands_of_the_body_and_below_it(self, source, below, expected):
+        assert run_body(source, *below).stack == expected
+
+    def test_an_integer_of_the_body_errors(self):
+        with pytest.raises(VmError, match="\\*"):
+            run_body('"a" #1 *')
 
 
 class TestAssign(Tiered):
@@ -524,17 +548,30 @@ class TestIntOps(Tiered):
         (MissingField("title", "k"), "x", [0]),
     ])
     def test_missing_field_compares_as_empty(self, a, b, expected):
-        vm = make_vm()
-        vm.stack.extend([a, b])
-        vm.exec_ident("=", 0)
+        vm = run_body("=", a, b)
         assert vm.stack == expected
 
     def test_missing_field_against_integer_errors_as_empty(self):
-        vm = make_vm()
-        vm.stack.extend([MissingField("title", "k"), 3])
         with pytest.raises(VmError) as err:
-            vm.exec_ident("=", 4)
+            run_body("\n=", MissingField("title", "k"), 3)  # the = on line 4
         assert str(err.value) == '=: operands must share a type, got "" and 3 (line 4)'
+
+    @pytest.mark.parametrize("source,below,expected", [
+        ('title "" =', [], [1]),
+        ("title title =", [], [1]),
+        ("title author =", [], [0]),
+        ('"x" =', [MissingField("title", "k")], [0]),
+    ])
+    def test_a_missing_field_of_the_body_compares_as_empty(self, source, below, expected):
+        assert run_body(source, *below).stack == expected
+
+    @pytest.mark.parametrize("source,below", [
+        ("title #3 =", []),
+        ("#3 =", [MissingField("title", "k")]),
+    ])
+    def test_a_missing_field_of_the_body_against_an_integer_errors_as_empty(self, source, below):
+        with pytest.raises(VmError, match='^=: operands must share a type, got "" and 3 '):
+            run_body(source, *below)
 
     def test_mixed_equality_errors(self):
         with pytest.raises(VmError, match="="):
@@ -1190,6 +1227,14 @@ class TestRunCompiled(TestRun):
 
 
 class TestSkipCompiled(TestSkip):
+    compile_after = 0
+
+
+class TestEmptyCompiled(TestEmpty):
+    compile_after = 0
+
+
+class TestConcatCompiled(TestConcat):
     compile_after = 0
 
 
