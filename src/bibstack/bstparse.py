@@ -137,7 +137,7 @@ def _parse_commands(tokens: list[Token], program: BstProgram, source: str,
     def err(message: str, line: int) -> None:
         diags.append(Diagnostic(ERROR, message, line, source))
 
-    have_entry = False
+    given_once: set[str] = set()  # ENTRY and READ may each be given once
     i = 0
     while i < len(tokens):
         tok = tokens[i]
@@ -168,11 +168,12 @@ def _parse_commands(tokens: list[Token], program: BstProgram, source: str,
                 what = "name" if kw == "function" else "target"
                 err(f"{kw.upper()} {what} group must hold exactly one identifier", tok.line)
                 continue
-        if kw == "entry":
-            if have_entry:
-                err("duplicate ENTRY command", tok.line)
+        if kw in ("entry", "read"):
+            if kw in given_once:
+                err(f"duplicate {kw.upper()} command", tok.line)
                 continue
-            have_entry = True
+            given_once.add(kw)
+        if kw == "entry":
             operand = tuple(_block_names(g, err) for g in groups)
         elif kw == "function":
             if operand in program.functions:

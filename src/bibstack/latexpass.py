@@ -8,14 +8,16 @@ unknown words and words that go on with other letters (str.isalpha) are
 passed over; an empty word is an escaped character such as \\%.  Each
 recognized command reads its {...} group in one place, _read_group, but
 for the optional {width} after \\begin{thebibliography}, which stays text
-when it does not close.  A line, and a comment, ends at CR, CRLF or LF
+when it does not close; \\bibitem and \\cite read one optional [...]
+before their group.  A line, and a comment, ends at CR, CRLF or LF
 (diagnostics.LINE_END), and line_counter gives each command's line.
 bibitem_keys reads a .bbl the same way, recognizing \\bibitem alone.
 
 run_pass renders each cite as "[label]" using the labels of the previous
-.aux (or "[?]" plus a warning), regenerates the .aux, and reports
-whether labels changed, which is the rerun signal.  There is no
-typesetting: the rendered text is the source with cites replaced.
+.aux (or "[?]" plus a warning), regenerates the .aux (keeping the lines
+it does not own, AuxFile.raw_lines), and reports whether labels changed,
+which is the rerun signal.  There is no typesetting: the rendered text
+is the source with cites replaced.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def _scan(text: str, commands: frozenset[str]) -> TexScan:
         elif name in commands and not text[pos : pos + 1].isalpha():
             start = m.start()
             line = line_at(start)
-            if name == "bibitem":
+            # the common case, a `{' next, skips the regex
+            if name in ("bibitem", "cite") and text[pos : pos + 1] != "{":
                 optional = _OPTIONAL_ARG.match(text, pos)
                 if optional:
                     pos = optional.end()
@@ -180,6 +183,7 @@ def run_pass(tex: TexScan, old_aux: AuxFile | None, *, base: str = "texput",
         style=tex.style,
         data=list(tex.data),
         bibcites=new_labels,
+        raw_lines=[] if old_aux is None else list(old_aux.raw_lines),
     )
     labels_changed = new_labels != old_labels
     if labels_changed:

@@ -151,6 +151,11 @@ class TestErrors:
         _, diags = parse_bst("ENTRY {a}{}{}\nENTRY {b}{}{}")
         assert any("duplicate ENTRY" in d.message for d in diags)
 
+    def test_duplicate_read_command_is_dropped(self):
+        program, diags = parse_bst("ENTRY {a}{}{}\nREAD\nREAD")
+        assert [(d.severity, d.message, d.line) for d in diags] == [("error", "duplicate READ command", 3)]
+        assert [cmd.kind for cmd in program.commands] == ["entry", "read"]
+
     def test_macro_and_reverse_unsupported(self):
         _, diags = parse_bst('MACRO {jan} {"January"}\nREVERSE {f}')
         messages = [d.message for d in diags]

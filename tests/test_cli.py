@@ -214,6 +214,15 @@ class TestLatexpass:
             "t.aux: not written: \\citation name 'x{y}z' holds a brace or a line break\n")
         assert not (workdir / "t.aux").exists() and not (workdir / "t.rendered.txt").exists()
 
+    def test_aux_lines_the_pass_does_not_own_are_written_back(self, workdir):
+        write_files(workdir, {
+            "t.tex": "see \\cite{a}\n",
+            "t.aux": "\\relax\n\\newlabel{sec:x}{{1}{1}}\n\\citation{old}\n\\@writefile{toc}{x}\n",
+        })
+        assert main(["latexpass", "t"]) == 0
+        assert (workdir / "t.aux").read_text() == (
+            "\\relax\n\\citation{a}\n\\newlabel{sec:x}{{1}{1}}\n\\@writefile{toc}{x}\n")
+
     def test_inline_bibitem_unused_in_external_mode_is_not_checked(self, workdir):
         write_files(workdir, {"test2.tex": EXTERNAL_TEX + "\\bibitem{x{y}}\n"})
         assert main(["latexpass", "test2"]) == 0
@@ -295,6 +304,23 @@ class TestPipeline:
         assert main(["pipeline", "test2"]) == 2
         assert capsys.readouterr().err.endswith(
             "test2.aux: not written: \\bibcite name 'x{y}' holds a brace or a line break\n")
+
+    def test_cite_with_a_note(self, workdir):
+        files = self.files()
+        files["test2.tex"] = EXTERNAL_TEX.replace("\\cite{Poincare}", "\\cite[p.~5]{Poincare}")
+        write_files(workdir, files)
+        assert main(["pipeline", "test2"]) == 0
+        assert (workdir / "test2.rendered.txt").read_text() == (
+            EXTERNAL_TEX.replace("\\cite{Ulam-1964}", "[1]").replace("\\cite{Poincare}", "[2]"))
+
+    def test_aux_lines_the_pass_does_not_own_are_written_back(self, workdir):
+        files = self.files()
+        files["test2.aux"] = "\\newlabel{sec:x}{{1}{1}}\n\\@writefile{toc}{x}\n"
+        write_files(workdir, files)
+        assert main(["pipeline", "test2"]) == 0
+        assert (workdir / "test2.aux").read_text() == (
+            "\\relax\n\\citation{Ulam-1964}\n\\citation{Poincare}\n\\bibstyle{helloword}\n\\bibdata{my}\n"
+            "\\bibcite{Ulam-1964}{1}\n\\bibcite{Poincare}{2}\n\\newlabel{sec:x}{{1}{1}}\n\\@writefile{toc}{x}\n")
 
     def test_no_style_declared(self, workdir, capsys):
         write_files(workdir, {"plain.tex": "\\cite{x}\n\\bibliography{my}\n"})

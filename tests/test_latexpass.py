@@ -58,6 +58,12 @@ class TestScanTex:
         scan = scan_tex("\\bibitem[Poi92]{Poincare} text")
         assert scan.inline_bib == ["Poincare"]
 
+    def test_cite_optional_note(self):
+        # the note is inside the cite's span, so the rendered mark replaces it
+        scan = scan_tex("See \\cite[p.~5]{a} and \\cite [ch. 2] {b,c}.\n")
+        assert scan.cites == ["a", "b", "c"]
+        assert run_pass(scan, AuxFile(bibcites={"a": "1"})).rendered == "See [1] and [?,?].\n"
+
     def test_cite_lines_on_a_long_document(self):
         # 2000 cites, zero to three line breaks apart, some sharing a line
         gaps = ["", " ", "\n", "\n\n", " text\n", "\n%\\cite{no}\n\n"]

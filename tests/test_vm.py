@@ -47,14 +47,12 @@ NEVER = float("inf")  # a COMPILE_AFTER under which no body compiles
 
 
 class Tiered:
-    """Runs its tests with no body compiled; each subclass named ...Compiled
-    runs them again with every body compiled at its first entry."""
+    """Runs each of its tests twice: with no body compiled, and with every
+    body compiled at its first entry."""
 
-    compile_after = NEVER
-
-    @pytest.fixture(autouse=True)
-    def _tier(self, monkeypatch):
-        monkeypatch.setattr(vm_module, "COMPILE_AFTER", self.compile_after)
+    @pytest.fixture(autouse=True, params=[NEVER, 0], ids=["generic", "compiled"])
+    def _tier(self, request, monkeypatch):
+        monkeypatch.setattr(vm_module, "COMPILE_AFTER", request.param)
 
 
 def make_vm(bst: str = "", bibs: tuple = ()) -> Vm:
@@ -126,6 +124,12 @@ class TestRun(Tiered):
     def test_duplicate_citations_emitted_once(self):
         doc, _ = run_texts(HELLO_BST, BIBTEX_AUX, SAMPLE_BIB)
         assert bibitem_keys(doc.finalize()) == ["Ulam-1964", "Poincare"]
+
+    def test_a_second_read_reads_no_entry_again(self):
+        program, diags = parse_bst(HELLO_BST.replace("READ\n", "READ\nREAD\n"))
+        assert [d.message for d in diags] == ["duplicate READ command"]
+        doc, _ = run(program, parse_aux(BIBTEX_AUX), [parse_bib(SAMPLE_BIB)[0]])
+        assert doc.finalize() == EXPECTED_BBL  # one item per cited entry
 
     def test_determinism(self):
         one = run_texts(HELLO_BST, BIBTEX_AUX, SAMPLE_BIB)
@@ -1218,68 +1222,6 @@ def test_a_compiled_body_falls_back_only_at_an_op_whose_handler_raises(monkeypat
 
     run_style()
     assert fallbacks
-
-
-# the tiered tests again, with every body compiled at its first entry
-
-class TestRunCompiled(TestRun):
-    compile_after = 0
-
-
-class TestSkipCompiled(TestSkip):
-    compile_after = 0
-
-
-class TestEmptyCompiled(TestEmpty):
-    compile_after = 0
-
-
-class TestConcatCompiled(TestConcat):
-    compile_after = 0
-
-
-class TestIfCompiled(TestIf):
-    compile_after = 0
-
-
-class TestWhileCompiled(TestWhile):
-    compile_after = 0
-
-
-class TestAssignCompiled(TestAssign):
-    compile_after = 0
-
-
-class TestIntOpsCompiled(TestIntOps):
-    compile_after = 0
-
-
-class TestCallTypeCompiled(TestCallType):
-    compile_after = 0
-
-
-class TestEntryVariablesCompiled(TestEntryVariables):
-    compile_after = 0
-
-
-class TestBuiltinTableCompiled(TestBuiltinTable):
-    compile_after = 0
-
-
-class TestRedeclarationCompiled(TestRedeclaration):
-    compile_after = 0
-
-
-class TestBoundOpsCompiled(TestBoundOps):
-    compile_after = 0
-
-
-class TestNameMemoCompiled(TestNameMemo):
-    compile_after = 0
-
-
-class TestCallDepthCompiled(TestCallDepth):
-    compile_after = 0
 
 
 # -- metamorphic relations ----------------------------------------------------
