@@ -47,12 +47,21 @@ NEVER = float("inf")  # a COMPILE_AFTER under which no body compiles
 
 
 class Tiered:
-    """Runs each of its tests twice: with no body compiled, and with every
-    body compiled at its first entry."""
+    """Runs its tests with no body compiled. Each subclass TestX gets a twin,
+    TestXCompiled, made here, that runs them again with every body compiled
+    at its first entry."""
 
-    @pytest.fixture(autouse=True, params=[NEVER, 0], ids=["generic", "compiled"])
-    def _tier(self, request, monkeypatch):
-        monkeypatch.setattr(vm_module, "COMPILE_AFTER", request.param)
+    compile_after = NEVER
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.compile_after == NEVER:
+            name = cls.__name__ + "Compiled"
+            globals()[name] = type(name, (cls,), {"compile_after": 0, "__module__": cls.__module__})
+
+    @pytest.fixture(autouse=True)
+    def _tier(self, monkeypatch):
+        monkeypatch.setattr(vm_module, "COMPILE_AFTER", self.compile_after)
 
 
 def make_vm(bst: str = "", bibs: tuple = ()) -> Vm:
