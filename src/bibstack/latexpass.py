@@ -1,16 +1,14 @@
 """Simulation of the citation side of a LaTeX run.
 
-scan_tex picks \\cite, \\bibitem, \\bibliographystyle, \\bibliography
-and \\begin{thebibliography} out of a source file; everything else is
-opaque text.  It jumps from one match of a single pattern to the next:
-a `%' comment, or a backslash and the ASCII letters after it.  Comments,
-unknown words and words that go on with other letters (str.isalpha) are
-passed over; an empty word is an escaped character such as \\%.  Each
-recognized command reads its {...} group in one place, _read_group, but
-for the optional {width} after \\begin{thebibliography}, which stays text
-when it does not close; \\bibitem and \\cite read one optional [...]
-before their group.  A line, and a comment, ends at CR, CRLF or LF
-(diagnostics.LINE_END), and line_counter gives each command's line.
+scan_tex picks \\cite, \\bibitem, \\bibliographystyle and \\bibliography
+out of a source file, jumping from one match of a single pattern to the
+next: a `%' comment, or a backslash and the ASCII letters after it.
+Comments, unknown words and words that go on with other letters
+(str.isalpha) are opaque text, and so is an escape such as \\%.
+Each recognized command reads its {...} group in one place, _read_group,
+after one optional [...] for \\bibitem and \\cite; the {width} after
+\\begin{thebibliography} is text, as in LaTeX.  A line ends at CR, CRLF
+or LF (diagnostics.LINE_END); line_counter gives each command's line.
 bibitem_keys reads a .bbl the same way, recognizing \\bibitem alone.
 
 run_pass renders each cite as "[label]" using the labels of the previous
@@ -31,10 +29,10 @@ from .diagnostics import LINE_END, Record, line_counter
 
 # a comment (to the end of its line), or a backslash and the ASCII letters after it
 _CONTROL = re.compile(rf"%[^\r\n]*(?:{LINE_END})?|\\([a-zA-Z]*)")
+# begin reads only its group, so that a \begin without one is still an error
 _COMMANDS = frozenset(("cite", "bibitem", "bibliographystyle", "bibliography", "begin"))
 _OPTIONAL_ARG = re.compile(r"\s*\[[^\]]*\]")
 _OPEN = re.compile(r"\s*\{")
-_BRACE = re.compile(r"[{}]")
 
 
 class TexScanError(Exception):
@@ -91,7 +89,6 @@ def _scan(text: str, commands: frozenset[str]) -> TexScan:
     scan = TexScan(text=text)
     # commands arrive in text order, so one forward counter serves them all
     line_at = line_counter(text)
-    unclosed: set[int] = set()  # filled at the first width group that does not close
     m = _CONTROL.search(text)
     while m:
         name, pos = m[1], m.end()
@@ -118,15 +115,6 @@ def _scan(text: str, commands: frozenset[str]) -> TexScan:
                 scan.style = content.strip()
             elif name == "bibliography":
                 scan.data = [d.strip() for d in content.split(",")]
-            elif content.strip() == "thebibliography":  # \begin{thebibliography}{width}
-                # the width group is optional; a missing or unclosed one stays text
-                width = _OPEN.match(text, pos)
-                if width and width.end() - 1 not in unclosed:
-                    end = group_end(text, width.end() - 1)
-                    if end >= 0:
-                        pos = end
-                    else:  # found once, so no width group reads to the end again
-                        unclosed = _unclosed_braces(text)
         m = _CONTROL.search(text, pos)
     return scan
 
@@ -211,17 +199,6 @@ def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,
     if results[-1].labels_changed:
         results[-1].warnings.append(f"labels still changing after {max_passes} pass(es)")
     return results
-
-
-def _unclosed_braces(text: str) -> set[int]:
-    """The offsets of the `{'s in text that no `}' closes (group_end gives -1 for them)."""
-    opened: list[int] = []
-    for m in _BRACE.finditer(text):
-        if m[0] == "{":
-            opened.append(m.start())
-        elif opened:
-            opened.pop()
-    return set(opened)
 
 
 def _read_group(text: str, pos: int, line: int, cmd: str) -> tuple[str, int]:

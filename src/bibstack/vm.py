@@ -586,7 +586,9 @@ def _bi_call_type(vm: Vm, at: tuple) -> None:
     entry_type = vm._need_entry(*at).entry_type
     if vm.kinds.get(entry_type) != FUNCTION:  # a function hidden by a declaration is not run
         vm.log.warning(f"no handler function for entry type `{entry_type}'")
-        return
+        entry_type = "default.type"  # what classic BibTeX runs instead
+        if vm.kinds.get(entry_type) != FUNCTION:
+            return
     vm._call((vm.program.functions[entry_type], at[1]))
 
 

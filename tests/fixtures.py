@@ -21,16 +21,19 @@ SCANNER_TEXT = st.text(st.one_of(
 
 # any text, weighted toward the pieces that drive .tex and .aux scanning:
 # the recognized command names, longer words that start with them, whole
-# groups and commands (some naming what an .aux line cannot carry), a
-# comment line, the three line ends (LF, CRLF and a lone CR), and letters
-# outside ASCII that str.isalpha accepts (é, Ⅻ) or rejects (²)
+# groups and commands (some naming what an .aux line cannot carry, some
+# inside the width group of \begin{thebibliography}), a comment line,
+# the three line ends (LF, CRLF and a lone CR), and letters outside ASCII
+# that str.isalpha accepts (é, Ⅻ) or rejects (²)
 TEX_TEXT = st.lists(st.one_of(
     st.sampled_from(["\\", "%", "{", "}", "[", "]", ",", "\n", "\r\n", "\r", " ", "é", "²", "Ⅻ"]),
     st.sampled_from(["{k}", "{a, b}", "{thebibliography}", "[o]", "\\cite{k}", "\\cite {a,b}",
                      "\\bibitem[o]{k}", "\\citation{k}", "\\bibcite{k}{1}",
                      "\\cite{k,}", "\\bibliography{x{y}z}", "\\bibitem{a\x85b}", "% \\cite{c}\n",
                      # a comment or a line that a lone CR ends, then a cite on the next line
-                     "% c\r\\cite{k}", "x\r\\cite{k}"]),
+                     "% c\r\\cite{k}", "x\r\\cite{k}",
+                     # commands inside the width group, which is text
+                     "\\begin{thebibliography}{\\cite{k}}", "\\begin{thebibliography}{9 \\bibitem{k}}"]),
     st.sampled_from([
         "\\cite", "\\bibitem", "\\bibliographystyle", "\\bibliography", "\\begin",
         "\\citeauthor", "\\bibliographyx", "thebibliography",
@@ -105,12 +108,13 @@ TEMPLATE_TEXT = st.one_of(
 )
 
 # styles that parse and run: ENTRY, STRINGS and INTEGERS declarations
-# (some giving a name a second kind), six FUNCTIONs and a seventh, out,
-# that writes the results of its phrases; then READ (in five styles of
-# six) and SORT, an ITERATE over out, EXECUTE and ITERATE with more
-# declarations among them, an EXECUTE or ITERATE that runs a FUNCTION,
-# and last an ITERATE over out again.  So most runs write what ops make
-# of real entries, and most still end in an error.  Bodies hold
+# (some giving a name a second kind), six FUNCTIONs (default.type among
+# them, which call.type$ runs for a @misc entry) and a seventh, out, that
+# writes the results of its phrases; then READ (in five styles of six)
+# and SORT, an ITERATE over out, EXECUTE, ITERATE and a second READ with
+# more declarations among them, an EXECUTE or ITERATE that runs a
+# FUNCTION, and last an ITERATE over out again.  So most runs write what
+# ops make of real entries, and most still end in an error.  Bodies hold
 # literals, fields, variables, quoted names, blocks, := and builtins,
 # with unknown and unsupported names among them; f0, f1 and f2 may call
 # each other and so recurse past the call depth limit, the one while$
@@ -160,7 +164,7 @@ _STYLE_BODY = st.lists(st.one_of(_STYLE_PHRASES, _STYLE_WORDS, _STYLE_PHRASES),
                        min_size=1, max_size=6).map(" ".join)
 _STYLE_WRITER = st.lists(_STYLE_RESULTS.map("{} write$".format), min_size=1, max_size=4).map(
     lambda phrases: " ".join(phrases) + " newline$")
-_STYLE_FUNCTIONS = ["f0", "f1", "f2", "article", "book", "misc"]
+_STYLE_FUNCTIONS = ["f0", "f1", "f2", "article", "book", "default.type"]
 _STYLE_DECLARATIONS = ["STRINGS {gs s}", "INTEGERS {gi}", "INTEGERS {title}", "STRINGS {f1}",
                        "% a comment {"]
 STYLE_TEXT = st.tuples(
@@ -172,7 +176,7 @@ STYLE_TEXT = st.tuples(
     st.sampled_from(["READ", "READ\nSORT", "READ", "READ\nSORT", "READ", ""]),
     st.just("ITERATE {out}"),
     st.lists(st.sampled_from(["ITERATE {call.type$}", "ITERATE {f1}", "SORT", "EXECUTE {f2}",
-                              "EXECUTE {f0}", "EXECUTE {ghost}"] + _STYLE_DECLARATIONS),
+                              "EXECUTE {f0}", "EXECUTE {ghost}", "READ"] + _STYLE_DECLARATIONS),
              min_size=1, max_size=5).map("\n".join),
     st.sampled_from(["EXECUTE {f0}", "EXECUTE {f2}", "ITERATE {call.type$}"]),
     st.just("ITERATE {out}"),
@@ -205,12 +209,14 @@ EXTRA_BIB_ENTRY = r'''@article{YangYu,
     number = "4"}
 '''
 
-# a VM run's inputs: a style; one .bib text of known keys (SAMPLE_BIB or
-# EXTRA_BIB_ENTRY), with a second .bib text of any kind before or after it
+# a VM run's inputs: a style; one .bib text of known keys (SAMPLE_BIB,
+# EXTRA_BIB_ENTRY or a @misc entry, whose type STYLE_TEXT leaves to
+# default.type), with a second .bib text of any kind before or after it
 # half the time; and the .aux text of one to five citations of keys those
 # .bib texts define (BIB_TEXT's may define k and j), with one key, absent,
 # that no .bib has among them
-_KNOWN_BIB = st.sampled_from([(SAMPLE_BIB, ["Ulam-1964", "Poincare"]), (EXTRA_BIB_ENTRY, ["YangYu"])])
+_KNOWN_BIB = st.sampled_from([(SAMPLE_BIB, ["Ulam-1964", "Poincare"]), (EXTRA_BIB_ENTRY, ["YangYu"]),
+                              ('@misc{M, author = "Doe, Jane", title = "T"}\n', ["M"])])
 _ANY_BIB = st.one_of(_KNOWN_BIB, BIB_TEXT.map(lambda text: (text, ["k", "j"])))
 
 

@@ -45,6 +45,17 @@ class TestBibtex:
         assert (workdir / "test3.blg").read_text() == ""
         assert "wrote test3.bbl" in capsys.readouterr().out
 
+    def test_entry_type_without_a_function_runs_default_type(self, workdir):
+        style = HELLO_BST.replace("READ", 'FUNCTION {default.type} { book }\nREAD')
+        write_files(workdir, {
+            "my.bib": '@misc{M, author = "Someone"}\n' + SAMPLE_BIB,
+            "helloword.bst": style,
+            "t.aux": BIBTEX_AUX.replace("\\citation{Poincare}\n", "\\citation{M}\n"),
+        })
+        assert main(["bibtex", "t"]) == 0
+        assert "\\bibitem{M}\nSomeone (book)\n" in (workdir / "t.bbl").read_text()
+        assert (workdir / "t.blg").read_text() == "Warning--no handler function for entry type `misc'\n"
+
     def test_missing_style_file(self, workdir, capsys):
         write_files(workdir, {"my.bib": SAMPLE_BIB, "test3.aux": BIBTEX_AUX})
         assert main(["bibtex", "test3"]) == 2

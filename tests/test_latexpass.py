@@ -92,8 +92,15 @@ class TestScanTex:
         assert [span.line for span in scan.cite_spans] == [2, 3]
         assert scan.text == text
 
+    def test_width_group_is_text_read_as_in_a_bbl(self):
+        # LaTeX typesets the {width} argument, so a command inside it runs
+        text = "\\begin{thebibliography}{\\bibitem{w} \\cite{c}}\n\\bibitem{a}\n"
+        scan = scan_tex(text)
+        assert scan.inline_bib == bibitem_keys(text) == ["w", "a"]
+        assert scan.cites == ["c"]
+
     def test_unclosed_width_groups_are_linear(self):
-        # each width group reads to the end of the text once it is known not to close
+        # a width group is text, so no scan reads it to the end of the text
         start = time.perf_counter()
         scan = scan_tex("\\begin{thebibliography}{" * 8_000)
         assert time.perf_counter() - start < 2.0

@@ -640,6 +640,31 @@ class TestCallType(Tiered):
             (WARNING, "no handler function for entry type `skip$'"),
         ]
 
+    def test_missing_handler_runs_default_type(self):
+        bib = '@misc{M, author = "Someone"}\n' + SAMPLE_BIB
+        aux = "\\relax\n\\citation{M}\n\\citation{Ulam-1964}\n\\bibstyle{s}\n\\bibdata{my}\n"
+        style = HELLO_BST.replace(
+            "READ", 'FUNCTION {default.type} { output.bibitem "(default)" write$ newline$ }\nREAD')
+        doc, log = run_texts(style, aux, bib)
+        assert log.records == [(WARNING, "no handler function for entry type `misc'")]
+        assert "\\bibitem{M}\n(default)\n" in doc.finalize()
+        assert bibitem_keys(doc.finalize()) == ["M", "Ulam-1964"]
+
+    def test_hidden_default_type_is_not_run(self):
+        bib = '@misc{M, note = "x"}\n@book{B, note = "x"}\n'
+        aux = "\\relax\n\\citation{M}\n\\citation{B}\n\\bibstyle{s}\n\\bibdata{d}\n"
+        doc, log = run_texts(
+            "ENTRY {note}{}{}\n"
+            'FUNCTION {default.type} { "default" write$ newline$ }\n'
+            "FUNCTION {book} { cite$ write$ newline$ }\n"
+            "STRINGS {default.type}\n"
+            "READ\n"
+            "ITERATE {call.type$}\n",
+            aux, bib,
+        )
+        assert doc.finalize() == "B\n"
+        assert log.records == [(WARNING, "no handler function for entry type `misc'")]
+
     def test_error_without_current_entry(self):
         vm = make_vm()
         with pytest.raises(VmError, match="call.type\\$"):

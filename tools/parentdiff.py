@@ -11,7 +11,8 @@ package is relative), and both get the same inputs:
 - the names functions: split_names, count_names, parse_name and
   format_name, and which templates parse_template accepts and into how
   many pieces (the piece record itself is internal);
-- parse_bib, parse_bst, parse_aux and scan_tex: the result with every
+- parse_bib, parse_bst, parse_aux, scan_tex and bibitem_keys (the .bbl
+  reader, on the same texts as scan_tex): the result with every
   Diagnostic field and every .bib entry's fields (built on first read),
   or the error's type, message and line; lint's findings and
   format_program on each parsed style;
@@ -186,6 +187,7 @@ def compare_bst(report: Report, text: str) -> None:
 def compare_tex(report: Report, text: str) -> None:
     report.compare("parse_aux", text, lambda p: p.auxfile.parse_aux(text))
     report.compare("scan_tex", text, lambda p: p.latexpass.scan_tex(text))
+    report.compare("bibitem_keys", text, lambda p: p.latexpass.bibitem_keys(text))
 
 
 def vm_run(pkg, style: str, bibs: list[str], aux: str):
