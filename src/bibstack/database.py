@@ -13,9 +13,11 @@ of _ENTRY: the type, `{', the key, a run of well-formed fields and the
 it, its name, `=', a value ({...} with at most two levels of inner
 groups, "..." whose groups have at most one level inside, or an ASCII
 digit run) and the whitespace up to the `,' or `}' after it.  Such an
-entry keeps its span instead of its fields, after one more match of the
-field names over that span finds no duplicate.  Its `fields' are built
-on first read with one _FIELD.findall over the span.
+entry keeps its span instead of its fields, once the span is known to
+hold no duplicate field: first from a cheap superset of the names, the
+first one and each after a `,', and, only if a name repeats there, from
+one exact match of the field names.  Its `fields' are built on first
+read with one _FIELD.findall over the span.
 
 Any entry _ENTRY rejects (a special type, a duplicate field, `#', a
 macro, deeper groups, no closing brace) is read eagerly from the same
@@ -108,12 +110,18 @@ def _uncaptured(source: str) -> str:
     return source.replace("(", "(?:").replace("(?:?", "(?")
 
 
-# The three patterns below are sources that re.compile turns into patterns
+# The patterns below are sources that re.compile turns into patterns
 # on first use and keeps in re's cache: every command imports this module,
 # and only the .bib reader needs them.
 _FIELD = _NAME_SOURCE + _VALUE_SOURCE
 # the names alone, for the duplicate-field check
 _FIELD_NAMES = _NAME_SOURCE + _uncaptured(_VALUE_SOURCE)
+# A superset of the names, for a cheaper first check: the first field's name,
+# matched at the span's start, and every name after a `,' (every field after
+# the first follows one, since a value ends before a `,' or the `}'), with
+# whatever reads like a name inside a value.  No repeat there, none at all.
+_FIRST_NAME = r'\s*+([^=,{}"\s]++)\s*+='
+_NAMES_AFTER_COMMAS = r',[\s,]*+([^=,{}"\s]++)\s*+='
 # a whole entry after its `@': type, `{', key, well-formed fields, `}'
 _ENTRY = r"\s*+([^{(,\s]++)\s*+\{\s*+([^,}\s{]++)(?:" + _uncaptured(_FIELD) + r")*+[\s,]*+\}"
 
@@ -154,7 +162,9 @@ def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Dia
     def diag(severity: str, message: str, pos: int) -> None:
         diags.append(Diagnostic(severity, message, line_at(pos), source_name))
 
-    match_entry, field_names = re.compile(_ENTRY).match, re.compile(_FIELD_NAMES).findall
+    match_entry = re.compile(_ENTRY).match
+    field_names = (re.compile(_FIRST_NAME).match, re.compile(_NAMES_AFTER_COMMAS).findall,
+                   re.compile(_FIELD_NAMES).findall)
     pos = text.find("@")
     while pos >= 0:
         m = match_entry(text, pos + 1)
@@ -172,20 +182,29 @@ def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Dia
     return db, diags
 
 
-def _unread_entry(text: str, m: re.Match, field_names) -> Entry | None:
+def _unread_entry(text: str, m: re.Match, field_names: tuple) -> Entry | None:
     """The entry _ENTRY matched, its fields not yet built, unless its type
-    is special or a field repeats; those take _parse_entry."""
+    is special or a field repeats; those take _parse_entry.  field_names
+    holds the matchers of _FIRST_NAME, _NAMES_AFTER_COMMAS and _FIELD_NAMES."""
     etype = m[1].lower()
     if etype in _SPECIAL_TYPES:
         return None
     # the end stays at the `}', so that the last field's lookahead sees it
     start, end = m.end(2), m.end()
-    names = field_names(text, start, end)
-    if len({name.lower() for name in names}) < len(names):
+    first_name, names_after_commas, exact_names = field_names
+    names = names_after_commas(text, start, end)
+    if (first := first_name(text, start, end)) is not None:
+        names.append(first[1])
+    if _repeats(names) and _repeats(exact_names(text, start, end)):
         return None
     entry = Entry.__new__(Entry)
     entry.key, entry.entry_type, entry._source = m[2], etype, (text, start, end)
     return entry
+
+
+def _repeats(names: list[str]) -> bool:
+    """Whether a field name repeats among names, whose case does not count."""
+    return len({name.lower() for name in names}) < len(names)
 
 
 def _check_key(db: Database, key: str, at: int, diag) -> None:

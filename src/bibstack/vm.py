@@ -21,15 +21,17 @@ one type it holds, are said once, in VARIABLES: declarations, reads and
 READ gives each entry a copy of the per-entry variables of a blank entry.
 Bodies are resolved the first time they run and dropped whenever a
 declaration changes the table; quoted names are resolved as they run.
-Resolving a body binds two operand pairs into one op each, a superoperator
+Resolving a body binds operand pairs into one op each, a superoperator
 in Proebsting's sense: a quoted variable name and the := after it, an op
 that pops only the value, and two literal refs (a {...} block or a quoted
-name) and the if$ after them, an op that pops only the condition and holds
-the ops that run the refs.  Each makes the checks, in the same order, and
-raises the errors of the builtin it stands for.  Binding a name's kind into
-a body is sound because only a declaration changes a kind, and every
-declaration drops the resolved bodies; so while$ resolves its two refs once
-per loop.  A := or if$ that a declaration shadows, or that no such pair
+name) and the if$ or while$ after them, an op that pops only the condition
+(of if$, or each of while$'s predicate results) and holds the ops that run
+the refs.  Each makes the checks, in the same order, and raises the errors
+of the builtin it stands for; the while$ builtin resolves its two refs and
+runs the same loop as its bound op.  Binding a name's kind into a body is
+sound because only a declaration changes a kind, and every declaration
+drops the resolved bodies; so while$ resolves its two refs once per loop.
+A :=, if$ or while$ that a declaration shadows, or that no such pair
 precedes, resolves as any other name.  num.names$ and format.name$ split
 each distinct name list once per run, and format.name$ parses each
 distinct name once: the Vm keeps both memos, so they live and die with it
@@ -37,21 +39,30 @@ and hold no more than the run's input.
 
 The compiled tier: after COMPILE_AFTER runs through its ops, a body
 compiles, on its next entry, into one Python function that keeps the
-values its ops push in local variables (vmcompile says how).  Bodies
+values its ops push in local variables (vmcompile says how).  The {...}
+blocks that a bound if$ or while$ runs compile into that function in
+place, as a Python if/else and a Python loop, and num.names$ and
+format.name$ call the Vm with values (_names_of, _format_name).  Bodies
 that compile to the same source share one code object.  The function
 checks a value wherever an op needs a type that no op of the body gave
-it; where a check fails (an underflow, a wrong type, no current entry),
-it puts the live values back on the stack and returns the index of the
-op, and _call runs that op and the rest of the body through their
-handlers, which raise the same errors at the same lines as a body that
-never compiled, so no op after it runs.  A
-body, if$, while$, call.type$ or any other call runs after the function
-has put every value on the stack, as the handlers run it.  Either tier
-gives the same output, records, stack and variables.
-Every body entered counts one call level, up to CALL_DEPTH_LIMIT, and a
-quoted name that if$ or while$ runs and that enters no body counts one as
-_level runs it.  A level costs at most three Python frames on every path,
-so the limit trips long before Python's recursion limit.
+it.  Where a check fails (an underflow, a wrong type, no current entry)
+at the body's own level, it puts the live values back on the stack and
+returns the index of the op, and _call runs that op and the rest of the
+body through their handlers, which raise the same errors at the same
+lines as a body that never compiled, so no op after it runs.  Where one
+fails inside a block compiled in place, it puts the block's live values
+back and runs the op's handler there, at the block's level, and the
+handler raises.  A FUNCTION, call.type$, an if$ or while$ that is not
+bound and any other call runs after the function has put every value on
+the stack, as the handlers run it.  Either tier gives the same output,
+records, stack, variables and call depth.
+Every body entered counts one call level, up to CALL_DEPTH_LIMIT, a block
+compiled in place among them, and a quoted name that if$ or while$ runs
+and that enters no body counts one as _level runs it.  _call restores on
+exit the depth it saw on entry, so a block compiled in place that raises
+needs no cleanup of its own.  A level costs at most three Python frames on
+every path, and a block compiled in place none, so the limit trips long
+before Python's recursion limit.
 
 Reading a declared field that an entry does not have pushes a
 MissingField and logs the missing-field warning; write$ on such a value
@@ -84,10 +95,12 @@ WHILE_LIMIT = 1_000_000  # iterations of one while$
 CALL_DEPTH_LIMIT = 200
 # A body runs through its ops this many times; on its next entry it compiles
 # into one Python function (see vmcompile).  A compile costs about 0.1 to
-# 0.2 ms, and a body entered this often is mostly entered far more often: in
-# process, 10 to 20 ran all three benchmark workloads fastest, while 0 made
-# big-bib slower, whose 137 bodies run about 75 times each.  Tests set it to
-# 0, to compile each body at its first entry, or to infinity, to compile none.
+# 0.5 ms, and a body entered this often is mostly entered far more often.  In
+# process, against 20 in 12 rounds of interleaved runs, 0 ran sort-names and
+# cite-dense 6% and 10% faster but big-bib 16% slower (74 bodies compiled
+# where 20 compiles 37), and 10 and 40 each ran one workload faster and two
+# slower, by 2 to 5%.  Tests set it to 0, to compile each body at its first
+# entry, or to infinity, to compile none.
 COMPILE_AFTER = 20
 
 
@@ -225,9 +238,10 @@ class Vm:
         body = self._resolved.get(id(tokens))
         if body is None:
             body = self._resolved[id(tokens)] = _Body(tokens, self._resolve_body(tokens))
-        if self.depth >= CALL_DEPTH_LIMIT:
+        depth = self.depth
+        if depth >= CALL_DEPTH_LIMIT:
             raise self._too_deep(line)
-        self.depth += 1
+        self.depth = depth + 1
         try:
             ops, run = body.ops, body.run
             if run is None:
@@ -243,15 +257,19 @@ class Vm:
             for handler, operand in ops:
                 handler(self, operand)
         finally:
-            self.depth -= 1
+            # the depth on entry: inside a block compiled in place, the function
+            # sets vm.depth to the block's level before a call or a fallback,
+            # and an error there leaves it so
+            self.depth = depth
 
     def _resolve_body(self, tokens: list[Token]) -> list[tuple]:
         """The (handler, operand) ops that run a body as self.kinds stands now:
-        one per token, except that `'v :=' on a variable and `{..} {..} if$'
-        each become one op that takes no operand from the stack but the value
-        or the condition; the if$ op holds the ops that run its two refs.  A
-        builtin that the table shadows, or whose handler is wrapped, resolves
-        to some other handler and binds nothing."""
+        one per token, except that `'v :=' on a variable, `{..} {..} if$' and
+        `{..} {..} while$' each become one op that takes no operand from the
+        stack but the value or the condition; the if$ and while$ ops hold the
+        ops that run their two refs.  A builtin that the table shadows, or
+        whose handler is wrapped, resolves to some other handler and binds
+        nothing."""
         ops: list[tuple] = []
         for i, tok in enumerate(tokens):
             op = self._resolve_token(tok)
@@ -261,9 +279,10 @@ class Vm:
                 if kind in VARIABLES:
                     ops[-1] = _assign, self._assignment(name, kind, op[1])
                     continue
-            elif op[0] is _bi_if and i >= 2 and all(t.kind in ("quoted", "block") for t in tokens[i - 2 : i]):
+            elif op[0] in _REF_PAIRS and i >= 2 and all(t.kind in ("quoted", "block") for t in tokens[i - 2 : i]):
                 line = op[1][1]
-                ops[-2:] = [(_if, (self._ref_op(ops[-2][1], line), self._ref_op(ops[-1][1], line), op[1]))]
+                ops[-2:] = [(_REF_PAIRS[op[0]],
+                             (self._ref_op(ops[-2][1], line), self._ref_op(ops[-1][1], line), op[1]))]
                 continue
             ops.append(op)
         return ops
@@ -332,6 +351,21 @@ class Vm:
         if split is None:
             split = self._lists[name_list] = names.split_names(name_list)
         return split
+
+    def _format_name(self, name_list: str, index: int, template: str, at: tuple) -> str:
+        """format.name$ of its operands, as values; at is its (name, line)."""
+        parts = self._names_of(name_list)
+        if index < 1 or index > len(parts):
+            where = f"entry {self.current.key}" if self.current is not None else f'"{name_list}"'
+            raise _error(at, f"name index {index} out of range for {where}")
+        name = parts[index - 1]
+        try:
+            parsed = self._names.get(name)
+            if parsed is None:
+                parsed = self._names[name] = names.parse_name(name)
+            return names.format_name(name, template, parsed)
+        except (names.NameParseError, names.TemplateError) as err:
+            raise _error(at, str(err)) from err
 
     def _need_entry(self, name: str, line: int) -> RuntimeEntry:
         if self.current is None:
@@ -449,6 +483,24 @@ def _if(vm: Vm, operand: tuple) -> None:
     handler(vm, op)
 
 
+def _while(vm: Vm, operand: tuple) -> None:
+    """`{..} {..} while$' bound at resolve time: run the (handler, operand) ops
+    of its two refs as while$ does, the predicate first, until it gives an
+    integer that is not positive."""
+    (pred_run, pred_op), (body_run, body_op), at = operand
+    for _ in range(WHILE_LIMIT):
+        pred_run(vm, pred_op)
+        if vm.pop_int(at) <= 0:
+            return
+        body_run(vm, body_op)
+    raise _loop_limit(at)
+
+
+def _loop_limit(at: tuple) -> VmError:
+    """The error of the while$ at that has run WHILE_LIMIT iterations and would run more."""
+    return _error(at, f"iteration limit of {WHILE_LIMIT} exceeded")
+
+
 def _level(vm: Vm, operand: tuple) -> None:
     """Run the (handler, operand) of a quoted name that enters no body, as one call level."""
     handler, op, line = operand
@@ -502,14 +554,7 @@ def _bi_while(vm: Vm, at: tuple) -> None:
     body = vm.pop_ref(at)
     pred = vm.pop_ref(at)
     # no declaration runs inside a body, so each ref resolves once for the loop
-    pred_run, pred_op = vm._ref_op(pred, at[1])
-    body_run, body_op = vm._ref_op(body, at[1])
-    for _ in range(WHILE_LIMIT):
-        pred_run(vm, pred_op)
-        if vm.pop_int(at) <= 0:
-            return
-        body_run(vm, body_op)
-    raise _error(at, f"iteration limit of {WHILE_LIMIT} exceeded")
+    _while(vm, (vm._ref_op(pred, at[1]), vm._ref_op(body, at[1]), at))
 
 
 def _bi_concat(vm: Vm, at: tuple) -> None:
@@ -541,18 +586,7 @@ def _bi_format_name(vm: Vm, at: tuple) -> None:
     template = vm.pop_str(at)
     index = vm.pop_int(at)
     name_list = vm.pop_str(at)
-    parts = vm._names_of(name_list)
-    if index < 1 or index > len(parts):
-        where = f"entry {vm.current.key}" if vm.current is not None else f'"{name_list}"'
-        raise _error(at, f"name index {index} out of range for {where}")
-    name = parts[index - 1]
-    try:
-        parsed = vm._names.get(name)
-        if parsed is None:
-            parsed = vm._names[name] = names.parse_name(name)
-        vm.stack.append(names.format_name(name, template, parsed))
-    except (names.NameParseError, names.TemplateError) as err:
-        raise _error(at, str(err)) from err
+    vm.stack.append(vm._format_name(name_list, index, template, at))
 
 
 def _bi_eq(vm: Vm, at: tuple) -> None:
@@ -613,6 +647,9 @@ BUILTINS = {
     "-": (_bi_sub, 2, 1),
     "call.type$": (_bi_call_type, None, None),
 }
+
+# the builtins that a body binds with the two literal refs before them, each to its op
+_REF_PAIRS = {_bi_if: _if, _bi_while: _while}
 
 # Recognized names from full BibTeX that this interpreter deliberately
 # does not provide; naming one is reported as such instead of "unknown".

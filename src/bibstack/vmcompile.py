@@ -8,35 +8,52 @@ local variable of its own, which the ops after it read, so that
 `nameptr #1 + 'nameptr :=' is three assignments that touch no stack, and
 no generated expression nests deeper than one op.  _OPS is the one table
 of the ops that compile inline, and so of the results of a known kind: a
-builtin that only computes (+ - < > * empty$, and = once an operand's kind
-is known) is a row giving its result's expression, the type its operands
-are taken as and its result's kind, which _Gen.pure compiles.  Each slot
-has a kind, known where the op that made it fixes its type: integer and
-string literals, INTEGERS and STRINGS globals (whose type := enforces),
-the results of those builtins and of cite$, and field reads (a string or
-a MissingField).  A {...} block or quoted name, and a value taken from
-vm.stack (from below the body or left by a call), are of any kind.  A
-value is checked wherever an op needs a type that no op of the body gave
-it, and only there; a check that can never pass, such as + on a string
-literal, is made like any other and fails as it runs.  A builtin's pops
-and pushes come from vm.BUILTINS.
+builtin that computes a value from values (+ - < > * empty$ num.names$
+format.name$, and = once an operand's kind is known) is a row giving its
+result's expression, the type each operand is taken as and its result's
+kind, which _Gen.pure compiles; num.names$ and format.name$ call the Vm's
+_names_of and _format_name, and as format.name$ can raise, the slots
+below its operands are on vm.stack while it runs.  Each slot has a kind, known where the op
+that made it fixes its type: integer and string literals, INTEGERS and
+STRINGS globals (whose type := enforces), the results of those builtins
+and of cite$, and field reads (a string or a MissingField).  A {...}
+block or quoted name, and a value taken from vm.stack (from below the
+body or left by a call), are of any kind.  A value is checked wherever an
+op needs a type that no op of the body gave it, and only there; a check
+that can never pass, such as + on a string literal, is made like any
+other and fails as it runs.  A builtin's pops and pushes come from
+vm.BUILTINS.
+
+Control flow compiles in place.  A bound `{..} {..} if$' is a Python
+if/else, and a bound `{..} {..} while$' a Python loop of WHILE_LIMIT
+iterations whose `else' raises the iteration-limit error; the top slot
+its predicate leaves is the loop's condition.  A ref that is a {...}
+block has its ops compiled there, one indentation deeper, up to
+INLINE_DEPTH blocks deep; a 'skip$ is its level's check alone; any other
+ref is a call.  A block in place counts one call level: it raises the
+too-deep error at the line of its if$ or while$, as Vm._call does, and a
+call or a fallback inside it sets vm.depth to its level first.  Each
+block starts with no slot, as every slot goes on vm.stack before the
+if$ or while$ runs, and puts the slots it leaves there at its end.
 
 A guard that fails (an underflow, a wrong type, no current entry) puts
 the live slots, and any value the op took from vm.stack, back on
-vm.stack, and the function returns the op's index: Vm._call runs that op
-and the rest of the body through their handlers, which raise the same
-errors at the same lines as a body that never compiled.  Each guard is
-a check that the op's handler makes, so the handler raises and no op
-after it runs.  An op runs whole in the function or not at all, and the
-fallback adds no Python frame.  Every op _OPS does not compile is a call
-(a body, a branch of a bound if$, an if$ that is not bound, while$, call.type$,
-num.names$, format.name$, skip$, := that is not bound, = of two values
-of unknown type, a read of an entry variable, an unknown or unsupported
-name, whose handler raises its error, and any handler that is not its
-builtin's own function, such as a wrapped one): it runs after every slot
-is put on vm.stack, exactly as the generic loop runs it, and a value it
-leaves there is taken back as unknown.  The function returns None when it
-reaches the end of the body.
+vm.stack.  At the body's own level the function then returns the op's
+index: Vm._call runs that op and the rest of the body through their
+handlers, which raise the same errors at the same lines as a body that
+never compiled.  Inside a block in place, from which no index leads
+back, the function runs the op's handler there, and raises an internal
+error should it ever return.  Each guard is a check that the op's
+handler makes, so the handler raises and no op after it runs.  An op
+runs whole in the function or not at all, and the fallback adds no
+Python frame.  Every op _OPS does not compile is a call (a body, an if$
+or while$ that is not bound, call.type$, skip$, := that is not bound, =
+of two values of unknown type, a read of an entry variable, an unknown
+or unsupported name, whose handler raises its error, and any handler
+that is not its builtin's own function, such as a wrapped one): it runs
+after every slot is put on vm.stack, exactly as the generic loop runs
+it, and a value it leaves there is taken back as unknown.  The function
+returns None when it reaches the end of the body.
 
 Operands are not written into the source: each is a name, k0, k1, ...,
 in the function's namespace.  Bodies whose source comes out the same
@@ -54,10 +71,24 @@ from .vm import BUILTINS, MissingField, Vm
 # the kinds of a slot: what the value held in it can be
 INT, STR, FIELD, ANY = range(4)  # FIELD: a str or a MissingField; ANY: any value
 
+# Blocks compile in place at most this many deep; a block deeper runs as a
+# call.  Each block in place adds at most one indentation level and one loop
+# to the source, so this keeps it well inside Python's limits of 100
+# indentation levels and 20 nested loops.
+INLINE_DEPTH = 8
+
+
+def _returned(handler) -> RuntimeError:
+    """The error of a handler that a block compiled in place fell back to and
+    that returned: each guard is a check its handler makes, so it raises."""
+    return RuntimeError(f"{handler.__qualname__} returned at a failed check of a compiled block")
+
+
 # the names the generated code reads besides its operands
 _NAMESPACE = {"type": type, "int": int, "str": str, "MissingField": MissingField,
-              "missing": _vm._missing, "missing_message": _vm.missing_field_message}
-_PROLOGUE = {"cur": "cur = vm.current", "doc": "doc = vm.doc", "log": "log = vm.log"}
+              "missing": _vm._missing, "missing_message": _vm.missing_field_message,
+              "too_deep": Vm._too_deep, "loop_limit": _vm._loop_limit, "returned": _returned}
+_PROLOGUE = {"cur": "cur = vm.current", "doc": "doc = vm.doc", "log": "log = vm.log", "depth": "depth = vm.depth"}
 
 
 def compile_body(vm: Vm, ops: list[tuple]):
@@ -91,8 +122,14 @@ class _Gen:
         self.slots: list[tuple[str, int]] = []  # (expression, kind), bottom first
         self.temps = 0
         self.entry_checked = False  # cur is known not to be None
-        # the op being compiled: its index, the slots before it, what it took from vm.stack
-        self.i, self.before, self.taken = 0, [], []
+        self.indent = "    "
+        self.blocks = 0  # the blocks compiled in place around the op being compiled
+        # the bodies that are FUNCTIONs: every other body an op enters is a {...} block
+        self.functions = {id(body) for body in vm.program.functions.values()}
+        # the op being compiled: its index, the slots before it, what it took from
+        # vm.stack, and, inside a block compiled in place, the (handler, operand)
+        # that a failed check runs there
+        self.i, self.before, self.taken, self.failing = 0, [], [], None
 
     # -- pieces ---------------------------------------------------------------
 
@@ -105,7 +142,7 @@ class _Gen:
         return f"t{self.temps}"
 
     def emit(self, line: str) -> None:
-        self.out.append("    " + line)
+        self.out.append(self.indent + line)
 
     def uses(self, name: str) -> str:
         self.used.add(name)
@@ -124,10 +161,19 @@ class _Gen:
             self.slots = []
 
     def back(self) -> str:
-        """The statement that falls back at this op: its state back on vm.stack, and its index."""
+        """The statement that falls back at this op: its state back on vm.stack, and
+        then its index returned, or, inside a block compiled in place, its handler
+        run there, which raises."""
         restore = self.taken + [expr for expr, _ in self.before]
         push = self.push_all(restore) + "; " if restore else ""
-        return f"{push}return {self.i}"
+        if self.failing is None:
+            return f"{push}return {self.i}"
+        handler, operand = (self.const(part) for part in self.failing)
+        return f"{push}{self.at_level()}; {handler}(vm, {operand}); raise returned({handler})"
+
+    def at_level(self) -> str:
+        """The statement that sets vm.depth to the level of the block being compiled."""
+        return f"vm.depth = {self.uses('depth')} + {self.blocks}"
 
     def take(self, n: int) -> list[tuple[str, int]]:
         """The op's n operands, bottom first: the top slots, and below them, if
@@ -182,6 +228,7 @@ class _Gen:
 
     def op(self, i: int, handler, operand) -> None:
         self.i, self.before, self.taken = i, list(self.slots), []
+        self.failing = (handler, operand) if self.blocks else None
         if (method := _OPS.get(handler)) is not None:
             method(self, operand)
         else:
@@ -189,7 +236,10 @@ class _Gen:
 
     def call(self, handler, operand) -> None:
         self.flush()
-        self.emit(f"{self.const(handler)}(vm, {self.const(operand)})")
+        call = f"{self.const(handler)}(vm, {self.const(operand)})"
+        if self.blocks:  # a body or builtin it runs reads vm.depth
+            call = f"{self.at_level()}; {call}; vm.depth = depth"
+        self.emit(call)
 
     def push(self, value) -> None:
         kind = INT if type(value) is int else STR if type(value) is str else ANY
@@ -225,8 +275,58 @@ class _Gen:
         condition, expr = self.as_int(slot)
         self.check([condition])
         self.flush()
-        self.emit(f"if {expr} > 0: {self.const(then_op[0])}(vm, {self.const(then_op[1])})")
-        self.emit(f"else: {self.const(else_op[0])}(vm, {self.const(else_op[1])})")
+        for head, ref_op in ((f"if {expr} > 0:", then_op), ("else:", else_op)):
+            self.emit(head)
+            self.indent += "    "
+            self.ref(ref_op)
+            self.indent = self.indent[4:]
+
+    def bound_while(self, operand: tuple) -> None:
+        pred_op, body_op, at = operand
+        self.flush()
+        self.emit(f"for _ in range({_vm.WHILE_LIMIT}):")
+        self.indent += "    "
+        self.ref(pred_op, keep_top=True)
+        # the predicate's result, which the while$ pops at its own level
+        self.before, self.taken, self.failing = list(self.slots), [], (Vm.pop_int, at)
+        [slot] = self.take(1)
+        condition, expr = self.as_int(slot)
+        self.check([condition])
+        self.emit(f"if {expr} <= 0: break")
+        self.ref(body_op)
+        self.indent = self.indent[4:]
+        self.emit(f"else: raise loop_limit({self.const(at)})")
+
+    def ref(self, op: tuple, keep_top: bool = False) -> None:
+        """Run the (handler, operand) op of a bound ref in place: a {...} block's ops
+        as one more call level, a 'skip$ as that level's check alone; any other op
+        is a call.  With keep_top, a block's top slot stays a slot."""
+        handler, operand = op
+        if handler is Vm._call and id(operand[0]) not in self.functions and self.blocks < INLINE_DEPTH:
+            self.block(*operand, keep_top)
+        elif handler is _vm._level and operand[0] is _vm._bi_skip:
+            self.level_check(operand[2])
+        else:
+            self.call(handler, operand)
+
+    def level_check(self, line: int) -> None:
+        """Raise the too-deep error of entering one level more than the op being compiled."""
+        limit = _vm.CALL_DEPTH_LIMIT - self.blocks
+        self.emit(f"if {self.uses('depth')} >= {limit}: raise too_deep({self.const(line)})")
+
+    def block(self, tokens: list, line: int, keep_top: bool) -> None:
+        """A {...} block's ops, compiled in place as one more call level; every slot
+        they leave goes on vm.stack at its end, but the top one with keep_top."""
+        self.level_check(line)
+        entry_checked = self.entry_checked
+        self.blocks += 1
+        for handler, operand in self.vm._resolve_body(tokens):
+            self.op(self.i, handler, operand)
+        self.blocks -= 1
+        top = self.slots.pop() if keep_top and self.slots else None
+        self.flush()
+        self.slots = [top] if top else []
+        self.entry_checked = entry_checked  # the block's checks run on one path only
 
     def builtin(self, at: tuple) -> list[tuple[str, int]]:
         """The operands of the builtin whose (name, line) is at, as many as it pops."""
@@ -250,22 +350,38 @@ class _Gen:
         self.check([self.entry()])
         self.result("cur.key", STR)
 
-    def pure(self, at: tuple, template: str, taken_as, kind: int) -> None:
-        """A builtin that only computes: its operands, each taken by taken_as (as_int or
-        as_str), and the value of template, filled with their expressions, in a slot of kind."""
-        operands = [taken_as(slot) for slot in self.builtin(at)]
+    def pure(self, at: tuple, template: str, taken_as: str, kind: int) -> None:
+        """A builtin that computes a value from values: its operands, each taken by
+        the letter of taken_as for it (i: as_int, s: as_str), and the value of
+        template, filled with their expressions (and {at} with the builtin's
+        (name, line)), in a slot of kind.  A template that names {at} may raise the
+        builtin's errors, so the slots below the operands go on vm.stack first, as
+        the handler leaves them, and come back off it after."""
+        slots = self.builtin(at)
+        operands = [_TAKEN_AS[letter](slot) for letter, slot in zip(taken_as, slots)]
         self.check([condition for condition, _ in operands])
-        self.result(template.format(*(expr for _, expr in operands)), kind)
+        raises = "{at}" in template
+        expr = template.format(*(expr for _, expr in operands), at=self.const(at) if raises else None)
+        below = self.slots if raises and self.slots else []
+        if below:
+            self.flush()  # a new list of slots
+        self.result(expr, kind)
+        if below:
+            self.emit(f"del stack[-{len(below)}:]")
+            self.slots[:0] = below
 
     def eq(self, at: tuple) -> None:
         known = {kind for _, kind in self.slots[-2:]} - {ANY}
         if not known:  # the handler decides
             return self.call(_vm._bi_eq, at)
         # STR and FIELD compare as strings; INT beside either fails its guard as it runs
-        self.pure(at, "1 if {} == {} else 0", self.as_int if known == {INT} else self.as_str, INT)
+        self.pure(at, "1 if {} == {} else 0", "ii" if known == {INT} else "ss", INT)
 
 
-def _pure(template: str, taken_as, kind: int):
+_TAKEN_AS = {"i": _Gen.as_int, "s": _Gen.as_str}
+
+
+def _pure(template: str, taken_as: str, kind: int):
     return lambda gen, at: gen.pure(at, template, taken_as, kind)
 
 
@@ -276,14 +392,17 @@ _OPS = {
     _vm._push_field: _Gen.push_field,
     _vm._assign: _Gen.assign,
     _vm._if: _Gen.bound_if,
+    _vm._while: _Gen.bound_while,
     _vm._bi_write: _Gen.write,
     _vm._bi_newline: _Gen.newline,
     _vm._bi_cite: _Gen.cite,
-    _vm._bi_add: _pure("{} + {}", _Gen.as_int, INT),
-    _vm._bi_sub: _pure("{} - {}", _Gen.as_int, INT),
-    _vm._bi_lt: _pure("1 if {} < {} else 0", _Gen.as_int, INT),
-    _vm._bi_gt: _pure("1 if {} > {} else 0", _Gen.as_int, INT),
-    _vm._bi_concat: _pure("{} + {}", _Gen.as_str, STR),
-    _vm._bi_empty: _pure("0 if {}.strip() else 1", _Gen.as_str, INT),
+    _vm._bi_add: _pure("{} + {}", "ii", INT),
+    _vm._bi_sub: _pure("{} - {}", "ii", INT),
+    _vm._bi_lt: _pure("1 if {} < {} else 0", "ii", INT),
+    _vm._bi_gt: _pure("1 if {} > {} else 0", "ii", INT),
+    _vm._bi_concat: _pure("{} + {}", "ss", STR),
+    _vm._bi_empty: _pure("0 if {}.strip() else 1", "s", INT),
+    _vm._bi_num_names: _pure("len(vm._names_of({}))", "s", INT),
+    _vm._bi_format_name: _pure("vm._format_name({}, {}, {}, {at})", "sis", STR),
     _vm._bi_eq: _Gen.eq,
 }

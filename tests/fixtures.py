@@ -59,17 +59,17 @@ BST_TEXT = st.lists(st.one_of(
 # .bib values that parse: flat, one, two and three levels of inner groups,
 # quoted with no group, a group, a group holding a `"' and groups two and
 # three levels deep, ASCII and non-ASCII digit runs, and braced and quoted
-# text that reads like a second field
+# text that reads like a second field, or holds an `='
 BIB_GOOD_VALUES = ["{x}", "{}", "{a b}", "{Zo{\\\"e} M{\\\"u}ller}", "{Corporate and Co}",
                    "{A {B {C}} D}", "{a {b {c {d}}}}", "{line\nbreak}", '"q"', '""', '"a {b} c"',
                    '"a {b "c} d"', '"a {b {c}} d"', '"{a {b {c}}}"', "1984", "\u0663",
-                   "{a, note = b}", '"x, year = 1"']
+                   "{a, note = b}", '"x, year = 1"', "{=, NOTE=c}", '"y = 2, a#b ="']
 
 # .bib text: entries built from the pieces that steer parse_bib between
 # its whole-entry match and its general reader
 # (the values above; `#' after a value; `a#b' names; duplicate fields and
-# keys; missing commas; CRLF; @string blocks; unterminated values), mixed
-# with loose characters
+# keys; missing commas and separators of whitespace alone; CRLF; @string
+# blocks; unterminated values), mixed with loose characters
 _BIB_FIELD = st.tuples(
     st.sampled_from(["note", "year", "NOTE", "a#b"]),
     st.sampled_from([" = ", "=", " =\r\n  "]),
@@ -80,7 +80,7 @@ _BIB_FIELD = st.tuples(
 _BIB_ENTRY = st.tuples(
     st.sampled_from(["@misc", "@Article", "@string"]),
     st.sampled_from(["{k", "{j", "{ k"]),
-    st.lists(st.tuples(st.sampled_from([",", ", ", ",\r\n  ", ",\n  ", " ", ",,"]), _BIB_FIELD)
+    st.lists(st.tuples(st.sampled_from([",", ", ", ",\r\n  ", ",\n  ", " ", ",,", "\n\t"]), _BIB_FIELD)
              .map("".join), max_size=4).map("".join),
     st.sampled_from(["}", ",}", "\r\n}", "\n}\n", ""]),
 ).map("".join)
@@ -117,9 +117,9 @@ TEMPLATE_TEXT = st.one_of(
 # ops make of real entries, and most still end in an error.  Bodies hold
 # literals, fields, variables, quoted names, blocks, := and builtins,
 # with unknown and unsupported names among them; f0, f1 and f2 may call
-# each other and so recurse past the call depth limit, the one while$
-# loop counts down from 3, and the results of + - < > = choose what
-# write$ writes
+# each other and so recurse past the call depth limit, while$ loops count
+# down from 3 or 2 or build a string, with branches in branches in their
+# bodies, and the results of + - < > = choose what write$ writes
 _STYLE_WORDS = st.sampled_from([
     '"x"', '""', "#1", "#-2", '"Doe, John and {R}oe, Jane"', '"{ff~}{vv~}{ll}{jj}"', '"{l.}"',
     "author", "title", "year", "n", "s", "gs", "gi", "sort.key$", "cite$",
@@ -140,12 +140,18 @@ _STYLE_PHRASES = st.sampled_from([
     '#5 #2 - #3 = { "eq" } { "ne" } if$ write$',
     '#1 #2 < #2 #1 > + #2 = { "eq" } { "ne" } if$ write$',
     '#2 #3 + #6 = { "eq" } { "ne" } if$ write$',
+    '#2 \'gi := { gi #0 > } { gi #1 - \'gi := gi { "+" write$ } { #1 { "-" write$ } \'skip$ if$ } if$ } while$',
 ])
 # phrases that each leave one string, the result of their ops (an integer
 # result chooses a string through if$), for out to write; title is not
 # declared by every ENTRY, so its phrase keeps an error path in out
 _STYLE_RESULTS = st.sampled_from([
     "cite$",
+    # a loop of three iterations whose body writes what a branch in a branch
+    # chooses, or, for an entry of two authors, fails at the + of its first branch
+    '"" \'sort.key$ := { sort.key$ "xxx" = #0 = } { sort.key$ "x" * \'sort.key$ := '
+    'author num.names$ #2 = { cite$ #1 + } { author num.names$ #0 > { "," write$ } '
+    '{ #1 { "." write$ } \'skip$ if$ } if$ } if$ } while$ sort.key$',
     '"[" cite$ * "]" *',
     'author #1 "{vv~}{ll}{jj,}{f.}" format.name$',
     'author empty$ { "anonymous" } { author } if$',
@@ -162,8 +168,12 @@ _STYLE_RESULTS = st.sampled_from([
 STYLE_WHILE_LIMIT = 50
 _STYLE_BODY = st.lists(st.one_of(_STYLE_PHRASES, _STYLE_WORDS, _STYLE_PHRASES),
                        min_size=1, max_size=6).map(" ".join)
-_STYLE_WRITER = st.lists(_STYLE_RESULTS.map("{} write$".format), min_size=1, max_size=4).map(
-    lambda phrases: " ".join(phrases) + " newline$")
+# out's phrases, in half the styles run once by a loop: its body sets
+# sort.key$ to "x" first, and no phrase leaves it empty
+_STYLE_LOOP = '"" \'sort.key$ := {{ sort.key$ empty$ }} {{ "x" \'sort.key$ := {} }} while$'
+_STYLE_WRITER = st.tuples(st.booleans(), st.lists(_STYLE_RESULTS.map("{} write$".format), min_size=1,
+                                                  max_size=4).map(" ".join)).map(
+    lambda drawn: (_STYLE_LOOP.format(drawn[1]) if drawn[0] else drawn[1]) + " newline$")
 _STYLE_FUNCTIONS = ["f0", "f1", "f2", "article", "book", "default.type"]
 _STYLE_DECLARATIONS = ["STRINGS {gs s}", "INTEGERS {gi}", "INTEGERS {title}", "STRINGS {f1}",
                        "% a comment {"]

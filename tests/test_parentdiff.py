@@ -41,6 +41,17 @@ def _swapped_if(gen, operand):
 _OPS[_vm._if] = _swapped_if
 """
 
+# appended to a copy's vmcompile.py: a loop compiled in place runs its body once more at its end
+_LOOP_MUTATION = """
+
+def _one_more_run(gen, operand):
+    _Gen.bound_while(gen, operand)
+    gen.ref(operand[1])
+
+
+_OPS[_vm._while] = _one_more_run
+"""
+
 
 @pytest.fixture
 def parentdiff(monkeypatch):
@@ -147,6 +158,58 @@ def test_finds_a_planted_branch_swap_in_the_compiled_tier(parentdiff, tmp_path, 
     _assert_the_compiled_mutant_ran(parentdiff, compiler, tmp_path / "load")
 
 
+def test_finds_a_planted_mutation_of_a_loop_compiled_in_place(parentdiff, tmp_path, capsys):
+    compiler = _copy_of_tree(tmp_path / "mutant") / "vmcompile.py"
+    compiler.write_text(compiler.read_text(encoding="utf-8") + _LOOP_MUTATION, encoding="utf-8")
+    assert parentdiff.main([str(compiler.parent), *_ARGS]) == 1
+    mutant = _differences(capsys.readouterr().out)
+    # the sort-names style formats its names in while$ loops, and generated styles
+    # write what a loop's body makes
+    assert mutant["vm.compiled.sort-names"] > 0 and mutant["vm.compiled"] > 0
+    assert mutant["vm"] == mutant["parse_bst"] == 0
+    _assert_the_compiled_mutant_ran(parentdiff, compiler, tmp_path / "load")
+
+
+def test_many_generated_vm_inputs_run_blocks_and_loops_compiled_in_place(parentdiff, monkeypatch):
+    # the compiled tier, instrumented: the generated code says "block" as it enters a
+    # block compiled in place, "loop" as it starts a loop, "fallback" as a check in
+    # a block fails
+    from bibstack import vmcompile
+
+    seen, runs = set(), []
+    back, block, loop = vmcompile._Gen.back, vmcompile._Gen.block, vmcompile._OPS[bibstack.vm._while]
+
+    def said_back(gen):
+        statement = back(gen)
+        return statement if gen.failing is None else f"seen('fallback'); {statement}"
+
+    def said(word, compile_op):
+        def compile_said(gen, *operands):
+            gen.emit(f"seen({word!r})")
+            compile_op(gen, *operands)
+        return compile_said
+
+    monkeypatch.setattr(vmcompile._Gen, "back", said_back)
+    monkeypatch.setattr(vmcompile._Gen, "block", said("block", block))
+    monkeypatch.setitem(vmcompile._OPS, bibstack.vm._while, said("loop", loop))
+    monkeypatch.setitem(vmcompile._NAMESPACE, "seen", seen.add)
+
+    def run(given):
+        seen.clear()
+        with mock.patch.object(bibstack.vm, "WHILE_LIMIT", STYLE_WHILE_LIMIT):
+            depth = parentdiff.vm_run_compiled(bibstack, *given)[3]
+        runs.append((set(seen), depth))
+
+    # the inputs of the vm.compiled check at --budget 300
+    parentdiff.each_input(VM_INPUTS, 300, run)
+    assert len(runs) == 300
+    assert sum("block" in words for words, _ in runs) >= 200
+    assert sum("loop" in words for words, _ in runs) >= 120
+    assert sum("fallback" in words for words, _ in runs) >= 20
+    # every run ends at depth 0, errors in blocks compiled in place among them
+    assert {depth for _, depth in runs} == {0}
+
+
 # database.Entry and bstparse.Token as dataclasses, as an older package has them
 @dataclasses.dataclass
 class Entry:
@@ -176,3 +239,4 @@ def test_plain_reads_a_slotted_record_as_a_dataclass_of_the_same_name_and_fields
     block = bstparse.Token("block", [bstparse.Token("id", "f", 2)], 1)
     assert plain(block) == plain(Token("block", [Token("id", "f", 2)], 1))
     assert plain(block) != plain(Token("block", [Token("id", "g", 2)], 1))
+

@@ -1152,6 +1152,73 @@ class TestCallDepth(Tiered):
         assert (workdir / "t.blg").read_text() == message + "\n"
 
 
+def _raised(source: str, *below, depth: int = 0) -> tuple:
+    """The error, stack and call depth that FUNCTION {f} { source } leaves, entered
+    at depth with the values below on the stack."""
+    vm = make_vm(f"INTEGERS {{n}}\nFUNCTION {{f}} {{ {source} }}\n")
+    vm.execute(AuxFile())
+    vm.stack.extend(below)
+    vm.depth = depth
+    with pytest.raises(VmError) as err:
+        vm.exec_tokens(vm.program.functions["f"], 9)
+    return str(err.value), vm.stack, vm.depth
+
+
+def _nested(levels: int, wrap: str, bottom: str) -> str:
+    """A style whose EXECUTE runs bottom inside `levels' blocks, each put in place
+    of {} in wrap, with v standing for an integer of its own."""
+    body = bottom
+    for level in range(levels):
+        body = wrap.replace("v", f"v{level}").replace("{}", body)
+    variables = " ".join(f"v{level}" for level in range(levels))
+    return f"INTEGERS {{ {variables} }}\nFUNCTION {{main}} {{ {body} }}\nEXECUTE {{main}}\n"
+
+
+class TestBlocksInPlace(Tiered):
+    """Blocks that a bound if$ or while$ runs, which the compiled tier compiles in
+    place: each counts one call level, and an error inside one leaves the stack
+    and the depth as the generic tier leaves them."""
+
+    # what each op took before it failed is gone from the stack, as its handler leaves it
+    @pytest.mark.parametrize("source,below,message,stack", [
+        ('#1 { "a" #1 + } \'skip$ if$', ["below"], '+: expected an integer, got "a"', ["below"]),
+        ('#0 \'skip$ { #2 #1 { "a" * } { } if$ } if$', [], "*: expected a string, got 2", []),
+        ('"b" #1 { #1 { "a" \'n := } \'skip$ if$ } \'skip$ if$', [],
+         ":=: `n' is an integer variable, got \"a\"", ["b"]),
+        ('#2 \'n := { n } { n #1 - \'n := n { } { "x" #1 < } if$ } while$', ["below"],
+         '<: expected an integer, got "x"', ["below"]),
+        ('{ "x" } { } while$', [], 'while$: expected an integer, got "x"', []),
+        ('{ #1 "y" } { } while$', [], 'while$: expected an integer, got "y"', [1]),
+        ("{ #1 } { + } while$", ["a", 1], '+: expected an integer, got "a"', []),
+    ])
+    def test_an_error_inside_a_block_leaves_the_stack_and_the_depth(self, source, below, message, stack):
+        assert _raised(source, *below, depth=3) == (f"{message} (line 2)", stack, 3)
+
+    @pytest.mark.parametrize("style,bbl,records", [
+        (_nested(30, "#1 { {} } 'skip$ if$", '"bottom" write$ newline$'), "bottom\n", []),
+        (_nested(30, "#0 'skip$ { {} } if$", '"bottom" #1 + '), "",
+         [(ERROR, '+: expected an integer, got "bottom" (line 2)')]),
+        (_nested(25, "#1 'v := { v } { #0 'v := {} } while$", '"bottom" write$ newline$'), "bottom\n", []),
+        (_nested(25, "#1 'v := { v } { #0 'v := {} } while$", "#1 write$"), "",
+         [(ERROR, "write$: expected a string, got 1 (line 2)")]),
+    ], ids=["if", "if-error", "while", "while-error"])
+    def test_blocks_nested_past_the_inline_depth_run(self, style, bbl, records):
+        assert _run_style(style) == ([], bbl, records)
+
+    def test_a_loop_stops_at_the_iteration_limit_at_its_line(self, monkeypatch):
+        monkeypatch.setattr(vm_module, "WHILE_LIMIT", 5)
+        stack, bbl, records = _run_style("INTEGERS {n}\nFUNCTION {f} {\n{ #1 }\n{ n #1 + 'n := }\nwhile$ }\n"
+                                         "EXECUTE {f}\n")
+        assert (stack, bbl) == ([], "")
+        assert records == [(ERROR, "while$: iteration limit of 5 exceeded (line 5)")]
+
+    def test_a_block_counts_its_level_at_the_line_of_its_if(self):
+        message = f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 2)"
+        for source in ("#1 { } 'skip$ if$", "#0 { } 'skip$ if$", "{ #0 } { } while$"):
+            assert _raised(source, "below", depth=CALL_DEPTH_LIMIT - 1) == (message, ["below"],
+                                                                             CALL_DEPTH_LIMIT - 1)
+
+
 class TestCompiledTier:
     def test_a_body_compiles_on_the_entry_after_compile_after(self, monkeypatch):
         monkeypatch.setattr(vm_module, "COMPILE_AFTER", 2)
@@ -1206,6 +1273,23 @@ class TestCompiledTier:
             assert h(vm) == 2
             assert vm.stack == ["below", *pushed]
 
+    def test_a_fallback_in_place_to_a_handler_that_returns_is_an_internal_error(self, monkeypatch):
+        import bibstack.vmcompile as vmcompile
+
+        def add_unchecked(vm, at):  # + that takes anything, and so never raises
+            del vm.stack[-2:]
+            vm.stack.append(0)
+
+        monkeypatch.setitem(BUILTINS, "+", (add_unchecked, 2, 1))
+        monkeypatch.setitem(vmcompile._OPS, add_unchecked, vmcompile._OPS[vm_module._bi_add])
+        monkeypatch.setattr(vm_module, "COMPILE_AFTER", 0)
+        # the + in the block takes "a": its check fails in place, and the handler returns
+        with pytest.raises(RuntimeError, match="add_unchecked returned"):
+            _run_style("FUNCTION {f} { #1 { \"a\" #1 + } 'skip$ if$ }\nEXECUTE {f}\n")
+        # at the top level the body falls back to the handlers, as it always has
+        assert _run_style('FUNCTION {f} { "a" #1 + }\nEXECUTE {f}\n')[2] == [
+            (ERROR, "stack not empty at end: [0]")]
+
 
 @mock.patch.object(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
 @settings(max_examples=300)
@@ -1256,6 +1340,42 @@ def test_a_compiled_body_falls_back_only_at_an_op_whose_handler_raises(monkeypat
 
     run_style()
     assert fallbacks
+
+
+def test_a_compiled_block_falls_back_in_place_only_at_an_op_whose_handler_raises(monkeypatch):
+    # so no op after the fallback runs, and the run ends in the handler's error
+    import bibstack.vmcompile
+
+    fell = []
+    back = bibstack.vmcompile._Gen.back
+
+    def said_back(gen):
+        statement = back(gen)
+        return statement if gen.failing is None else f"fell(); {statement}"
+
+    def returned(handler):
+        pytest.fail(f"{handler} returned at a failed check of a compiled block")
+
+    monkeypatch.setattr(bibstack.vmcompile._Gen, "back", said_back)
+    monkeypatch.setitem(bibstack.vmcompile._NAMESPACE, "fell", lambda: fell.append(True))
+    monkeypatch.setitem(bibstack.vmcompile._NAMESPACE, "returned", returned)
+    monkeypatch.setattr(vm_module, "COMPILE_AFTER", 0)
+    monkeypatch.setattr(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
+    runs = []
+
+    @settings(max_examples=300)
+    @given(VM_INPUTS)
+    def run_style(inputs):
+        style, bibs, aux = inputs
+        fell.clear()
+        vm = Vm(parse_bst(style)[0], [parse_bib(b)[0] for b in bibs])
+        vm.execute(parse_aux(aux))  # raises any error but a VmError
+        if fell:
+            runs.append((len(fell), vm.log.records[-1][0]))
+
+    run_style()
+    assert runs
+    assert set(runs) == {(1, ERROR)}
 
 
 # -- metamorphic relations ----------------------------------------------------

@@ -18,7 +18,8 @@ package is relative), and both get the same inputs:
   format_program on each parsed style;
 - the VM on generated styles, .bib texts and citations, with a while$
   limit of STYLE_WHILE_LIMIT: the .bbl, the .blg records, the final
-  stack, the globals and every entry's ints and strs; and the same again
+  stack, the call depth the run ends at (0 unless an error left a level
+  counted), the globals and every entry's ints and strs; and the same again
   (`vm.compiled`) with every body of both packages compiled at its first
   entry, where a package has that tier, on those inputs and on each
   corpus below (with the package's own while$ limit);
@@ -194,7 +195,7 @@ def vm_run(pkg, style: str, bibs: list[str], aux: str):
     program, _ = pkg.bstparse.parse_bst(style)
     vm = pkg.vm.Vm(program, [pkg.database.parse_bib(b)[0] for b in bibs])
     vm.execute(pkg.auxfile.parse_aux(aux))
-    return (vm.doc.finalize(), vm.log.records, vm.stack, vm.globals_int, vm.globals_str,
+    return (vm.doc.finalize(), vm.log.records, vm.stack, vm.depth, vm.globals_int, vm.globals_str,
             [(e.key, e.ints, e.strs) for e in vm.entries])
 
 
