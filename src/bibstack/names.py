@@ -2,12 +2,23 @@
 
 A name list separates individual names with the word "and" at brace depth
 zero.  A single name takes one of three forms selected by its depth-zero
-comma count (brace groups are skipped whole with database.group_end; a
-stray } is text, and an unclosed { runs to the end):
+comma count:
 
     First von Last
     von Last, First
     von Last, Suffix, First
+
+tokenize reads a list once into its depth-zero tokens (words, commas, and
+"and" with whitespace or an end on both sides, so "and," is text) and
+groups them into names, each a list of its comma sections of words, that
+name_parts parses with no rescan.  A word keeps its brace groups whole; a
+stray } is text and an unclosed { runs to the end.  One findall of a
+pattern built on database._GROUP reads most lists; a lone { among its
+tokens, a group nested deeper than _GROUP reads or one never closed, sends
+the list to a scan that reads such groups with database.group_end.
+split_names, count_names and parse_name wrap the same tokenizer; a name's
+text, its whitespace-parted words joined by one space, is what split_names
+gives and what a NameParseError quotes.
 
 The von part is the span from the first to the last lowercase-initial
 word strictly before the final word; a brace-group token counts as
@@ -20,15 +31,14 @@ abbreviates as in BibTeX instead: to its first letter (str.isalpha), or
 to a special character, a whole {\\...} group, met before it, or to
 nothing if it has neither.
 
-parse_name returns a NameParts NamedTuple of word lists and
-parse_template a list of (NameParts index, full, prefix, suffix)
-pieces.  Only parse_template keeps a cache, of 64 entries, since a style
-passes the same few templates on every format.name$; its results are
-shared and must not be mutated.  split_names and parse_name cache
-nothing: the VM splits each distinct name list and parses each distinct
-name once per run and keeps the results for its later passes, and
-format_name takes the parsed parts from a caller that has them (the
-README gives measured counts).
+name_parts and parse_name return a NameParts NamedTuple of word lists and
+parse_template a list of (NameParts index, full, prefix, suffix) pieces.
+Only parse_template keeps a cache, of 64 entries, since a style passes the
+same few templates on every format.name$; its results are shared and must
+not be mutated.  The VM tokenizes each distinct list once per run and keeps
+each name's parts once parsed (the README gives measured counts).  The
+patterns are sources that re.compile compiles on first use and re caches,
+as database's are: every command imports this module.
 """
 
 from __future__ import annotations
@@ -37,16 +47,18 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .database import group_end
+from .database import _GROUP, group_end
 
-_SPACE_OR_BRACE = re.compile(r"[{}\s]")
-_COMMA_OR_BRACE = re.compile(r"[{},]")
+# a name list's depth-zero tokens, for findall: "and" that parts names, as "";
+# a word (runs of other characters, groups _GROUP reads and stray }s); a comma;
+# or a lone {, where _GROUP reads no group
+_TOKEN = r"(?<!\S)and(?!\S)|((?:[^\s,{}]++|" + _GROUP + r"|\})++|[,{])"
 # a piece's body: its prefix, its letter, the letter again if full, its suffix
-_PIECE = re.compile(r"([^a-zA-Z]*)([a-zA-Z]?)(\2?)(.*)", re.S)
+_PIECE = r"(?s)([^a-zA-Z]*)([a-zA-Z]?)(\2?)(.*)"
 
 
 class NameParseError(ValueError):
-    pass
+    """A name that does not parse; name_parts, which has no text, puts {} for the name's text."""
 
 
 class TemplateError(ValueError):
@@ -63,53 +75,52 @@ class NameParts(NamedTuple):
 _LETTERS = "".join(name[0] for name in NameParts._fields)
 
 
+def tokenize(name_list: str) -> list[list[list[str]]]:
+    """The names of a name list, each as its comma sections of words, in new lists."""
+    return _group(_tokens(name_list))
+
+
 def split_names(author: str) -> list[str]:
-    """Split a name list on the word "and" at brace depth zero."""
-    words = _split_top(author, None)
-    if not words:
-        return []
-    names: list[str] = []
-    current: list[str] = []
-    for w in words:
-        if w == "and":
-            names.append(" ".join(current))
-            current = []
-        else:
-            current.append(w)
-    names.append(" ".join(current))
-    return names
+    """The text of each name of a list: its whitespace-parted words joined by one space."""
+    return [",".join(map("".join, sections)) for sections in _group(_tokens(author, gaps=True))]
 
 
 def count_names(author: str) -> int:
     """Number of names in a list; the empty list counts zero."""
-    return len(split_names(author))
+    return len(tokenize(author))
 
 
 def parse_name(name: str) -> NameParts:
-    sections = _split_top(name, ",")
+    """The parts of one name's text, in which "and" is a word like any other."""
+    tokens = [token or "and" for token in _tokens(name)]
+    try:
+        return name_parts((_group(tokens) or [[[]]])[0])
+    except NameParseError as err:
+        raise NameParseError(str(err).format(repr(name))) from None
+
+
+def name_parts(sections: list[list[str]]) -> NameParts:
+    """The parts of one name, from its comma sections of words as tokenize gives them."""
     if len(sections) > 3:
-        raise NameParseError(f"too many commas in name {name!r}")
-    word_sections = [_split_top(s, None) for s in sections]
-    if not any(word_sections):
-        raise NameParseError(f"name {name!r} is empty")
+        raise NameParseError("too many commas in name {}")
+    if not any(sections):
+        raise NameParseError("name {} is empty")
 
-    if len(word_sections) == 1:
-        before, von, last = _von_split(word_sections[0])
-        return NameParts(first=before, von=von, last=last, jr=[])
+    if len(sections) == 1:
+        before, von, last = _von_split(sections[0])
+        return NameParts(before, von, last, [])
 
-    pre = word_sections[0]
+    pre = sections[0]
     if not pre:
-        raise NameParseError(f"missing last name before the comma in {name!r}")
+        raise NameParseError("missing last name before the comma in {}")
     before, von, last = _von_split(pre)
     # words ahead of the von span have nowhere else to go in comma forms
-    last = before + last
-    first = word_sections[-1]
-    jr = word_sections[1] if len(word_sections) == 3 else []
-    return NameParts(first=first, von=von, last=last, jr=jr)
+    jr = sections[1] if len(sections) == 3 else []
+    return NameParts(sections[-1], von, before + last, jr)  # positional: keywords cost more
 
 
-def format_name(name: str, template: str, parts: NameParts | None = None) -> str:
-    """name formatted by template; parts, if given, must be what parse_name(name) gives."""
+def format_name(name: str | None, template: str, parts: NameParts | None = None) -> str:
+    """name formatted by template; a caller that has its parts gives them, and no name."""
     if parts is None:
         parts = parse_name(name)
     out = []
@@ -140,7 +151,7 @@ def parse_template(template: str) -> list[tuple[int, bool, str, str]]:
         body = template[i + 1 : j]
         if "{" in body:
             raise TemplateError(f"nested braces are not allowed in a piece: {{{body}}}")
-        prefix, letter, double, suffix = _PIECE.fullmatch(body).groups()
+        prefix, letter, double, suffix = re.compile(_PIECE).fullmatch(body).groups()
         if not letter or letter not in _LETTERS:
             raise TemplateError(f"piece must start with one of {', '.join(_LETTERS)}: {{{body}}}")
         if suffix.startswith(letter):
@@ -162,35 +173,60 @@ def _initial(token: str) -> str:
     return ""
 
 
-def _is_von_word(token: str) -> bool:
-    return not token.startswith("{") and token[0].islower()
-
-
 def _von_split(words: list[str]) -> tuple[list[str], list[str], list[str]]:
     """Split into (words-before-von, von, last); last holds at least the final word."""
-    candidates = [i for i, w in enumerate(words[:-1]) if _is_von_word(w)]
+    # a word that opens with a brace is no von word: "{" is not lowercase
+    candidates = [i for i, w in enumerate(words[:-1]) if w[0].islower()]
     if not candidates:
         return words[:-1], [], words[-1:]
     v0, v1 = candidates[0], candidates[-1]
     return words[:v0], words[v0 : v1 + 1], words[v1 + 1 :]
 
 
-def _split_top(s: str, sep: str | None) -> list[str]:
-    """s.split(sep), for sep "," or None, that leaves brace groups whole;
-    a stray } is text and an unclosed { runs to the end."""
-    if "{" not in s:
-        return s.split(sep)
-    stop = _SPACE_OR_BRACE if sep is None else _COMMA_OR_BRACE
-    parts: list[str] = []
-    start = pos = 0
-    while m := stop.search(s, pos):
-        ch, pos = m.group(), m.end()
-        if ch == "{":
-            pos = group_end(s, m.start())
-            if pos < 0:
-                break
-        elif ch != "}":
-            parts.append(s[start:m.start()])
-            start = pos
-    parts.append(s[start:])
-    return parts if sep is not None else [p for p in parts if p]
+def _tokens(text: str, gaps: bool = False) -> list[str]:
+    """The depth-zero tokens of a name list: words, commas and, as "", each
+    "and" that parts names; with gaps, a " " also between two other tokens
+    that whitespace parts."""
+    pattern = re.compile(_TOKEN)
+    if not gaps:
+        tokens = pattern.findall(text)
+        if "{" not in tokens:
+            return tokens
+    # the exact path: each group _GROUP leaves to a lone { is read with group_end
+    tokens, end, in_word = [], 0, False
+    while m := pattern.search(text, end):
+        token, start, before = m[1] or "", m.start(), end
+        end = m.end()
+        if token == "{":  # nested deeper than _GROUP reads, or never closed
+            end = group_end(text, start)
+            if end < 0:
+                end = len(text)
+            token = text[start:end]
+        if in_word and start == before and token != ",":
+            tokens[-1] += token  # a word goes on after a group _GROUP did not read
+        else:
+            if gaps and start > before and token and tokens and tokens[-1]:
+                tokens.append(" ")
+            tokens.append(token)
+        in_word = token not in ("", ",")
+    return tokens
+
+
+def _group(tokens: list[str]) -> list[list[list[str]]]:
+    """Tokens as names, each a list of its comma sections of words; no tokens, no names."""
+    if not tokens:
+        return []
+    words: list[str] = []
+    sections = [words]
+    names = [sections]
+    for token in tokens:
+        if token == ",":
+            words = []
+            sections.append(words)
+        elif token:
+            words.append(token)
+        else:
+            words = []
+            sections = [words]
+            names.append(sections)
+    return names

@@ -32,10 +32,10 @@ runs the same loop as its bound op.  Binding a name's kind into a body is
 sound because only a declaration changes a kind, and every declaration
 drops the resolved bodies; so while$ resolves its two refs once per loop.
 A :=, if$ or while$ that a declaration shadows, or that no such pair
-precedes, resolves as any other name.  num.names$ and format.name$ split
-each distinct name list once per run, and format.name$ parses each
-distinct name once: the Vm keeps both memos, so they live and die with it
-and hold no more than the run's input.
+precedes, resolves as any other name.  num.names$ and format.name$
+tokenize each distinct name list once per run into its names, and
+format.name$ parses each name of it at its first use: the Vm keeps one
+dict of lists, so it lives and dies with the Vm and holds the run's input.
 
 The compiled tier: after COMPILE_AFTER runs through its ops, a body
 compiles, on its next entry, into one Python function that keeps the
@@ -163,10 +163,9 @@ class Vm:
         self._resolved: dict[int, _Body] = {}
         # generated source -> its code, shared by every body compiled to that source
         self._codes: dict[str, CodeType] = {}
-        # name list -> its names, for every list num.names$ or format.name$ has split in this run
-        self._lists: dict[str, list[str]] = {}
-        # name -> its parts, for every name format.name$ has parsed in this run
-        self._names: dict[str, names.NameParts] = {}
+        # name list -> its names, for every list num.names$ or format.name$ has read in this
+        # run: a name's comma sections of words until format.name$ first parses it, its parts after
+        self._lists: dict[str, list] = {}
 
     # -- top level ----------------------------------------------------------
 
@@ -345,26 +344,28 @@ class Vm:
         """The error of entering one call level past CALL_DEPTH_LIMIT."""
         return VmError(f"function call depth exceeded (limit {CALL_DEPTH_LIMIT})", line)
 
-    def _names_of(self, name_list: str) -> list[str]:
-        """The names of a name list, split once per run (the list is shared: do not mutate it)."""
-        split = self._lists.get(name_list)
-        if split is None:
-            split = self._lists[name_list] = names.split_names(name_list)
-        return split
+    def _names_of(self, name_list: str) -> list:
+        """The names of a name list, tokenized once per run (the list is shared: see _lists)."""
+        slots = self._lists.get(name_list)
+        if slots is None:
+            slots = self._lists[name_list] = names.tokenize(name_list)
+        return slots
 
     def _format_name(self, name_list: str, index: int, template: str, at: tuple) -> str:
         """format.name$ of its operands, as values; at is its (name, line)."""
-        parts = self._names_of(name_list)
-        if index < 1 or index > len(parts):
+        slots = self._names_of(name_list)
+        if index < 1 or index > len(slots):
             where = f"entry {self.current.key}" if self.current is not None else f'"{name_list}"'
             raise _error(at, f"name index {index} out of range for {where}")
-        name = parts[index - 1]
+        parts = slots[index - 1]
         try:
-            parsed = self._names.get(name)
-            if parsed is None:
-                parsed = self._names[name] = names.parse_name(name)
-            return names.format_name(name, template, parsed)
-        except (names.NameParseError, names.TemplateError) as err:
+            if type(parts) is list:  # its comma sections: a name not parsed yet
+                parts = slots[index - 1] = names.name_parts(parts)
+            return names.format_name(None, template, parts)
+        except names.NameParseError as err:
+            # the tokens keep no text: the list is split again for the name's
+            raise _error(at, str(err).format(repr(names.split_names(name_list)[index - 1]))) from err
+        except names.TemplateError as err:
             raise _error(at, str(err)) from err
 
     def _need_entry(self, name: str, line: int) -> RuntimeEntry:

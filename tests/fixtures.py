@@ -90,14 +90,19 @@ BIB_TEXT = st.lists(st.one_of(
     st.characters(),
 ), max_size=6).map("".join)
 
-# any text, weighted toward the characters the name engine splits on and
-# the tokens whose initials are brace groups: a special character, a
-# doubled group and an empty one, and whole names in which a token with
-# no initial stands beside tokens that have one
+# any text, weighted toward the characters the name engine splits on; the
+# tokens whose initials are brace groups: a special character, a doubled
+# group and an empty one, and whole names in which a token with no initial
+# stands beside tokens that have one; and the shapes that reach both paths
+# of the tokenizer: a closed group three deep, a stray }, a comma and an
+# "and" inside a group, an "and" that touches a comma or a brace, and an
+# empty comma section
 NAME_TEXT = st.lists(st.one_of(
     st.sampled_from(list("{}, \t\nA")),
     st.sampled_from([" and ", "and", "{\\'e}", "von", "Jr", "{\\'E}mile", "{{X}}", "{}"]),
     st.sampled_from(["{} John Smith", "{1984} X Y", "Smith, {} John"]),
+    st.sampled_from(["{{{X}}}", "Doe} J", "{Doe, Inc. and Co}", " and, ", " ,and ", "{x}and ",
+                     " and{y}", "a, ,b"]),
     st.characters(),
 ), max_size=40).map("".join)
 # templates that abbreviate a part, and so join its initials, among the rest
@@ -106,6 +111,10 @@ TEMPLATE_TEXT = st.one_of(
     st.sampled_from(["{f.}", "{ff}{l.}", "{f.~}{ll}"]),
     st.text(max_size=8),
 )
+
+# a .bst string of a name list whose groups database._GROUP cannot read:
+# one three deep and one never closed
+_DEEP_NAMES = '"{{{D}}}oe, J. and {R}oe, {Jane"'
 
 # styles that parse and run: ENTRY, STRINGS and INTEGERS declarations
 # (some giving a name a second kind), six FUNCTIONs (default.type among
@@ -121,7 +130,8 @@ TEMPLATE_TEXT = st.one_of(
 # down from 3 or 2 or build a string, with branches in branches in their
 # bodies, and the results of + - < > = choose what write$ writes
 _STYLE_WORDS = st.sampled_from([
-    '"x"', '""', "#1", "#-2", '"Doe, John and {R}oe, Jane"', '"{ff~}{vv~}{ll}{jj}"', '"{l.}"',
+    '"x"', '""', "#1", "#-2", '"Doe, John and {R}oe, Jane"', _DEEP_NAMES, '"{ff~}{vv~}{ll}{jj}"',
+    '"{l.}"',
     "author", "title", "year", "n", "s", "gs", "gi", "sort.key$", "cite$",
     "'n", "'s", "'gs", "'gi", "'sort.key$", "'f0", "'f1", "'skip$", "'write$", "'title",
     "write$", "newline$", "empty$", "skip$", "num.names$", "format.name$", "call.type$",
@@ -144,7 +154,8 @@ _STYLE_PHRASES = st.sampled_from([
 ])
 # phrases that each leave one string, the result of their ops (an integer
 # result chooses a string through if$), for out to write; title is not
-# declared by every ENTRY, so its phrase keeps an error path in out
+# declared by every ENTRY, so its phrase keeps an error path in out, and
+# one formats a name of _DEEP_NAMES, so that runs take the exact path
 _STYLE_RESULTS = st.sampled_from([
     "cite$",
     # a loop of three iterations whose body writes what a branch in a branch
@@ -154,6 +165,7 @@ _STYLE_RESULTS = st.sampled_from([
     '{ #1 { "." write$ } \'skip$ if$ } if$ } if$ } while$ sort.key$',
     '"[" cite$ * "]" *',
     'author #1 "{vv~}{ll}{jj,}{f.}" format.name$',
+    _DEEP_NAMES + ' #1 "{f.~}{ll}" format.name$',
     'author empty$ { "anonymous" } { author } if$',
     'author num.names$ #1 > { "and others" } { "alone" } if$',
     'author num.names$ #2 - #0 < { "short" } { "long" } if$',

@@ -5,13 +5,14 @@ from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bibstack.vm as vm_module
 from bibstack import names
 from bibstack.auxfile import AuxFile, parse_aux
 from bibstack.bstparse import BstProgram, Token, format_program, parse_bst
 from bibstack.cli import main
-from bibstack.database import parse_bib
+from bibstack.database import Database, Entry, parse_bib
 from bibstack.diagnostics import ERROR, WARNING
 from bibstack.vm import (
     BUILTINS,
@@ -33,9 +34,11 @@ from fixtures import (
     EXPECTED_BBL,
     GUARDED_NUMBER_BST,
     HELLO_BST,
+    NAME_TEXT,
     SAMPLE_BIB,
     STYLE_TEXT,
     STYLE_WHILE_LIMIT,
+    TEMPLATE_TEXT,
     VM_INPUTS,
     bibitem_keys,
     with_sort_fragment,
@@ -1017,7 +1020,7 @@ class TestNameMemo(Tiered):
         # output's num.names$ (once per while$ test) and format.name$
         program, _ = parse_bst(_PASSES_STYLE)
         aux, db = parse_aux(BIBTEX_AUX), parse_bib(SAMPLE_BIB)[0]
-        with mock.patch.object(names, "split_names", wraps=names.split_names) as split:
+        with mock.patch.object(names, "tokenize", wraps=names.tokenize) as split:
             run(program, aux, [db])
             assert split.call_count == 2
             run(program, aux, [db])
@@ -1027,7 +1030,7 @@ class TestNameMemo(Tiered):
         # presort formats Stein P. R. and H. Poincar\'e, output those two and Ulam S. M.
         program, _ = parse_bst(_PASSES_STYLE)
         aux, db = parse_aux(BIBTEX_AUX), parse_bib(SAMPLE_BIB)[0]
-        with mock.patch.object(names, "parse_name", wraps=names.parse_name) as parse, \
+        with mock.patch.object(names, "name_parts", wraps=names.name_parts) as parse, \
                 mock.patch.object(names, "format_name", wraps=names.format_name) as fmt:
             doc, log = run(program, aux, [db])
             assert (parse.call_count, fmt.call_count) == (3, 5)
@@ -1039,10 +1042,39 @@ class TestNameMemo(Tiered):
     def test_a_name_that_does_not_parse_is_not_kept(self):
         program, _ = parse_bst('FUNCTION {f} { "a, b, c, d" #1 "{ll}" format.name$ }\n'
                                "EXECUTE {f}\nEXECUTE {f}\n")
-        with mock.patch.object(names, "parse_name", wraps=names.parse_name) as parse:
+        with mock.patch.object(names, "name_parts", wraps=names.name_parts) as parse:
             _, log = run(program, AuxFile(), [])
         assert parse.call_count == 1
         assert log.records == [(ERROR, "format.name$: too many commas in name 'a, b, c, d' (line 1)")]
+
+
+# one line: num.names$ and format.name$ on the entry's author, with its title as the template
+_NAME_STYLE = ("ENTRY {{author title}}{{}}{{}} STRINGS {{s}} INTEGERS {{n}} FUNCTION {{f}} "
+               "{{ author num.names$ 'n := author #{} title format.name$ 's := }} READ ITERATE {{f}}\n")
+
+
+class TestNameBuiltinsAgreeWithTheNameEngine(Tiered):
+    def test_a_name_from_the_list_tokens_formats_as_one_from_its_text(self):
+        # the Vm parses each name from its list's tokens; the public wrappers
+        # tokenize the name's text again
+        @settings(max_examples=300)
+        @given(NAME_TEXT, st.integers(-1, 6), TEMPLATE_TEXT)
+        def check(name_list, index, template):
+            db = Database()
+            db.add(Entry("k", "misc", {"author": name_list, "title": template}))
+            vm = Vm(parse_bst(_NAME_STYLE.format(index))[0], [db])
+            vm.execute(parse_aux("\\citation{k}\n"))
+            count = names.count_names(name_list)
+            expected = ("", [(ERROR, f"format.name$: name index {index} out of range for entry k (line 1)")])
+            if 1 <= index <= count:
+                try:
+                    expected = (names.format_name(names.split_names(name_list)[index - 1], template), [])
+                except (names.NameParseError, names.TemplateError) as err:
+                    expected = ("", [(ERROR, f"format.name$: {err} (line 1)")])
+            assert vm.globals_int["n"] == count
+            assert (vm.globals_str["s"], vm.log.records) == expected
+
+        check()
 
 
 def _deep_style(levels: int) -> str:

@@ -17,12 +17,13 @@ package is relative), and both get the same inputs:
   or the error's type, message and line; lint's findings and
   format_program on each parsed style;
 - the VM on generated styles, .bib texts and citations, with a while$
-  limit of STYLE_WHILE_LIMIT: the .bbl, the .blg records, the final
-  stack, the call depth the run ends at (0 unless an error left a level
-  counted), the globals and every entry's ints and strs; and the same again
-  (`vm.compiled`) with every body of both packages compiled at its first
-  entry, where a package has that tier, on those inputs and on each
-  corpus below (with the package's own while$ limit);
+  limit of STYLE_WHILE_LIMIT and no body compiled (the generic tier): the
+  .bbl, the .blg records, the final stack, the call depth the run ends at
+  (0 unless an error left a level counted), the globals and every entry's
+  ints and strs; and the same again (`vm.compiled`) with every body of
+  both packages compiled at its first entry, where a package has that
+  tier, on those inputs and on each corpus below (with the package's own
+  while$ limit);
 - the CLI on the seed-1 and seed-2 corpora of every perfbench workload
   (`pipeline` in one directory; `latexpass`, `bibtex` and `lint` in
   turn in another): exit code, stdout, stderr and the bytes of every
@@ -191,19 +192,21 @@ def compare_tex(report: Report, text: str) -> None:
     report.compare("bibitem_keys", text, lambda p: p.latexpass.bibitem_keys(text))
 
 
-def vm_run(pkg, style: str, bibs: list[str], aux: str):
-    program, _ = pkg.bstparse.parse_bst(style)
-    vm = pkg.vm.Vm(program, [pkg.database.parse_bib(b)[0] for b in bibs])
-    vm.execute(pkg.auxfile.parse_aux(aux))
+def vm_run(pkg, style: str, bibs: list[str], aux: str, compile_after: float = float("inf")):
+    """One VM run's outcome, with no body compiled, the generic tier; with
+    compile_after 0, every body compiled at its first entry (COMPILE_AFTER is
+    the compiled tier's test seam; a package without that tier ignores it)."""
+    with mock.patch.object(pkg.vm, "COMPILE_AFTER", compile_after, create=True):
+        program, _ = pkg.bstparse.parse_bst(style)
+        vm = pkg.vm.Vm(program, [pkg.database.parse_bib(b)[0] for b in bibs])
+        vm.execute(pkg.auxfile.parse_aux(aux))
     return (vm.doc.finalize(), vm.log.records, vm.stack, vm.depth, vm.globals_int, vm.globals_str,
             [(e.key, e.ints, e.strs) for e in vm.entries])
 
 
 def vm_run_compiled(pkg, *inputs):
-    """vm_run with every body compiled at its first entry (COMPILE_AFTER is the
-    compiled tier's test seam; a package without that tier ignores it)."""
-    with mock.patch.object(pkg.vm, "COMPILE_AFTER", 0, create=True):
-        return vm_run(pkg, *inputs)
+    """vm_run with every body compiled at its first entry."""
+    return vm_run(pkg, *inputs, compile_after=0)
 
 
 def compare_vm(report: Report, given) -> None:
