@@ -94,7 +94,7 @@ def parse_name(name: str) -> NameParts:
     """The parts of one name's text, in which "and" is a word like any other."""
     tokens = [token or "and" for token in _tokens(name)]
     try:
-        return name_parts((_group(tokens) or [[[]]])[0])
+        return name_parts(_group(tokens)[0] if tokens else [[]])
     except NameParseError as err:
         raise NameParseError(str(err).format(repr(name))) from None
 
