@@ -93,9 +93,11 @@ def cmd_bibtex(cfg: argparse.Namespace) -> int:
 
     program, diagnostics = _load_style(aux.style, cfg)
     databases = []
+    # a repeated field is reported only in the entries READ may keep
+    cited = set(aux.citations)
     for data_name in aux.data:
         bib_path = _find_file("database", data_name + ".bib", cfg.base, cfg.bib_dir)
-        db, bib_diags = _load(bib_path, lambda text: parse_bib(text, bib_path.name))
+        db, bib_diags = _load(bib_path, lambda text: parse_bib(text, bib_path.name, cited))
         diagnostics += bib_diags
         databases.append(db)
 

@@ -7,23 +7,28 @@ citation keys are matched verbatim.  Field values accept both "..." and
 with a warning diagnostic and the offending block is skipped.
 
 Every entry is checked when the text is parsed, but an entry's field
-dict is built only when it is first read.  Most entries take one match
-of _ENTRY: the type, `{', the key, a run of well-formed fields and the
-`}'.  A well-formed field is one match of _FIELD: the separators before
-it, its name, `=', a value ({...} with at most two levels of inner
-groups, "..." whose groups have at most one level inside, or an ASCII
-digit run) and the whitespace up to the `,' or `}' after it.  Such an
-entry keeps its span instead of its fields, once the span is known to
-hold no duplicate field: first from a cheap superset of the names, the
-first one and each after a `,', and, only if a name repeats there, from
-one exact match of the field names.  Its `fields' are built on first
-read with one _FIELD.findall over the span.
+dict is built only when it is first read.  A repeated field is looked for
+only in the cited entries, as classic BibTeX warns of an extra field only
+in an entry it stores: parse_bib takes the cited keys, or None to count
+every entry as cited.  An uncited entry keeps the first value of a
+repeated field without a word; every other diagnostic is given for every
+entry.  Most entries take one match of _ENTRY: the type, `{', the key, a
+run of well-formed fields and the `}'.  A well-formed field is one match
+of _FIELD: the separators before it, its name, `=', a value ({...} with
+at most two levels of inner groups, "..." whose groups have at most one
+level inside, or an ASCII digit run) and the whitespace up to the `,' or
+`}' after it.  Such an entry keeps its span instead of its fields, once a
+cited one's span is known to hold no repeated field: first from a cheap
+superset of the names, the first one and each after a `,', and, only if a
+name repeats there, from one exact match of the field names.  Its
+`fields' are built on first read with one _FIELD.findall over the span.
 
-Any entry _ENTRY rejects (a special type, a duplicate field, `#', a
-macro, deeper groups, no closing brace) is read eagerly from the same
-`@' by the general reader, field by field, so every diagnostic keeps its
-text and line, and all of them are known before any field is read.  group_end is the one
-brace-group scanner; latexpass and names use it too.
+Any entry _ENTRY rejects (a special type, `#', a macro, deeper groups, no
+closing brace), and a cited one with a repeated field, is read eagerly
+from the same `@' by the general reader, field by field, so every
+diagnostic keeps its text and line, and all of them are known before any
+field is read.  group_end is the one brace-group scanner; latexpass and
+names use it too.
 """
 
 from __future__ import annotations
@@ -50,11 +55,17 @@ class Entry(Record):
         if name != "fields":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         text, start, end = self._source
+        found = re.compile(_FIELD).findall(text, start, end)
         # at most one of the three value groups is not empty
         fields = {
             field.lower(): normalize_value(braced + quoted + digits)
-            for field, braced, quoted, digits in re.compile(_FIELD).findall(text, start, end)
+            for field, braced, quoted, digits in found
         }
+        if len(fields) < len(found):
+            # a name repeats, as only an uncited entry's may: its first value is kept
+            fields = {}
+            for field, braced, quoted, digits in found:
+                fields.setdefault(field.lower(), normalize_value(braced + quoted + digits))
         # the span goes only once the dict is whole, so a cut-off build can be retried
         self.fields = fields
         del self._source
@@ -147,12 +158,16 @@ class _EntryError(Exception):
         self.pos = pos
 
 
-def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Diagnostic]]:
+def parse_bib(text: str, source_name: str = "<bib>",
+              cited: set[str] | None = None) -> tuple[Database, list[Diagnostic]]:
     """Parse .bib source text.
 
     Every syntactically valid entry becomes an Entry; text outside entries
     is ignored.  Broken entries are skipped with a diagnostic and parsing
     resumes at the next `@`.  Raises nothing: every problem is a Diagnostic.
+    A repeated field is reported only in an entry whose key, verbatim, is in
+    cited; in any other entry its first value is kept without a word.  None,
+    the default, counts every entry as cited.
     """
     db = Database()
     diags: list[Diagnostic] = []
@@ -168,13 +183,13 @@ def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Dia
     pos = text.find("@")
     while pos >= 0:
         m = match_entry(text, pos + 1)
-        if m is not None and (entry := _unread_entry(text, m, field_names)) is not None:
+        if m is not None and (entry := _unread_entry(text, m, field_names, cited)) is not None:
             _check_key(db, entry.key, m.start(2), diag)
             db.add(entry)
             pos = m.end()
         else:
             try:
-                pos = _parse_entry(text, pos + 1, db, diag)
+                pos = _parse_entry(text, pos + 1, db, diag, cited)
             except _EntryError as err:
                 diag(err.severity, err.message, err.pos)
                 pos = err.pos
@@ -182,23 +197,25 @@ def parse_bib(text: str, source_name: str = "<bib>") -> tuple[Database, list[Dia
     return db, diags
 
 
-def _unread_entry(text: str, m: re.Match, field_names: tuple) -> Entry | None:
+def _unread_entry(text: str, m: re.Match, field_names: tuple, cited) -> Entry | None:
     """The entry _ENTRY matched, its fields not yet built, unless its type
-    is special or a field repeats; those take _parse_entry.  field_names
-    holds the matchers of _FIRST_NAME, _NAMES_AFTER_COMMAS and _FIELD_NAMES."""
+    is special or a field of a cited entry repeats; those take _parse_entry.
+    field_names holds the matchers of _FIRST_NAME, _NAMES_AFTER_COMMAS and
+    _FIELD_NAMES."""
     etype = m[1].lower()
     if etype in _SPECIAL_TYPES:
         return None
     # the end stays at the `}', so that the last field's lookahead sees it
-    start, end = m.end(2), m.end()
-    first_name, names_after_commas, exact_names = field_names
-    names = names_after_commas(text, start, end)
-    if (first := first_name(text, start, end)) is not None:
-        names.append(first[1])
-    if _repeats(names) and _repeats(exact_names(text, start, end)):
-        return None
+    start, end, key = m.end(2), m.end(), m[2]
+    if cited is None or key in cited:
+        first_name, names_after_commas, exact_names = field_names
+        names = names_after_commas(text, start, end)
+        if (first := first_name(text, start, end)) is not None:
+            names.append(first[1])
+        if _repeats(names) and _repeats(exact_names(text, start, end)):
+            return None
     entry = Entry.__new__(Entry)
-    entry.key, entry.entry_type, entry._source = m[2], etype, (text, start, end)
+    entry.key, entry.entry_type, entry._source = key, etype, (text, start, end)
     return entry
 
 
@@ -212,7 +229,7 @@ def _check_key(db: Database, key: str, at: int, diag) -> None:
         diag(WARNING, f"duplicate entry key `{key}'; later entry dropped", at)
 
 
-def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
+def _parse_entry(text: str, pos: int, db: Database, diag, cited) -> int:
     """Parse one entry whose `@' ends just before pos; returns the offset past it."""
     pos = _SPACE.match(text, pos).end()
     m = _TYPE.match(text, pos)
@@ -235,6 +252,7 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
         raise _EntryError(ERROR, f"invalid entry key {key!r}", pos)
     _check_key(db, key, m.start(), diag)
     entry = Entry(key=key, entry_type=etype)
+    checked = cited is None or key in cited
 
     while True:
         pos = _SPACE.match(text, pos).end()
@@ -258,10 +276,10 @@ def _parse_entry(text: str, pos: int, db: Database, diag) -> int:
         pos = _SPACE.match(text, pos).end()
         if text.startswith("#", pos):
             raise _EntryError(WARNING, f"string concatenation with `#' is not supported; entry `{key}' skipped", pos)
-        if name in entry.fields:
-            diag(WARNING, f"duplicate field `{name}' in entry `{key}'; first value kept", at)
-        else:
+        if name not in entry.fields:
             entry.fields[name] = normalize_value(value)
+        elif checked:
+            diag(WARNING, f"duplicate field `{name}' in entry `{key}'; first value kept", at)
 
     db.add(entry)
     return pos

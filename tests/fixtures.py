@@ -154,8 +154,9 @@ _STYLE_PHRASES = st.sampled_from([
 ])
 # phrases that each leave one string, the result of their ops (an integer
 # result chooses a string through if$), for out to write; title is not
-# declared by every ENTRY, so its phrase keeps an error path in out, and
-# one formats a name of _DEEP_NAMES, so that runs take the exact path
+# declared by every ENTRY, so its phrase keeps an error path in out; one
+# formats a name of _DEEP_NAMES, so that runs take the tokenizer's exact
+# path, and one a name of a braced list its findall reads, the fast path
 _STYLE_RESULTS = st.sampled_from([
     "cite$",
     # a loop of three iterations whose body writes what a branch in a branch
@@ -166,6 +167,7 @@ _STYLE_RESULTS = st.sampled_from([
     '"[" cite$ * "]" *',
     'author #1 "{vv~}{ll}{jj,}{f.}" format.name$',
     _DEEP_NAMES + ' #1 "{f.~}{ll}" format.name$',
+    '"Doe, John and {R}oe, Jane" #2 "{ff~}{ll}" format.name$',
     'author empty$ { "anonymous" } { author } if$',
     'author num.names$ #1 > { "and others" } { "alone" } if$',
     'author num.names$ #2 - #0 < { "short" } { "long" } if$',

@@ -138,6 +138,29 @@ class TestBibtex:
             "Warning--`number' is a missing field, not a string, for entry Ulam-1964\n"
         )
 
+    @pytest.mark.parametrize("command", ["bibtex", "pipeline"])
+    def test_repeated_fields_are_reported_only_in_cited_entries(self, workdir, capsys, command):
+        # Poincare is not cited, and its repeated field goes unreported, as in classic BibTeX
+        bib = SAMPLE_BIB.replace('    year = "1964",\n', '    year = "1964",\n    year = "1965",\n')
+        bib = bib.replace('    year = "1892",\n', '    year = "1892",\n    YEAR = "1893",\n')
+        write_files(workdir, {
+            "refs.bib": bib,
+            "guarded.bst": GUARDED_NUMBER_BST,
+            "t.aux": "\\relax\n\\citation{Ulam-1964}\n\\bibstyle{guarded}\n\\bibdata{refs}\n",
+            "t.tex": "\\cite{Ulam-1964}\n\\bibliographystyle{guarded}\n\\bibliography{refs}\n",
+        })
+        assert main([command, "t"]) == 0
+        warnings = [
+            "refs.bib, line 7: duplicate field `year' in entry `Ulam-1964'; first value kept",
+            "`number' is a missing field, not a string, for entry Ulam-1964",
+        ]
+        assert (workdir / "t.blg").read_text() == "".join(f"Warning--{w}\n" for w in warnings)
+        captured = capsys.readouterr()
+        assert [line for line in captured.err.splitlines() if line.startswith("warning: ")] == \
+            [f"warning: {w}" for w in warnings]
+        assert "Poincare" not in captured.err
+        assert "t: wrote t.bbl (2 warning(s), 0 error(s))\n" in captured.out
+
 
     def test_aux_without_database(self, workdir, capsys):
         write_files(workdir, {"t.aux": "\\relax\n\\bibstyle{helloword}\n"})

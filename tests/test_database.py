@@ -142,6 +142,23 @@ class TestParseBib:
         assert db.entries[0].fields["note"] == "a"
         assert any("duplicate field" in d.message for d in diags)
 
+    def test_uncited_entry_keeps_its_first_value_unread_and_unreported(self):
+        db, diags = parse_bib('@misc{k,\n  note = {a},\n  year = 1,\n  NOTE = "b"}', cited=set())
+        assert diags == []
+        entry = db.entries[0]
+        assert hasattr(entry, "_source")  # the span is kept, the fields not yet built
+        assert entry.fields == {"note": "a", "year": "1"}
+
+    def test_cited_entry_reports_a_repeated_field(self):
+        text = '@misc{k, note = {a}, note = {b}}\n@misc{j, note = {c}, note = {d}}'
+        db, diags = parse_bib(text, cited={"j"})
+        assert [e.fields for e in db.entries] == [{"note": "a"}, {"note": "c"}]
+        assert [d.message for d in diags] == ["duplicate field `note' in entry `j'; first value kept"]
+
+    def test_cited_keys_match_verbatim(self):
+        _, diags = parse_bib('@misc{Key, note = {a}, note = {b}}', cited={"key"})
+        assert diags == []
+
     def test_field_like_text_in_a_value_is_no_second_field(self):
         db, diags = parse_bib('@misc{k, note = {a, year = b}, year = "x, note = 1"}')
         assert diags == []
@@ -330,15 +347,15 @@ def test_accepted_values_have_balanced_braces():
 _NEVER = re.compile(r"(?!)")
 
 
-def _parsed(text: str):
-    db, diags = parse_bib(text, "t.bib")
+def _parsed(text: str, cited=None):
+    db, diags = parse_bib(text, "t.bib", cited)
     return [(e.key, e.entry_type, list(e.fields.items())) for e in db.entries], diags
 
 
-def _parsed_by_general_reader(text: str):
+def _parsed_by_general_reader(text: str, cited=None):
     # an entry pattern that never matches reads every entry field by field
     with mock.patch.object(database, "_ENTRY", _NEVER):
-        return _parsed(text)
+        return _parsed(text, cited)
 
 
 # the fast path is the default one, with lazy fields
@@ -446,6 +463,14 @@ def test_field_readers_agree(text):
     assert _parsed(text) == _parsed_by_general_reader(text)
 
 
+def test_repeated_fields_are_looked_for_only_in_cited_entries():
+    text = "".join(f"@misc{{k{i}, note = {{a}}, year = {i}}}\n" for i in range(50))
+    for cited, calls in (({"k3", "k17", "k49"}, 3), (None, 50)):
+        with mock.patch.object(database, "_repeats", wraps=database._repeats) as repeats:
+            db, diags = parse_bib(text, cited=cited)
+        assert (len(db.entries), diags, repeats.call_count) == (50, [], calls)
+
+
 # -- metamorphic relations ----------------------------------------------------
 
 @settings(max_examples=50)
@@ -484,6 +509,26 @@ def test_entry_order_changes_no_entry(data):
     assert sorted(after) == sorted(before)
     assert sorted((d.severity, d.message) for d in after_diags) == \
         sorted((d.severity, d.message) for d in before_diags)
+
+
+# whatever follows a `{' and reads like a key; BIB_TEXT's entries take k and j
+_KEY_LIKE = re.compile(r"\{\s*([^,}\s]+)")
+_DUPLICATE_FIELD = re.compile(r"duplicate field `\S*' in entry `(\S*)'; first value kept")
+
+
+@given(st.data())
+def test_field_readers_agree_under_any_cited(data):
+    # well-formed entries, which often repeat a field, among any .bib text
+    text = "".join(data.draw(st.permutations([data.draw(BIB_TEXT), *data.draw(_good_entries())])))
+    keys = sorted(set(_KEY_LIKE.findall(text)) | {"k", "j"})
+    cited = data.draw(st.none() | st.sets(st.sampled_from(keys)))
+    entries, diags = _parsed(text, cited)
+    assert (entries, diags) == _parsed_by_general_reader(text, cited)
+    # cited changes no field, and drops exactly the repeated-field warnings of uncited keys
+    all_entries, all_diags = _parsed(text)
+    assert entries == all_entries
+    assert diags == [d for d in all_diags if cited is None
+                     or (m := _DUPLICATE_FIELD.fullmatch(d.message)) is None or m[1] in cited]
 
 
 _CITING_AUX = ("\\citation{YangYu}\n\\citation{Poincare}\n\\citation{absent}\n"

@@ -147,6 +147,27 @@ def test_most_generated_vm_inputs_write_what_ops_make_of_entries_and_many_fail(p
     assert sum(failed for _, failed in runs) >= 100
 
 
+def test_some_generated_vm_inputs_tokenize_a_braced_list_on_the_fast_path(parentdiff, monkeypatch):
+    # a list holding a brace takes the fast path when the findall reads each of its groups
+    paths = []
+    tokenize, token = bibstack.names.tokenize, re.compile(bibstack.names._TOKEN)
+
+    def counted(name_list):
+        if "{" in name_list:
+            paths.append("exact" if "{" in token.findall(name_list) else "fast")
+        return tokenize(name_list)
+
+    monkeypatch.setattr(bibstack.names, "tokenize", counted)
+
+    def run(given):
+        with mock.patch.object(bibstack.vm, "WHILE_LIMIT", STYLE_WHILE_LIMIT):
+            parentdiff.vm_run(bibstack, *given)
+
+    # the inputs of the vm check at --budget 300; measured: 13 fast, 43 exact
+    parentdiff.each_input(VM_INPUTS, 300, run)
+    assert paths.count("fast") >= 6 and paths.count("exact") >= 20
+
+
 def test_finds_a_planted_branch_swap_in_the_compiled_tier(parentdiff, tmp_path, capsys):
     compiler = _copy_of_tree(tmp_path / "mutant") / "vmcompile.py"
     compiler.write_text(compiler.read_text(encoding="utf-8") + _BRANCH_MUTATION, encoding="utf-8")
