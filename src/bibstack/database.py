@@ -6,22 +6,21 @@ citation keys are matched verbatim.  Field values accept both "..." and
 @string/@preamble/@comment constructs and `#` concatenation are rejected
 with a warning diagnostic and the offending block is skipped.
 
-Every entry is checked when the text is parsed, but an entry's field
-dict is built only when it is first read.  A repeated field is looked for
-only in the cited entries, as classic BibTeX warns of an extra field only
-in an entry it stores: parse_bib takes the cited keys, or None to count
-every entry as cited.  An uncited entry keeps the first value of a
-repeated field without a word; every other diagnostic is given for every
-entry.  Most entries take one match of _ENTRY: the type, `{', the key, a
-run of well-formed fields and the `}'.  A well-formed field is one match
-of _FIELD: the separators before it, its name, `=', a value ({...} with
-at most two levels of inner groups, "..." whose groups have at most one
-level inside, or an ASCII digit run) and the whitespace up to the `,' or
-`}' after it.  Such an entry keeps its span instead of its fields, once a
-cited one's span is known to hold no repeated field: first from a cheap
-superset of the names, the first one and each after a `,', and, only if a
-name repeats there, from one exact match of the field names.  Its
-`fields' are built on first read with one _FIELD.findall over the span.
+Every entry is checked when the text is parsed.  A repeated field is
+looked for only in the cited entries, as classic BibTeX warns of an extra
+field only in an entry it stores: parse_bib takes the cited keys, or None
+to count every entry as cited.  An uncited entry keeps the first value of
+a repeated field without a word; every other diagnostic is given for
+every entry.  Most entries take one match of _ENTRY: the type, `{', the
+key, a run of well-formed fields and the `}'.  A well-formed field is one
+match of _FIELD: the separators before it, its name, `=', a value ({...}
+with at most two levels of inner groups, "..." whose groups have at most
+one level inside, or an ASCII digit run) and the whitespace up to the `,'
+or `}' after it.  _read_fields builds such an entry's fields with one
+_FIELD.findall over its span, and a name repeats when the dict comes out
+shorter than the findall.  A cited entry's fields are built at parse
+time; an uncited one keeps its span, and its fields are built on first
+read.
 
 Any entry _ENTRY rejects (a special type, `#', a macro, deeper groups, no
 closing brace), and a cited one with a repeated field, is read eagerly
@@ -54,18 +53,7 @@ class Entry(Record):
         # reached only for an unset slot: fields not yet built from _source
         if name != "fields":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        text, start, end = self._source
-        found = re.compile(_FIELD).findall(text, start, end)
-        # at most one of the three value groups is not empty
-        fields = {
-            field.lower(): normalize_value(braced + quoted + digits)
-            for field, braced, quoted, digits in found
-        }
-        if len(fields) < len(found):
-            # a name repeats, as only an uncited entry's may: its first value is kept
-            fields = {}
-            for field, braced, quoted, digits in found:
-                fields.setdefault(field.lower(), normalize_value(braced + quoted + digits))
+        fields = _read_fields(*self._source)[0]
         # the span goes only once the dict is whole, so a cut-off build can be retried
         self.fields = fields
         del self._source
@@ -125,14 +113,6 @@ def _uncaptured(source: str) -> str:
 # on first use and keeps in re's cache: every command imports this module,
 # and only the .bib reader needs them.
 _FIELD = _NAME_SOURCE + _VALUE_SOURCE
-# the names alone, for the duplicate-field check
-_FIELD_NAMES = _NAME_SOURCE + _uncaptured(_VALUE_SOURCE)
-# A superset of the names, for a cheaper first check: the first field's name,
-# matched at the span's start, and every name after a `,' (every field after
-# the first follows one, since a value ends before a `,' or the `}'), with
-# whatever reads like a name inside a value.  No repeat there, none at all.
-_FIRST_NAME = r'\s*+([^=,{}"\s]++)\s*+='
-_NAMES_AFTER_COMMAS = r',[\s,]*+([^=,{}"\s]++)\s*+='
 # a whole entry after its `@': type, `{', key, well-formed fields, `}'
 _ENTRY = r"\s*+([^{(,\s]++)\s*+\{\s*+([^,}\s{]++)(?:" + _uncaptured(_FIELD) + r")*+[\s,]*+\}"
 
@@ -165,9 +145,11 @@ def parse_bib(text: str, source_name: str = "<bib>",
     Every syntactically valid entry becomes an Entry; text outside entries
     is ignored.  Broken entries are skipped with a diagnostic and parsing
     resumes at the next `@`.  Raises nothing: every problem is a Diagnostic.
-    A repeated field is reported only in an entry whose key, verbatim, is in
-    cited; in any other entry its first value is kept without a word.  None,
-    the default, counts every entry as cited.
+    An entry whose key, verbatim, is in cited has its fields built here,
+    and a repeated field in it is reported.  Any other entry's fields are
+    built on first read, each with its first value, without a word.  None,
+    the default, counts every entry as cited, so every entry's fields are
+    built here.
     """
     db = Database()
     diags: list[Diagnostic] = []
@@ -178,12 +160,10 @@ def parse_bib(text: str, source_name: str = "<bib>",
         diags.append(Diagnostic(severity, message, line_at(pos), source_name))
 
     match_entry = re.compile(_ENTRY).match
-    field_names = (re.compile(_FIRST_NAME).match, re.compile(_NAMES_AFTER_COMMAS).findall,
-                   re.compile(_FIELD_NAMES).findall)
     pos = text.find("@")
     while pos >= 0:
         m = match_entry(text, pos + 1)
-        if m is not None and (entry := _unread_entry(text, m, field_names, cited)) is not None:
+        if m is not None and (entry := _unread_entry(text, m, cited)) is not None:
             _check_key(db, entry.key, m.start(2), diag)
             db.add(entry)
             pos = m.end()
@@ -197,31 +177,39 @@ def parse_bib(text: str, source_name: str = "<bib>",
     return db, diags
 
 
-def _unread_entry(text: str, m: re.Match, field_names: tuple, cited) -> Entry | None:
-    """The entry _ENTRY matched, its fields not yet built, unless its type
-    is special or a field of a cited entry repeats; those take _parse_entry.
-    field_names holds the matchers of _FIRST_NAME, _NAMES_AFTER_COMMAS and
-    _FIELD_NAMES."""
+def _unread_entry(text: str, m: re.Match, cited) -> Entry | None:
+    """The entry _ENTRY matched, unless its type is special or a field of a
+    cited entry repeats; those take _parse_entry.  A cited entry's fields
+    are built here, an uncited one's on first read."""
     etype = m[1].lower()
     if etype in _SPECIAL_TYPES:
         return None
     # the end stays at the `}', so that the last field's lookahead sees it
     start, end, key = m.end(2), m.end(), m[2]
     if cited is None or key in cited:
-        first_name, names_after_commas, exact_names = field_names
-        names = names_after_commas(text, start, end)
-        if (first := first_name(text, start, end)) is not None:
-            names.append(first[1])
-        if _repeats(names) and _repeats(exact_names(text, start, end)):
-            return None
+        fields, repeated = _read_fields(text, start, end)
+        return None if repeated else Entry(key, etype, fields)
     entry = Entry.__new__(Entry)
     entry.key, entry.entry_type, entry._source = key, etype, (text, start, end)
     return entry
 
 
-def _repeats(names: list[str]) -> bool:
-    """Whether a field name repeats among names, whose case does not count."""
-    return len({name.lower() for name in names}) < len(names)
+def _read_fields(text: str, start: int, end: int) -> tuple[dict[str, str], bool]:
+    """The fields of the run of well-formed fields text[start:end], each
+    name with its first value, and whether a name repeats."""
+    found = re.compile(_FIELD).findall(text, start, end)
+    # at most one of the three value groups is not empty
+    fields = {
+        field.lower(): normalize_value(braced + quoted + digits)
+        for field, braced, quoted, digits in found
+    }
+    repeated = len(fields) < len(found)
+    if repeated:
+        # the comprehension kept each repeated name's last value
+        fields = {}
+        for field, braced, quoted, digits in found:
+            fields.setdefault(field.lower(), normalize_value(braced + quoted + digits))
+    return fields, repeated
 
 
 def _check_key(db: Database, key: str, at: int, diag) -> None:

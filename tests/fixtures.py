@@ -90,6 +90,14 @@ BIB_TEXT = st.lists(st.one_of(
     st.characters(),
 ), max_size=6).map("".join)
 
+_KEY_LIKE = re.compile(r"\{\s*([^,}\s]+)")
+
+
+def cited_keys(text: str):
+    """parse_bib's cited keys for text: None, or any set of k, j and the
+    words that read like a key after a `{' in text."""
+    return st.none() | st.sets(st.sampled_from(sorted(set(_KEY_LIKE.findall(text)) | {"k", "j"})))
+
 # any text, weighted toward the characters the name engine splits on; the
 # tokens whose initials are brace groups: a special character, a doubled
 # group and an empty one, and whole names in which a token with no initial

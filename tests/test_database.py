@@ -32,6 +32,7 @@ from fixtures import (
     LASTNAME_SORT_FRAGMENT,
     SAMPLE_BIB,
     SCANNER_TEXT,
+    cited_keys,
     with_sort_fragment,
 )
 
@@ -466,7 +467,7 @@ def test_field_readers_agree(text):
 def test_repeated_fields_are_looked_for_only_in_cited_entries():
     text = "".join(f"@misc{{k{i}, note = {{a}}, year = {i}}}\n" for i in range(50))
     for cited, calls in (({"k3", "k17", "k49"}, 3), (None, 50)):
-        with mock.patch.object(database, "_repeats", wraps=database._repeats) as repeats:
+        with mock.patch.object(database, "_read_fields", wraps=database._read_fields) as repeats:
             db, diags = parse_bib(text, cited=cited)
         assert (len(db.entries), diags, repeats.call_count) == (50, [], calls)
 
@@ -511,8 +512,6 @@ def test_entry_order_changes_no_entry(data):
         sorted((d.severity, d.message) for d in before_diags)
 
 
-# whatever follows a `{' and reads like a key; BIB_TEXT's entries take k and j
-_KEY_LIKE = re.compile(r"\{\s*([^,}\s]+)")
 _DUPLICATE_FIELD = re.compile(r"duplicate field `\S*' in entry `(\S*)'; first value kept")
 
 
@@ -520,8 +519,10 @@ _DUPLICATE_FIELD = re.compile(r"duplicate field `\S*' in entry `(\S*)'; first va
 def test_field_readers_agree_under_any_cited(data):
     # well-formed entries, which often repeat a field, among any .bib text
     text = "".join(data.draw(st.permutations([data.draw(BIB_TEXT), *data.draw(_good_entries())])))
-    keys = sorted(set(_KEY_LIKE.findall(text)) | {"k", "j"})
-    cited = data.draw(st.none() | st.sets(st.sampled_from(keys)))
+    cited = data.draw(cited_keys(text))
+    # a cited entry's fields are built at parse time, an uncited one's on first read
+    db, _ = parse_bib(text, "t.bib", cited)
+    assert not [e.key for e in db.entries if hasattr(e, "_source") and (cited is None or e.key in cited)]
     entries, diags = _parsed(text, cited)
     assert (entries, diags) == _parsed_by_general_reader(text, cited)
     # cited changes no field, and drops exactly the repeated-field warnings of uncited keys

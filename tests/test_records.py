@@ -111,7 +111,7 @@ def test_mutable_defaults_are_fresh_per_record(make, name, empty):
 @pytest.mark.parametrize("first", ["fields", "eq", "repr"])
 def test_a_parsed_entry_is_the_record_of_its_fields_before_and_after_they_are_read(first):
     expected = Entry("k", "book", {"title": "A {B {C}}", "year": "1984", "note": "x {y}"})
-    entry = parse_bib('@Book{k, title = {A  {B {C}}}, year = 1984, note = "x {y}"}')[0].by_key["k"]
+    entry = parse_bib('@Book{k, title = {A  {B {C}}}, year = 1984, note = "x {y}"}', cited=set())[0].by_key["k"]
     assert entry._source, "fields are built at parse time"
     if first == "fields":
         assert entry.fields == expected.fields

@@ -13,9 +13,10 @@ package is relative), and both get the same inputs:
   many pieces (the piece record itself is internal);
 - parse_bib, parse_bst, parse_aux, scan_tex and bibitem_keys (the .bbl
   reader, on the same texts as scan_tex): the result with every
-  Diagnostic field and every .bib entry's fields (built on first read),
-  or the error's type, message and line; lint's findings and
-  format_program on each parsed style;
+  Diagnostic field and every .bib entry's fields, or the error's type,
+  message and line; parse_bib gets cited keys drawn as None or a set of
+  the text's keys; lint's findings and format_program on each parsed
+  style;
 - the VM on generated styles, .bib texts and citations, with a while$
   limit of STYLE_WHILE_LIMIT and no body compiled (the generic tier): the
   .bbl, the .blg records, the final stack, the call depth the run ends at
@@ -27,7 +28,8 @@ package is relative), and both get the same inputs:
 - the CLI on the seed-1 and seed-2 corpora of every perfbench workload
   (`pipeline` in one directory; `latexpass`, `bibtex` and `lint` in
   turn in another): exit code, stdout, stderr and the bytes of every
-  file left behind; and parse_bib on each corpus's .bib, cited or not.
+  file left behind; and parse_bib on each corpus's .bib, with no cited
+  keys and (`parse_bib.WORKLOAD.cited`) with the .aux citations.
 
 The random inputs come from the strategies in tests/fixtures.py, BUDGET
 of them per generator; the corpora come from perfbench/corpus.py, built
@@ -68,7 +70,7 @@ import bibstack.cli  # noqa: E402
 import corpus  # noqa: E402
 from fixtures import (  # noqa: E402
     BIB_TEXT, BST_TEXT, NAME_TEXT, SCANNER_TEXT, STYLE_TEXT, STYLE_WHILE_LIMIT, TEMPLATE_TEXT, TEX_TEXT,
-    VM_INPUTS,
+    VM_INPUTS, cited_keys,
 )
 
 CORPUS_SEEDS = (1, 2)
@@ -240,7 +242,10 @@ def compare_corpora(report: Report, workdir: Path) -> None:
         for seed in CORPUS_SEEDS:
             built = corpus.build(workload, seed, CORPUS_SCALE)
             bib = built.files[f"{corpus.BIB}.bib"]
+            cited = set(bibstack.auxfile.parse_aux(built.aux).citations)
             report.compare(f"parse_bib.{workload}", seed, lambda p: p.database.parse_bib(bib))
+            report.compare(f"parse_bib.{workload}.cited", seed,
+                           lambda p: p.database.parse_bib(bib, f"{corpus.BIB}.bib", cited))
             style = built.files[f"{built.style}.bst"]
             report.compare(f"vm.compiled.{workload}", seed,
                            lambda p: vm_run_compiled(p, style, [bib], built.aux))
@@ -272,8 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         report = Report(parent, bibstack)
         generators = [
             (st.tuples(NAME_TEXT, TEMPLATE_TEXT), lambda g: compare_names(report, g)),
-            (st.one_of(BIB_TEXT, SCANNER_TEXT),
-             lambda t: report.compare("parse_bib", t, lambda p: p.database.parse_bib(t))),
+            (st.one_of(BIB_TEXT, SCANNER_TEXT).flatmap(lambda t: st.tuples(st.just(t), cited_keys(t))),
+             lambda g: report.compare("parse_bib", g, lambda p: p.database.parse_bib(g[0], cited=g[1]))),
             (st.one_of(BST_TEXT, STYLE_TEXT), lambda t: compare_bst(report, t)),
             (TEX_TEXT, lambda t: compare_tex(report, t)),
             (VM_INPUTS, lambda g: compare_vm(report, g)),
