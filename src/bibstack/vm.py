@@ -45,17 +45,14 @@ place, as a Python if/else and a Python loop, and num.names$ and
 format.name$ call the Vm with values (_names_of, _format_name).  Bodies
 that compile to the same source share one code object.  The function
 checks a value wherever an op needs a type that no op of the body gave
-it.  Where a check fails (an underflow, a wrong type, no current entry)
-at the body's own level, it puts the live values back on the stack and
-returns the index of the op, and _call runs that op and the rest of the
-body through their handlers, which raise the same errors at the same
-lines as a body that never compiled, so no op after it runs.  Where one
-fails inside a block compiled in place, it puts the block's live values
-back and runs the op's handler there, at the block's level, and the
-handler raises.  A FUNCTION, call.type$, an if$ or while$ that is not
-bound and any other call runs after the function has put every value on
-the stack, as the handlers run it.  Either tier gives the same output,
-records, stack, variables and call depth.
+it.  Where a check fails (an underflow, a wrong type, no current entry),
+it puts the live values back on the stack and runs the op's handler
+there, at the level of the block compiled in place it is in, if any;
+the handler raises the same error at the same line as a body that never
+compiled, so no op after it runs.  A FUNCTION, call.type$, an if$ or
+while$ that is not bound and any other call runs after the function has
+put every value on the stack, as the handlers run it.  Either tier gives
+the same output, records, stack, variables and call depth.
 Every body entered counts one call level, up to CALL_DEPTH_LIMIT, a block
 compiled in place among them, and a quoted name that if$ or while$ runs
 and that enters no body counts one as _level runs it.  _call restores on
@@ -231,8 +228,7 @@ class Vm:
 
     def _call(self, body_line: tuple) -> None:
         """The handler that runs a (body, line) operand as exec_tokens does:
-        through its ops, or, once it has compiled, through its function,
-        and then through the ops from the one it fell back at, if it did."""
+        through its ops, or, once it has compiled, through its function."""
         tokens, line = body_line
         body = self._resolved.get(id(tokens))
         if body is None:
@@ -249,10 +245,7 @@ class Vm:
                     from .vmcompile import compile_body  # loaded by the first compile only
                     run = body.run = compile_body(self, ops)
             if run is not None:
-                start = run(self)
-                if start is None:
-                    return
-                ops = ops[start:]
+                return run(self)
             for handler, operand in ops:
                 handler(self, operand)
         finally:

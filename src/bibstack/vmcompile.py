@@ -38,21 +38,19 @@ if$ or while$ runs, and puts the slots it leaves there at its end.
 
 A guard that fails (an underflow, a wrong type, no current entry) puts
 the live slots, and any value the op took from vm.stack, back on
-vm.stack.  At the body's own level the function then returns the op's
-index: Vm._call runs that op and the rest of the body through their
-handlers, which raise the same errors at the same lines as a body that
-never compiled.  Inside a block in place, from which no index leads
-back, the function runs the op's handler there, and raises an internal
-error should it ever return.  Each guard is a check that the op's
-handler makes, so the handler raises and no op after it runs.  An op
-runs whole in the function or not at all, and the fallback adds no
-Python frame.  Every op _OPS does not compile is a call (a body, an if$
-or while$ that is not bound, call.type$, skip$, := that is not bound, =
-of two values of unknown type, a read of an entry variable, an unknown
-or unsupported name, whose handler raises its error, and any handler
-that is not its builtin's own function, such as a wrapped one): it runs
-after every slot is put on vm.stack, exactly as the generic loop runs
-it, and a value it leaves there is taken back as unknown.  The function
+vm.stack, sets vm.depth to the level of the block in place it is in, if
+any, and runs the op's handler there, which raises the same error at the
+same line as a body that never compiled; should the handler return, the
+function raises an internal error.  Each guard is a check that the op's
+handler makes, so the handler raises and no op after it runs: there is
+nothing to resume.  An op runs whole in the function or not at all.
+Every op _OPS does not compile is a call (a body, an if$ or while$ that
+is not bound, call.type$, skip$, := that is not bound, = of two values
+of unknown type, a read of an entry variable, an unknown or unsupported
+name, whose handler raises its error, and any handler that is not its
+builtin's own function, such as a wrapped one): it runs after every slot
+is put on vm.stack, exactly as the generic loop runs it, and a value it
+leaves there is taken back as unknown.  The function
 returns None when it reaches the end of the body.
 
 Operands are not written into the source: each is a name, k0, k1, ...,
@@ -79,9 +77,9 @@ INLINE_DEPTH = 8
 
 
 def _returned(handler) -> RuntimeError:
-    """The error of a handler that a block compiled in place fell back to and
-    that returned: each guard is a check its handler makes, so it raises."""
-    return RuntimeError(f"{handler.__qualname__} returned at a failed check of a compiled block")
+    """The error of a handler that a compiled body fell back to and that
+    returned: each guard is a check its handler makes, so it raises."""
+    return RuntimeError(f"{handler.__qualname__} returned at a failed check of a compiled body")
 
 
 # the names the generated code reads besides its operands
@@ -92,11 +90,12 @@ _PROLOGUE = {"cur": "cur = vm.current", "doc": "doc = vm.doc", "log": "log = vm.
 
 
 def compile_body(vm: Vm, ops: list[tuple]):
-    """The function that runs ops for vm: it returns None when it has run them all,
-    or the index of the op it fell back at, whose state it has put back on vm.stack."""
+    """The function that runs ops for vm: it returns None when it has run them all;
+    at a failed check it puts the op's state back on vm.stack and runs the op's
+    handler, which raises."""
     gen = _Gen(vm)
-    for i, (handler, operand) in enumerate(ops):
-        gen.op(i, handler, operand)
+    for handler, operand in ops:
+        gen.op(handler, operand)
     gen.flush()
     lines = ["def body(vm):", "    stack = vm.stack"]
     lines += [f"    {_PROLOGUE[name]}" for name in _PROLOGUE if name in gen.used]
@@ -126,10 +125,9 @@ class _Gen:
         self.blocks = 0  # the blocks compiled in place around the op being compiled
         # the bodies that are FUNCTIONs: every other body an op enters is a {...} block
         self.functions = {id(body) for body in vm.program.functions.values()}
-        # the op being compiled: its index, the slots before it, what it took from
-        # vm.stack, and, inside a block compiled in place, the (handler, operand)
-        # that a failed check runs there
-        self.i, self.before, self.taken, self.failing = 0, [], [], None
+        # the op being compiled: the slots before it, what it took from vm.stack,
+        # and the (handler, operand) that a failed check runs in place
+        self.before, self.taken, self.failing = [], [], None
 
     # -- pieces ---------------------------------------------------------------
 
@@ -161,15 +159,14 @@ class _Gen:
             self.slots = []
 
     def back(self) -> str:
-        """The statement that falls back at this op: its state back on vm.stack, and
-        then its index returned, or, inside a block compiled in place, its handler
-        run there, which raises."""
+        """The statement that falls back at this op: its state back on vm.stack and,
+        inside a block compiled in place, vm.depth at the block's level; then its
+        handler run there, which raises."""
         restore = self.taken + [expr for expr, _ in self.before]
         push = self.push_all(restore) + "; " if restore else ""
-        if self.failing is None:
-            return f"{push}return {self.i}"
+        level = f"{self.at_level()}; " if self.blocks else ""
         handler, operand = (self.const(part) for part in self.failing)
-        return f"{push}{self.at_level()}; {handler}(vm, {operand}); raise returned({handler})"
+        return f"{push}{level}{handler}(vm, {operand}); raise returned({handler})"
 
     def at_level(self) -> str:
         """The statement that sets vm.depth to the level of the block being compiled."""
@@ -226,9 +223,8 @@ class _Gen:
 
     # -- ops ------------------------------------------------------------------
 
-    def op(self, i: int, handler, operand) -> None:
-        self.i, self.before, self.taken = i, list(self.slots), []
-        self.failing = (handler, operand) if self.blocks else None
+    def op(self, handler, operand) -> None:
+        self.before, self.taken, self.failing = list(self.slots), [], (handler, operand)
         if (method := _OPS.get(handler)) is not None:
             method(self, operand)
         else:
@@ -321,7 +317,7 @@ class _Gen:
         entry_checked = self.entry_checked
         self.blocks += 1
         for handler, operand in self.vm._resolve_body(tokens):
-            self.op(self.i, handler, operand)
+            self.op(handler, operand)
         self.blocks -= 1
         top = self.slots.pop() if keep_top and self.slots else None
         self.flush()

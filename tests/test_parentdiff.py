@@ -81,7 +81,7 @@ def test_finds_no_difference_in_a_copy_and_finds_a_planted_mutation(parentdiff, 
     mutant = _differences(capsys.readouterr().out)
 
     assert {"names.format_name", "parse_bib", "parse_bst", "lint", "parse_aux", "scan_tex", "vm",
-            "vm.compiled", "cli.sort-names.pipeline", "cli.cite-dense.lint", "parse_bib.big-bib",
+            "vm.compiled", "tiers", "cli.sort-names.pipeline", "cli.cite-dense.lint", "parse_bib.big-bib",
             "parse_bib.big-bib.cited"} <= set(same)
     assert set(same.values()) == {0}
     # the sort-names style formats every name
@@ -107,14 +107,19 @@ def _pipeline(parentdiff, pkg, workdir: Path) -> tuple:
     return code, err, files.get(f"{corpus.BASE}.bbl")
 
 
+def _small_sort_names() -> tuple:
+    """The style, .bib texts and .aux of a small sort-names corpus, as vm_run takes them."""
+    import corpus
+
+    built = corpus.build("sort-names", 1, 0.01)
+    return built.files[f"{built.style}.bst"], [built.files[f"{corpus.BIB}.bib"]], built.aux
+
+
 def _assert_the_compiled_mutant_ran(parentdiff, compiler: Path, workdir: Path) -> None:
     """The planted package runs a small sort-names corpus with every body compiled, to
     an outcome that differs from the tree's: a mutant that crashed raises here, since
     an internal error escapes Vm.execute."""
-    import corpus
-
-    built = corpus.build("sort-names", 1, 0.01)
-    inputs = (built.files[f"{built.style}.bst"], [built.files[f"{corpus.BIB}.bib"]], built.aux)
+    inputs = _small_sort_names()
     planted = parentdiff.load(str(compiler.parent), workdir)
     mutant, tree = (parentdiff.plain(parentdiff.vm_run_compiled(pkg, *inputs)) for pkg in (planted, bibstack))
     assert mutant != tree
@@ -131,6 +136,18 @@ def test_finds_a_planted_mutation_of_the_compiled_tier(parentdiff, tmp_path, cap
     assert mutant["vm.compiled.sort-names"] > 0 and mutant["vm.compiled"] > 0
     assert mutant["vm"] == mutant["parse_bst"] == 0
     _assert_the_compiled_mutant_ran(parentdiff, compiler, tmp_path / "load")
+
+
+def test_the_tiers_check_finds_a_planted_mutation_of_the_compiled_tier(parentdiff, tmp_path):
+    # the tiers check runs one package's tiers against each other, so it needs no parent
+    compiler = _copy_of_tree(tmp_path / "mutant") / "vmcompile.py"
+    compiler.write_text(compiler.read_text(encoding="utf-8") + _COMPILER_MUTATION, encoding="utf-8")
+    inputs = _small_sort_names()
+    planted = parentdiff.load(str(compiler.parent), tmp_path / "load")
+    mutant = parentdiff.vm_tiers(planted, *inputs)
+    assert mutant["compiled"] != mutant["generic"] and mutant["compiled after 2"] != mutant["generic"]
+    tree = parentdiff.vm_tiers(bibstack, *inputs)
+    assert tree["compiled"] == tree["compiled after 2"] == tree["generic"] == mutant["generic"]
 
 
 def test_most_generated_vm_inputs_write_what_ops_make_of_entries_and_many_fail(parentdiff):
@@ -195,7 +212,7 @@ def test_finds_a_planted_mutation_of_a_loop_compiled_in_place(parentdiff, tmp_pa
 def test_many_generated_vm_inputs_run_blocks_and_loops_compiled_in_place(parentdiff, monkeypatch):
     # the compiled tier, instrumented: the generated code says "block" as it enters a
     # block compiled in place, "loop" as it starts a loop, "fallback" as a check in
-    # a block fails
+    # a block fails, and "body fallback" as a check at a body's own level fails
     from bibstack import vmcompile
 
     seen, runs = set(), []
@@ -203,7 +220,7 @@ def test_many_generated_vm_inputs_run_blocks_and_loops_compiled_in_place(parentd
 
     def said_back(gen):
         statement = back(gen)
-        return statement if gen.failing is None else f"seen('fallback'); {statement}"
+        return f"seen({'fallback' if gen.blocks else 'body fallback'!r}); {statement}"
 
     def said(word, compile_op):
         def compile_said(gen, *operands):
@@ -228,6 +245,7 @@ def test_many_generated_vm_inputs_run_blocks_and_loops_compiled_in_place(parentd
     assert sum("block" in words for words, _ in runs) >= 200
     assert sum("loop" in words for words, _ in runs) >= 120
     assert sum("fallback" in words for words, _ in runs) >= 20
+    assert sum("body fallback" in words for words, _ in runs) >= 60
     # every run ends at depth 0, errors in blocks compiled in place among them
     assert {depth for _, depth in runs} == {0}
 

@@ -1092,6 +1092,25 @@ def _deep_style(levels: int) -> str:
     return " ".join(functions) + " EXECUTE {main}\n"
 
 
+def _records_in_three_frames_a_level(style: str) -> list:
+    """The .blg records of a run of style on one cited entry, under a recursion
+    limit with room for three Python frames a level and the frames below the first."""
+    bib = '@misc{k, note = "x"}\n'
+    aux = parse_aux("\\citation{k}\n")
+    program, _ = parse_bst(style)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    # room for three frames a level and the frames between here and the first level
+    sys.setrecursionlimit(depth + 3 * CALL_DEPTH_LIMIT + 20)
+    try:
+        _, log = run(program, aux, [parse_bib(bib)[0]])
+    finally:
+        sys.setrecursionlimit(limit)
+    return log.records
+
+
 class TestCallDepth(Tiered):
     def test_limit_deep_runs_within_pythons_recursion_limit(self):
         stack, bbl, records = _run_style(_deep_style(CALL_DEPTH_LIMIT))
@@ -1148,21 +1167,20 @@ class TestCallDepth(Tiered):
         "{ n #0 > } { #1 'if$ 'skip$ n #1 - 'n := } while$ if$ } EXECUTE {main}",
     ])
     def test_each_level_costs_at_most_three_python_frames(self, style):
-        bib = '@misc{k, note = "x"}\n'
-        aux = parse_aux("\\citation{k}\n")
-        program, _ = parse_bst(style)
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        # room for three frames a level and the frames between here and the first level
-        sys.setrecursionlimit(depth + 3 * CALL_DEPTH_LIMIT + 20)
-        try:
-            _, log = run(program, aux, [parse_bib(bib)[0]])
-        finally:
-            sys.setrecursionlimit(limit)
-        assert log.records == [
+        assert _records_in_three_frames_a_level(style) == [
             (ERROR, f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 1)")]
+
+    @pytest.mark.parametrize("levels,message", [
+        # g at the deepest level takes "x" as an integer: its +, compiled, falls back at
+        # the body's own level to the handler, which raises at its check
+        (CALL_DEPTH_LIMIT, '+: expected an integer, got "x" (line 2)'),
+        (CALL_DEPTH_LIMIT + 1, f"function call depth exceeded (limit {CALL_DEPTH_LIMIT}) (line 4)"),
+    ])
+    def test_a_fallback_at_the_deepest_level_costs_at_most_three_python_frames(self, levels, message):
+        # f at level d runs f at level d + 1 until d reaches levels - 1, then g
+        style = ('INTEGERS {d}\nFUNCTION {g} { "x" #1 + }\nFUNCTION {f} {\n'
+                 f"d #1 + 'd := d #{levels - 1} < 'f 'g if$ }}\nEXECUTE {{f}}\n")
+        assert _records_in_three_frames_a_level(style) == [(ERROR, message)]
 
     @pytest.mark.parametrize("levels,message", [
         # the deepest level takes "x" as an integer: its +, compiled, falls back to the
@@ -1282,28 +1300,40 @@ class TestCompiledTier:
         assert vm.current.strs["s"] == ""
         assert vm.log.records == [(WARNING, "`title' is a missing field, not a string, for entry k")] * 5
 
-    def test_a_failed_guard_puts_the_slots_back_and_returns_the_op(self):
+    def test_a_failed_guard_puts_the_slots_back_and_raises_the_handlers_error(self):
         vm = make_vm('INTEGERS {n}\nFUNCTION {f} { #1 "a" n * }\nFUNCTION {g} { #1 + }\n')
         vm.execute(AuxFile())
-        f, g = (compile_body(vm, vm._resolve_body(vm.program.functions[name])) for name in "fg")
-        # * takes n, an integer, as a string: the ops from it run through the handlers
-        vm.stack = ["below"]
-        assert f(vm) == 3
-        assert vm.stack == ["below", 1, "a", 0]
-        # + takes "x" from below the body, and it goes back under the body's 1
-        vm.stack = ["below", "x"]
-        assert g(vm) == 1
-        assert vm.stack == ["below", "x", 1]
+
+        def same_as_generic(body, below):
+            """The error and the stack that body, compiled, leaves on the values below,
+            which the generic tier leaves too."""
+            ops = vm._resolve_body(body)
+            outcomes = []
+            for compiled in (True, False):
+                vm.stack = list(below)
+                with pytest.raises(VmError) as err:
+                    if compiled:
+                        compile_body(vm, ops)(vm)
+                    else:
+                        for handler, operand in ops:
+                            handler(vm, operand)
+                outcomes.append((str(err.value), vm.stack))
+            assert outcomes[0] == outcomes[1]
+            return outcomes[0]
+
+        # * takes n, an integer, as a string: its handler pops n and raises
+        assert same_as_generic(vm.program.functions["f"], ["below"]) == (
+            "*: expected a string, got 0 (line 2)", ["below", 1, "a"])
+        # + takes "x" from below the body, which goes back under the body's 1 for the handler
+        assert same_as_generic(vm.program.functions["g"], ["below", "x"]) == (
+            '+: expected an integer, got "x" (line 3)', ["below"])
         # guards that never hold fail as they run: + takes a { } block, write$ a quoted
         # name, and = takes an integer and a string
-        for body, pushed in [("#1 { } +", [1, FnRef(body=[])]),
-                             ("\"a\" 'g write$", ["a", FnRef(name="g")]),
-                             ('#1 "x" =', [1, "x"])]:
+        for body, message, stack in [("#1 { } +", "+: expected an integer, got {...}", ["below", 1]),
+                                     ("\"a\" 'g write$", "write$: expected a string, got 'g", ["below", "a"]),
+                                     ('#1 "x" =', '=: operands must share a type, got 1 and "x"', ["below"])]:
             program, _ = parse_bst(f"FUNCTION {{h}} {{ {body} }}")
-            h = compile_body(vm, vm._resolve_body(program.functions["h"]))
-            vm.stack = ["below"]
-            assert h(vm) == 2
-            assert vm.stack == ["below", *pushed]
+            assert same_as_generic(program.functions["h"], ["below"]) == (f"{message} (line 1)", stack)
 
     def test_a_fallback_in_place_to_a_handler_that_returns_is_an_internal_error(self, monkeypatch):
         import bibstack.vmcompile as vmcompile
@@ -1318,9 +1348,9 @@ class TestCompiledTier:
         # the + in the block takes "a": its check fails in place, and the handler returns
         with pytest.raises(RuntimeError, match="add_unchecked returned"):
             _run_style("FUNCTION {f} { #1 { \"a\" #1 + } 'skip$ if$ }\nEXECUTE {f}\n")
-        # at the top level the body falls back to the handlers, as it always has
-        assert _run_style('FUNCTION {f} { "a" #1 + }\nEXECUTE {f}\n')[2] == [
-            (ERROR, "stack not empty at end: [0]")]
+        # and at the body's own level
+        with pytest.raises(RuntimeError, match="add_unchecked returned"):
+            _run_style('FUNCTION {f} { "a" #1 + }\nEXECUTE {f}\n')
 
 
 @mock.patch.object(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
@@ -1338,58 +1368,22 @@ def test_the_compiled_and_the_generic_tier_give_the_same_outcome(inputs):
     assert outcomes[0] == outcomes[1]
 
 
-def test_a_compiled_body_falls_back_only_at_an_op_whose_handler_raises(monkeypatch):
-    # so the ops after a fallback never run
+def test_a_compiled_body_falls_back_in_place_only_at_an_op_whose_handler_raises(monkeypatch):
+    # so no op after the fallback runs, and the run ends in the handler's error, at a
+    # body's own level and inside a block compiled in place
     import bibstack.vmcompile
 
-    fallbacks = []
-
-    def compile_checked(vm, ops):
-        run_compiled = compile_body(vm, ops)
-
-        def body(vm):
-            start = run_compiled(vm)
-            if start is not None:
-                handler, operand = ops[start]
-                try:
-                    handler(vm, operand)
-                except VmError:
-                    fallbacks.append(start)
-                    raise
-                pytest.fail(f"the body fell back at op {start}, {ops[start]}, whose handler raised nothing")
-            return start
-        return body
-
-    monkeypatch.setattr(bibstack.vmcompile, "compile_body", compile_checked)  # Vm._call imports it
-    monkeypatch.setattr(vm_module, "COMPILE_AFTER", 0)
-    monkeypatch.setattr(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
-
-    @settings(max_examples=300)
-    @given(VM_INPUTS)
-    def run_style(inputs):
-        style, bibs, aux = inputs
-        Vm(parse_bst(style)[0], [parse_bib(b)[0] for b in bibs]).execute(parse_aux(aux))
-
-    run_style()
-    assert fallbacks
-
-
-def test_a_compiled_block_falls_back_in_place_only_at_an_op_whose_handler_raises(monkeypatch):
-    # so no op after the fallback runs, and the run ends in the handler's error
-    import bibstack.vmcompile
-
-    fell = []
+    fell, levels = [], set()
     back = bibstack.vmcompile._Gen.back
 
     def said_back(gen):
-        statement = back(gen)
-        return statement if gen.failing is None else f"fell(); {statement}"
+        return f"fell({gen.blocks > 0}); {back(gen)}"
 
     def returned(handler):
-        pytest.fail(f"{handler} returned at a failed check of a compiled block")
+        pytest.fail(f"{handler} returned at a failed check of a compiled body")
 
     monkeypatch.setattr(bibstack.vmcompile._Gen, "back", said_back)
-    monkeypatch.setitem(bibstack.vmcompile._NAMESPACE, "fell", lambda: fell.append(True))
+    monkeypatch.setitem(bibstack.vmcompile._NAMESPACE, "fell", fell.append)
     monkeypatch.setitem(bibstack.vmcompile._NAMESPACE, "returned", returned)
     monkeypatch.setattr(vm_module, "COMPILE_AFTER", 0)
     monkeypatch.setattr(vm_module, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
@@ -1404,10 +1398,12 @@ def test_a_compiled_block_falls_back_in_place_only_at_an_op_whose_handler_raises
         vm.execute(parse_aux(aux))  # raises any error but a VmError
         if fell:
             runs.append((len(fell), vm.log.records[-1][0]))
+            levels.update(fell)
 
     run_style()
     assert runs
     assert set(runs) == {(1, ERROR)}
+    assert levels == {False, True}  # in a block and at a body's own level
 
 
 # -- metamorphic relations ----------------------------------------------------

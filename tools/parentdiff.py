@@ -24,7 +24,9 @@ package is relative), and both get the same inputs:
   ints and strs; and the same again (`vm.compiled`) with every body of
   both packages compiled at its first entry, where a package has that
   tier, on those inputs and on each corpus below (with the package's own
-  while$ limit);
+  while$ limit); and (`tiers`) the tree's own generic tier, every body
+  compiled at its first entry and every body compiled at its third, on
+  those inputs, where any two outcomes that differ count a difference;
 - the CLI on the seed-1 and seed-2 corpora of every perfbench workload
   (`pipeline` in one directory; `latexpass`, `bibtex` and `lint` in
   turn in another): exit code, stdout, stderr and the bytes of every
@@ -144,18 +146,25 @@ class Report:
 
     def compare(self, check: str, given, run) -> None:
         """Compare run(package)'s outcome between the two packages."""
-        parent, tree = (outcome(run, p) for p in self.packages)
+        parent, tree = self.packages
+        self.agree(check, given, {"parent": outcome(run, parent), "tree": outcome(run, tree)})
+
+    def agree(self, check: str, given, outcomes: dict) -> None:
+        """Count one input of check, and a difference unless the outcomes, by name, are all the same."""
+        first, *others = outcomes.values()
         self.inputs[check] += 1
-        if parent != tree:
+        if any(other != first for other in others):
             self.differences[check] += 1
-            self.first.setdefault(check, (given, parent, tree))
+            self.first.setdefault(check, (given, outcomes))
 
     def print(self) -> int:
         for check in self.inputs:
             print(f"{check:34} {self.inputs[check]:7} inputs {self.differences[check]:6} differences")
-        for check, (given, parent, tree) in self.first.items():
-            print(f"\nfirst difference in {check}:\n  input:  {given!r:.400}\n"
-                  f"  parent: {parent!r:.400}\n  tree:   {tree!r:.400}")
+        for check, (given, outcomes) in self.first.items():
+            print(f"\nfirst difference in {check}:\n  input:  {given!r:.400}")
+            width = max(map(len, outcomes)) + 2
+            for name, value in outcomes.items():
+                print(f"  {name + ':':{width}}{value!r:.400}")
         total = sum(self.differences.values())
         print(f"\n{total} differences in {sum(self.inputs.values())} comparisons")
         return total
@@ -211,9 +220,22 @@ def vm_run_compiled(pkg, *inputs):
     return vm_run(pkg, *inputs, compile_after=0)
 
 
+# the COMPILE_AFTER of each tier the tiers check runs: the generic tier; every body
+# compiled at its first entry; and every body compiled at its third, so that bodies
+# compile mid-run and a block run on its own compiles before the FUNCTION that holds
+# it compiles it in place
+TIERS = {"generic": float("inf"), "compiled": 0, "compiled after 2": 2}
+
+
+def vm_tiers(pkg, *inputs) -> dict:
+    """plain() of one VM run's outcome in each of pkg's TIERS, by name."""
+    return {tier: outcome(vm_run, pkg, *inputs, compile_after) for tier, compile_after in TIERS.items()}
+
+
 def compare_vm(report: Report, given) -> None:
-    """The vm and vm.compiled checks on one generated input, with both packages'
-    while$ limit at STYLE_WHILE_LIMIT, so that a wrong - or > fails fast."""
+    """The vm and vm.compiled checks on one generated input, and the tiers check of
+    the tree's own TIERS, with the while$ limit at STYLE_WHILE_LIMIT, so that a
+    wrong - or > fails fast."""
     def small_loops(run):
         def run_small(pkg):
             with mock.patch.object(pkg.vm, "WHILE_LIMIT", STYLE_WHILE_LIMIT):
@@ -222,6 +244,7 @@ def compare_vm(report: Report, given) -> None:
 
     report.compare("vm", given, small_loops(vm_run))
     report.compare("vm.compiled", given, small_loops(vm_run_compiled))
+    report.agree("tiers", given, small_loops(vm_tiers)(bibstack))
 
 
 def cli_run(pkg, workdir: Path, argv: list[str]):
