@@ -28,33 +28,34 @@ class AuxFile(Record):
         self.raw_lines: list[str] = [] if raw_lines is None else raw_lines
 
 
-# each recognized command and the number of {...} groups it takes
+# each recognized command and the number of {...} groups it takes; the
+# patterns are sources, compiled as database's docstring says
 _GROUPS = {"citation": 1, "bibstyle": 1, "bibdata": 1, "bibcite": 2}
-_RECOGNIZED = re.compile(rf"\\({'|'.join(_GROUPS)})(?![a-zA-Z])")
+_RECOGNIZED = rf"\\({'|'.join(_GROUPS)})(?![a-zA-Z])"
 # the whole line each recognized command must match
-_COMMANDS = {cmd: re.compile(rf"\\{cmd}" + r"\{([^{}]*)\}" * groups + "$")
-             for cmd, groups in _GROUPS.items()}
-_LINE_END = re.compile(LINE_END)
+_COMMANDS = {cmd: rf"\\{cmd}" + r"\{([^{}]*)\}" * groups + "$" for cmd, groups in _GROUPS.items()}
 # what no name in those commands can hold: a brace, or a line end's CR or LF
-_UNWRITABLE = re.compile(r"[{}\r\n]")
+_UNWRITABLE = r"[{}\r\n]"
 
 
 def parse_aux(text: str) -> AuxFile:
     """Parse .aux text; malformed recognized commands raise AuxError."""
     aux = AuxFile()
-    lines = _LINE_END.split(text)
+    match_recognized = re.compile(_RECOGNIZED).match
+    match_command = {cmd: re.compile(source).match for cmd, source in _COMMANDS.items()}
+    lines = re.compile(LINE_END).split(text)
     if not lines[-1]:
         lines.pop()  # the piece after a final line end, or of an empty text, is not a line
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line == "\\relax":
             continue
-        head = _RECOGNIZED.match(line)
+        head = match_recognized(line)
         if head is None:
             aux.raw_lines.append(raw)
             continue
         cmd = head.group(1)
-        m = _COMMANDS[cmd].match(line)
+        m = match_command[cmd](line)
         if m is None:
             raise AuxError(f"malformed \\{cmd} command", lineno)
         if cmd == "citation":
@@ -86,10 +87,11 @@ def unwritable(aux: AuxFile) -> str | None:
     if "" in aux.citations:
         return "empty citation key"
     style = [] if aux.style is None else [aux.style]
+    search_unwritable = re.compile(_UNWRITABLE).search
     for cmd, names in (("citation", aux.citations), ("bibstyle", style),
                        ("bibdata", aux.data), ("bibcite", aux.bibcites)):
         for name in names:
-            if _UNWRITABLE.search(name):
+            if search_unwritable(name):
                 return f"\\{cmd} name {name!r} holds a brace or a line break"
     return None
 

@@ -51,7 +51,8 @@ def parse_bst(text: str, source_name: str = "<bst>") -> tuple[BstProgram, list[D
 # tokenizer
 
 _IDENT = r"[a-zA-Z0-9.$\-_:=<>+*]"
-_TOKEN = re.compile(
+# the one pattern, as a source compiled as database's docstring says
+_TOKEN = (
     rf"(?P<newline>{LINE_END})"
     r"|(?P<space>[^\S\r\n]+)"
     r"|(?P<comment>%[^\r\n]*)"
@@ -73,7 +74,7 @@ def _tokenize(text: str, source: str, diags: list[Diagnostic]) -> list[Token]:
     def err(message: str, fatal: bool = False) -> None:
         diags.append(Diagnostic(ERROR, message, line, source, fatal=fatal))
 
-    for m in _TOKEN.finditer(text):
+    for m in re.compile(_TOKEN).finditer(text):
         kind = m.lastgroup
         tok = m.group()
         if kind == "newline":

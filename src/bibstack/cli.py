@@ -7,17 +7,24 @@ named style and databases into <base>.bbl/<base>.blg, `pipeline` scans
 latexpass.fixpoint until the labels settle, and `lint` runs the static
 checks over <base>.bst.
 
-Exit codes: 0 success, 1 warnings under --strict, 2 errors.  Labels that
-do not settle within --max-passes are an error.  Any exception that
-escapes a command is reported as one stderr line, never a traceback.
+The command line is `bibstack COMMAND BASE [options]`, read by
+_parse_args from two tables, _SUBCOMMANDS and _OPTIONS, which also give
+the -h text.  Options come before or after BASE, spelled in full, as
+--name VALUE or --name=VALUE; `--' ends them.
+
+Exit codes: 0 success, 1 warnings under --strict, 2 errors.  A malformed
+command line is an error: the usage line and one `bibstack: error:' line.
+Labels that do not settle within --max-passes are an error.  Any
+exception that escapes a command is reported as one stderr line, never a
+traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .auxfile import AuxError, parse_aux, unwritable, write_aux
 from .bstparse import parse_bst
@@ -37,9 +44,20 @@ class _Fail(Exception):
     """Ends a command: its message goes to stderr and the exit code is 2."""
 
 
+class _Usage(Exception):
+    """A malformed command line: the usage line and this message go to stderr, exit code 2."""
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand, return its exit code; raises only argparse's SystemExit."""
-    args = _build_parser().parse_args(argv)
+    """Run one subcommand, return its exit code; never raises SystemExit."""
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _Usage as err:
+        _err(f"{_usage()}\nbibstack: error: {err}")
+        return 2
+    if args is None:
+        print(_help())
+        return 0
     if args.max_passes < 1:
         _err("--max-passes must be at least 1")
         return 2
@@ -59,29 +77,10 @@ def main(argv: list[str] | None = None) -> int:
     return 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("base", help="file base name without extension")
-    common.add_argument("--style-dir", type=Path, default=None,
-                        help="extra directory searched for .bst files")
-    common.add_argument("--bib-dir", type=Path, default=None,
-                        help="extra directory searched for .bib files")
-    common.add_argument("--max-passes", type=int, default=5,
-                        help="cap on citation passes (default 5)")
-    common.add_argument("--strict", action="store_true",
-                        help="treat warnings as failures (exit 1)")
-    parser = argparse.ArgumentParser(prog="bibstack",
-                                     description="bibliography toolchain")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text in _SUBCOMMANDS:
-        sub.add_parser(name, parents=[common], help=help_text).set_defaults(handler=handler)
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # bibtex
 
-def cmd_bibtex(cfg: argparse.Namespace) -> int:
+def cmd_bibtex(cfg: SimpleNamespace) -> int:
     aux_path = Path(cfg.base + ".aux")
     if not aux_path.exists():
         raise _Fail(f"no aux file {aux_path}")
@@ -127,19 +126,19 @@ def cmd_bibtex(cfg: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # latexpass
 
-def cmd_latexpass(cfg: argparse.Namespace) -> int:
+def cmd_latexpass(cfg: SimpleNamespace) -> int:
     _first_pass(cfg, _scan_tex_file(cfg))
     return 0
 
 
-def _scan_tex_file(cfg: argparse.Namespace) -> TexScan:
+def _scan_tex_file(cfg: SimpleNamespace) -> TexScan:
     tex_path = Path(cfg.base + ".tex")
     if not tex_path.exists():
         raise _Fail(f"no tex file {tex_path}")
     return _load(tex_path, scan_tex)
 
 
-def _first_pass(cfg: argparse.Namespace, tex: TexScan) -> PassResult:
+def _first_pass(cfg: SimpleNamespace, tex: TexScan) -> PassResult:
     """One pass from the .aux and .bbl on disk, written and reported."""
     aux_path = Path(cfg.base + ".aux")
     old_aux = _load(aux_path, parse_aux) if aux_path.exists() else None
@@ -148,7 +147,7 @@ def _first_pass(cfg: argparse.Namespace, tex: TexScan) -> PassResult:
     return result
 
 
-def _bbl_items(cfg: argparse.Namespace, tex: TexScan) -> list[str] | None:
+def _bbl_items(cfg: SimpleNamespace, tex: TexScan) -> list[str] | None:
     """The \\bibitem keys of <base>.bbl in external mode, None if there are none to read."""
     bbl_path = Path(cfg.base + ".bbl")
     if not tex.external or not bbl_path.exists():
@@ -156,7 +155,7 @@ def _bbl_items(cfg: argparse.Namespace, tex: TexScan) -> list[str] | None:
     return _load(bbl_path, bibitem_keys)
 
 
-def _report_passes(cfg: argparse.Namespace, results: list[PassResult]) -> None:
+def _report_passes(cfg: SimpleNamespace, results: list[PassResult]) -> None:
     """Write the last pass's .aux and .rendered.txt, then print each pass's
     warnings and summary line.  An .aux the next run could not read is not
     written: the command ends."""
@@ -177,7 +176,7 @@ def _report_passes(cfg: argparse.Namespace, results: list[PassResult]) -> None:
 # ---------------------------------------------------------------------------
 # pipeline
 
-def cmd_pipeline(cfg: argparse.Namespace) -> int:
+def cmd_pipeline(cfg: SimpleNamespace) -> int:
     tex = _scan_tex_file(cfg)
     if tex.style is None:
         raise _Fail("no style declared")
@@ -198,7 +197,7 @@ def cmd_pipeline(cfg: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # lint
 
-def cmd_lint(cfg: argparse.Namespace) -> int:
+def cmd_lint(cfg: SimpleNamespace) -> int:
     program, findings = _load_style(cfg.base, cfg)
     # a fatal parse is reported like any finding, but lint does not run on it
     fatal = any(d.fatal for d in findings)
@@ -214,7 +213,9 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# each subcommand: its name, the function that runs it, and its help line
+# the command line: each subcommand, the function that runs it and its help
+# line; each option, the name of its value (None for a flag that takes no
+# value), the function that reads the value, its default and its help line
 
 _SUBCOMMANDS = (
     ("bibtex", cmd_bibtex, "generate <base>.bbl and <base>.blg from <base>.aux"),
@@ -222,6 +223,86 @@ _SUBCOMMANDS = (
     ("pipeline", cmd_pipeline, "latexpass, bibtex, then passes until the labels settle"),
     ("lint", cmd_lint, "static checks over <base>.bst"),
 )
+_OPTIONS = (
+    ("--style-dir", "DIR", Path, None, "extra directory searched for .bst files"),
+    ("--bib-dir", "DIR", Path, None, "extra directory searched for .bib files"),
+    ("--max-passes", "N", int, 5, "cap on citation passes (default 5)"),
+    ("--strict", None, None, False, "treat warnings as failures (exit 1)"),
+)
+_HELP_FLAGS = ("-h", "--help")
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The settings of COMMAND BASE [options] with the handler of COMMAND,
+    or None when argv asks for help; raises _Usage.  An option may come
+    anywhere before `--', as --name VALUE or --name=VALUE, and its value is
+    the next argument whatever it starts with."""
+    options = {flag: row for flag, *row in _OPTIONS}
+    args = SimpleNamespace(**{_attribute(flag): default for flag, _, _, default, _ in _OPTIONS})
+    words = []  # COMMAND and BASE
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            words.extend(rest)  # takes every later argument, which ends the loop
+        elif arg in _HELP_FLAGS:
+            return None
+        elif arg.startswith("-") and arg != "-":
+            flag, eq, value = arg.partition("=")
+            if flag not in options:
+                raise _Usage(f"unknown option {flag}")
+            metavar, convert, _, _ = options[flag]
+            if metavar is None:
+                if eq:
+                    raise _Usage(f"option {flag} takes no value")
+                value = True
+            else:
+                if not eq and (value := next(rest, None)) is None:
+                    raise _Usage(f"option {flag} needs a value {metavar}")
+                try:
+                    value = convert(value)
+                except ValueError:
+                    raise _Usage(f"option {flag}: invalid value {value!r}") from None
+            setattr(args, _attribute(flag), value)
+        else:
+            words.append(arg)
+    if not words:
+        raise _Usage("no command given")
+    handlers = {name: handler for name, handler, _ in _SUBCOMMANDS}
+    command, *bases = words
+    if command not in handlers:
+        raise _Usage(f"unknown command {command!r} (choose from {', '.join(handlers)})")
+    if not bases:
+        raise _Usage(f"{command} needs BASE")
+    if len(bases) > 1:
+        raise _Usage(f"unexpected argument {bases[1]!r} after BASE")
+    args.handler, args.base = handlers[command], bases[0]
+    return args
+
+
+def _attribute(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _spelled(flag: str, metavar: str | None) -> str:
+    return flag if metavar is None else f"{flag} {metavar}"
+
+
+def _usage() -> str:
+    return "usage: bibstack COMMAND BASE " + " ".join(
+        f"[{_spelled(flag, metavar)}]" for flag, metavar, *_ in _OPTIONS)
+
+
+def _help() -> str:
+    commands = [(name, help_text) for name, _, help_text in _SUBCOMMANDS]
+    options = [(_spelled(flag, metavar), help_text) for flag, metavar, _, _, help_text in _OPTIONS]
+    options.append((", ".join(_HELP_FLAGS), "print this help and exit"))
+    width = max(len(left) for left, _ in commands + options) + 2
+
+    def table(rows):
+        return "\n".join(f"  {left:<{width}}{right}" for left, right in rows)
+
+    return (f"{_usage()}\n\nbibliography toolchain; BASE is a file base name without extension\n\n"
+            f"commands:\n{table(commands)}\n\noptions:\n{table(options)}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +346,7 @@ def _atomic_write(path: Path, text: str) -> None:
                 pass
 
 
-def _load_style(name: str, cfg: argparse.Namespace):
+def _load_style(name: str, cfg: SimpleNamespace):
     """The parsed style NAME.bst and its diagnostics."""
     bst_path = _find_file("style", name + ".bst", cfg.base, cfg.style_dir)
     return _load(bst_path, lambda text: parse_bst(text, bst_path.name))

@@ -28,11 +28,21 @@ from the same `@' by the general reader, field by field, so every
 diagnostic keeps its text and line, and all of them are known before any
 field is read.  group_end is the one brace-group scanner; latexpass and
 names use it too.
+
+Every module-level pattern in the package, here and in auxfile, bstparse,
+latexpass and names, is kept as its source string.  A function compiles
+the patterns it reads with once per call, before any loop, and binds the
+method it calls, as parse_bib binds match_entry; a helper called in such
+a loop gets its patterns from the caller, as _parse_entry gets the general
+reader's from parse_bib.  re's cache makes every compile after the first a
+lookup.  So importing a module compiles nothing, and each command compiles
+only the patterns it runs.
 """
 
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 
 from .diagnostics import ERROR, WARNING, Diagnostic, Record, line_counter
 
@@ -85,12 +95,13 @@ def get_field(entry: Entry, name: str) -> str | None:
     return entry.fields.get(name.lower())
 
 
-_SPACE = re.compile(r"\s*")
-_TYPE = re.compile(r"[^{(,\s]*")
-_KEY = re.compile(r"[^,}\s]*")
-_FIELD_NAME = re.compile(r"[^=,{}\"\s]*")
-_BARE_WORD = re.compile(r"[^,}#\s]*")
-_QUOTED_STOP = re.compile(r'[{}"]')
+# the general reader's patterns
+_SPACE = r"\s*"
+_TYPE = r"[^{(,\s]*"
+_KEY = r"[^,}\s]*"
+_FIELD_NAME = r"[^=,{}\"\s]*"
+_BARE_WORD = r"[^,}#\s]*"
+_QUOTED_STOP = r'[{}"]'
 _SPECIAL_TYPES = ("string", "preamble", "comment")
 
 # One well-formed field (see above) is a name and a value.  Every
@@ -109,9 +120,6 @@ def _uncaptured(source: str) -> str:
     return source.replace("(", "(?:").replace("(?:?", "(?")
 
 
-# The patterns below are sources that re.compile turns into patterns
-# on first use and keeps in re's cache: every command imports this module,
-# and only the .bib reader needs them.
 _FIELD = _NAME_SOURCE + _VALUE_SOURCE
 # a whole entry after its `@': type, `{', key, well-formed fields, `}'
 _ENTRY = r"\s*+([^{(,\s]++)\s*+\{\s*+([^,}\s{]++)(?:" + _uncaptured(_FIELD) + r")*+[\s,]*+\}"
@@ -160,6 +168,9 @@ def parse_bib(text: str, source_name: str = "<bib>",
         diags.append(Diagnostic(severity, message, line_at(pos), source_name))
 
     match_entry = re.compile(_ENTRY).match
+    patterns = SimpleNamespace(space=re.compile(_SPACE), type=re.compile(_TYPE), key=re.compile(_KEY),
+                               field_name=re.compile(_FIELD_NAME), bare_word=re.compile(_BARE_WORD),
+                               quoted_stop=re.compile(_QUOTED_STOP))
     pos = text.find("@")
     while pos >= 0:
         m = match_entry(text, pos + 1)
@@ -169,7 +180,7 @@ def parse_bib(text: str, source_name: str = "<bib>",
             pos = m.end()
         else:
             try:
-                pos = _parse_entry(text, pos + 1, db, diag, cited)
+                pos = _parse_entry(text, pos + 1, db, diag, cited, patterns)
             except _EntryError as err:
                 diag(err.severity, err.message, err.pos)
                 pos = err.pos
@@ -217,14 +228,16 @@ def _check_key(db: Database, key: str, at: int, diag) -> None:
         diag(WARNING, f"duplicate entry key `{key}'; later entry dropped", at)
 
 
-def _parse_entry(text: str, pos: int, db: Database, diag, cited) -> int:
-    """Parse one entry whose `@' ends just before pos; returns the offset past it."""
-    pos = _SPACE.match(text, pos).end()
-    m = _TYPE.match(text, pos)
+def _parse_entry(text: str, pos: int, db: Database, diag, cited, patterns) -> int:
+    """Parse one entry whose `@' ends just before pos; returns the offset past
+    it.  patterns holds the general reader's patterns, compiled."""
+    space = patterns.space.match
+    pos = space(text, pos).end()
+    m = patterns.type.match(text, pos)
     if not m.group():
         raise _EntryError(ERROR, "expected an entry type after `@'", pos)
     etype = m.group().lower()
-    pos = _SPACE.match(text, m.end()).end()
+    pos = space(text, m.end()).end()
     if etype in _SPECIAL_TYPES:
         if text.startswith("{", pos):
             end = group_end(text, pos)
@@ -233,7 +246,7 @@ def _parse_entry(text: str, pos: int, db: Database, diag, cited) -> int:
     if not text.startswith("{", pos):
         raise _EntryError(ERROR, f"expected `{{' after `@{etype}'", pos)
 
-    m = _KEY.match(text, _SPACE.match(text, pos + 1).end())
+    m = patterns.key.match(text, space(text, pos + 1).end())
     pos = m.end()
     key = m.group()
     if not key or "{" in key:
@@ -243,7 +256,7 @@ def _parse_entry(text: str, pos: int, db: Database, diag, cited) -> int:
     checked = cited is None or key in cited
 
     while True:
-        pos = _SPACE.match(text, pos).end()
+        pos = space(text, pos).end()
         if pos == len(text):
             raise _EntryError(ERROR, f"unexpected end of file inside entry `{key}'", pos)
         ch = text[pos]
@@ -253,15 +266,15 @@ def _parse_entry(text: str, pos: int, db: Database, diag, cited) -> int:
         if ch == ",":
             pos += 1
             continue
-        m = _FIELD_NAME.match(text, pos)
+        m = patterns.field_name.match(text, pos)
         name, at = m.group().lower(), pos
         if not name:
             raise _EntryError(ERROR, f"expected a field name in entry `{key}'", pos)
-        pos = _SPACE.match(text, m.end()).end()
+        pos = space(text, m.end()).end()
         if not text.startswith("=", pos):
             raise _EntryError(ERROR, f"expected `=' after field `{name}' in entry `{key}'", pos)
-        value, pos = _read_value(text, _SPACE.match(text, pos + 1).end(), name, key)
-        pos = _SPACE.match(text, pos).end()
+        value, pos = _read_value(text, space(text, pos + 1).end(), name, key, patterns)
+        pos = space(text, pos).end()
         if text.startswith("#", pos):
             raise _EntryError(WARNING, f"string concatenation with `#' is not supported; entry `{key}' skipped", pos)
         if name not in entry.fields:
@@ -273,7 +286,7 @@ def _parse_entry(text: str, pos: int, db: Database, diag, cited) -> int:
     return pos
 
 
-def _read_value(text: str, pos: int, field_name: str, key: str) -> tuple[str, int]:
+def _read_value(text: str, pos: int, field_name: str, key: str, patterns) -> tuple[str, int]:
     """Read the value starting at pos; returns it and the offset past it."""
     if pos == len(text):
         raise _EntryError(ERROR, f"missing value for field `{field_name}' in entry `{key}'", pos)
@@ -281,7 +294,7 @@ def _read_value(text: str, pos: int, field_name: str, key: str) -> tuple[str, in
     if ch == '"':
         # a quoted value ends at a `"' outside braces; a brace group inside is skipped whole
         k = pos + 1
-        while (m := _QUOTED_STOP.search(text, k)) is not None:
+        while (m := patterns.quoted_stop.search(text, k)) is not None:
             k = m.end()
             if m.group() == '"':
                 return text[pos + 1 : k - 1], k
@@ -295,7 +308,7 @@ def _read_value(text: str, pos: int, field_name: str, key: str) -> tuple[str, in
         if end >= 0:
             return text[pos + 1 : end - 1], end
     else:
-        m = _BARE_WORD.match(text, pos)
+        m = patterns.bare_word.match(text, pos)
         if ch.isdigit():
             # bare digit runs need no delimiter
             return m.group(), m.end()

@@ -27,12 +27,13 @@ from .database import group_end
 from .diagnostics import LINE_END, Record, line_counter
 
 
+# the patterns are sources, compiled as database's docstring says:
 # a comment (to the end of its line), or a backslash and the ASCII letters after it
-_CONTROL = re.compile(rf"%[^\r\n]*(?:{LINE_END})?|\\([a-zA-Z]*)")
+_CONTROL = rf"%[^\r\n]*(?:{LINE_END})?|\\([a-zA-Z]*)"
 # begin reads only its group, so that a \begin without one is still an error
 _COMMANDS = frozenset(("cite", "bibitem", "bibliographystyle", "bibliography", "begin"))
-_OPTIONAL_ARG = re.compile(r"\s*\[[^\]]*\]")
-_OPEN = re.compile(r"\s*\{")
+_OPTIONAL_ARG = r"\s*\[[^\]]*\]"
+_OPEN = r"\s*\{"
 
 
 class TexScanError(Exception):
@@ -89,7 +90,10 @@ def _scan(text: str, commands: frozenset[str]) -> TexScan:
     scan = TexScan(text=text)
     # commands arrive in text order, so one forward counter serves them all
     line_at = line_counter(text)
-    m = _CONTROL.search(text)
+    search_control = re.compile(_CONTROL).search
+    match_optional = re.compile(_OPTIONAL_ARG).match
+    match_open = re.compile(_OPEN).match
+    m = search_control(text)
     while m:
         name, pos = m[1], m.end()
         # a comment or any other control word is skipped whole; a letter
@@ -101,10 +105,10 @@ def _scan(text: str, commands: frozenset[str]) -> TexScan:
             line = line_at(start)
             # the common case, a `{' next, skips the regex
             if name in ("bibitem", "cite") and text[pos : pos + 1] != "{":
-                optional = _OPTIONAL_ARG.match(text, pos)
+                optional = match_optional(text, pos)
                 if optional:
                     pos = optional.end()
-            content, pos = _read_group(text, pos, line, name)
+            content, pos = _read_group(text, pos, line, name, match_open)
             if name == "cite":
                 keys = [k.strip() for k in content.split(",")]
                 scan.cite_spans.append(CiteSpan(start, pos, keys, line))
@@ -115,7 +119,7 @@ def _scan(text: str, commands: frozenset[str]) -> TexScan:
                 scan.style = content.strip()
             elif name == "bibliography":
                 scan.data = [d.strip() for d in content.split(",")]
-        m = _CONTROL.search(text, pos)
+        m = search_control(text, pos)
     return scan
 
 
@@ -201,9 +205,10 @@ def fixpoint(tex: TexScan, initial_aux: AuxFile | None, max_passes: int, *,
     return results
 
 
-def _read_group(text: str, pos: int, line: int, cmd: str) -> tuple[str, int]:
-    """The contents of the {...} group after optional space at pos, and the offset past it."""
-    m = _OPEN.match(text, pos)
+def _read_group(text: str, pos: int, line: int, cmd: str, match_open) -> tuple[str, int]:
+    """The contents of the {...} group after optional space at pos, and the
+    offset past it; match_open is _OPEN's compiled match."""
+    m = match_open(text, pos)
     if m is None:
         raise TexScanError(f"expected '{{' after \\{cmd}", line)
     end = group_end(text, m.end() - 1)

@@ -37,8 +37,7 @@ Only parse_template keeps a cache, of 64 entries, since a style passes the
 same few templates on every format.name$; its results are shared and must
 not be mutated.  The VM tokenizes each distinct list once per run and keeps
 each name's parts once parsed (the README gives measured counts).  The
-patterns are sources that re.compile compiles on first use and re caches,
-as database's are: every command imports this module.
+patterns are sources, compiled as database's docstring says.
 """
 
 from __future__ import annotations
@@ -141,6 +140,7 @@ def format_name(name: str | None, template: str, parts: NameParts | None = None)
 @lru_cache(maxsize=64)  # a style passes a few templates, over and over
 def parse_template(template: str) -> list[tuple[int, bool, str, str]]:
     pieces = []
+    fullmatch_piece = re.compile(_PIECE).fullmatch
     i, n = 0, len(template)
     while i < n:
         if template[i] != "{":
@@ -151,7 +151,7 @@ def parse_template(template: str) -> list[tuple[int, bool, str, str]]:
         body = template[i + 1 : j]
         if "{" in body:
             raise TemplateError(f"nested braces are not allowed in a piece: {{{body}}}")
-        prefix, letter, double, suffix = re.compile(_PIECE).fullmatch(body).groups()
+        prefix, letter, double, suffix = fullmatch_piece(body).groups()
         if not letter or letter not in _LETTERS:
             raise TemplateError(f"piece must start with one of {', '.join(_LETTERS)}: {{{body}}}")
         if suffix.startswith(letter):

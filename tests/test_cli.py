@@ -3,6 +3,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibstack.cli import main
+from bibstack.cli import _OPTIONS, _SUBCOMMANDS, main
 from bibstack.vm import CALL_DEPTH_LIMIT
 
 from fixtures import (
@@ -31,6 +33,8 @@ from fixtures import (
     with_sort_fragment,
     write_files,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestBibtex:
@@ -552,6 +556,69 @@ class TestArguments:
         write_files(workdir, {"t.tex": "x"})
         assert main(["latexpass", "t", "--max-passes", "0"]) == 2
 
+    def test_negative_max_passes_is_a_value(self, workdir, capsys):
+        write_files(workdir, {"t.tex": "x"})
+        assert main(["latexpass", "t", "--max-passes", "-1"]) == 2
+        assert capsys.readouterr().err == "--max-passes must be at least 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bibtex", "test3", "--style-dir=styles"],
+        ["bibtex", "--style-dir", "styles", "test3"],
+        ["--style-dir=styles", "bibtex", "test3"],
+    ])
+    def test_option_spellings_and_places(self, workdir, argv):
+        (workdir / "styles").mkdir()
+        write_files(workdir / "styles", {"helloword.bst": HELLO_BST})
+        write_files(workdir, {"my.bib": SAMPLE_BIB, "test3.aux": BIBTEX_AUX})
+        assert main(argv) == 0
+        assert (workdir / "test3.bbl").read_text() == EXPECTED_BBL
+
+    def test_double_dash_ends_the_options(self, workdir, capsys):
+        write_files(workdir, {"-h.bst": HELLO_BST})
+        assert main(["lint", "--", "-h"]) == 0
+        assert capsys.readouterr().out.endswith("-h: 0 finding(s)\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["bibtex", "t", "--help"]])
+    def test_help_names_every_command_and_option(self, workdir, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: bibstack ") and err == ""
+        for name, _, _ in _SUBCOMMANDS:
+            assert f"\n  {name} " in out
+        for flag, *_ in _OPTIONS:
+            assert f"[{flag}" in out.splitlines()[0] and f"\n  {flag}" in out
+        assert os.listdir(workdir) == []
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus", "t"],
+        ["latexpass"],
+        ["latexpass", "t", "u"],
+        ["latexpass", "t", "--bogus"],
+        ["latexpass", "t", "--max", "1"],
+        ["latexpass", "t", "--max-passes"],
+        ["latexpass", "t", "--max-passes", "x"],
+        ["latexpass", "t", "--strict=yes"],
+    ])
+    def test_usage_error_exits_2_with_one_message(self, workdir, capsys, argv):
+        write_files(workdir, {"t.tex": "x"})
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        usage, message = err.splitlines()
+        assert out == "" and usage.startswith("usage: bibstack COMMAND BASE ")
+        assert message.startswith("bibstack: error: ")
+        assert os.listdir(workdir) == ["t.tex"]
+
+    @pytest.mark.parametrize("argv, code, stream", [(["--help"], 0, "stdout"), ([], 2, "stderr")])
+    def test_module_entry_point(self, argv, code, stream):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "bibstack", *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == code
+        assert getattr(proc, stream).startswith("usage: bibstack ")
+        assert "Traceback" not in proc.stderr
+
 
 # random inputs for one directory, each a working file, a working file with
 # random text after it, random text, or no file; the .tex and .aux name the
@@ -573,7 +640,8 @@ _OUTPUTS = {"t.aux", "t.bbl", "t.blg", "t.rendered.txt"}
 
 
 @settings(max_examples=60)
-@given(_FUZZ_FILES, st.sampled_from([[], ["--strict"], ["--max-passes", "1"]]))
+@given(_FUZZ_FILES, st.sampled_from([[], ["--strict"], ["--max-passes", "1"], ["--max-passes=1"],
+                                     ["--strict", "--max-passes", "1"]]))
 def test_any_inputs_give_a_defined_outcome(files, flags):
     """Every subcommand exits 0, 1 or 2 without a traceback and leaves no temp file."""
     cwd = os.getcwd()

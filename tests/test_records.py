@@ -1,9 +1,12 @@
 """The package's records: plain slotted classes with value equality, no
-hash, a field-by-field repr and fresh mutable defaults; and a guard that
-importing the CLI loads no record-building machinery."""
+hash, a field-by-field repr and fresh mutable defaults; and guards that
+importing the CLI loads no record-building machinery and no argparse, and
+compiles no pattern."""
 
 import copy
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +167,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = _modules_loaded_by("import bibstack.cli") - _modules_loaded_by("pass")
     assert "bibstack.cli" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+def test_importing_the_cli_loads_no_argparse_and_compiles_no_pattern():
+    added = _modules_loaded_by("import bibstack.cli") - _modules_loaded_by("pass")
+    assert not {"argparse", "gettext", "locale"} & added
+    # a module's patterns are sources, compiled by the functions that use them
+    compiled = [f"{name}.{attr}" for name in sorted(added) if name.startswith("bibstack")
+                for attr, value in vars(importlib.import_module(name)).items()
+                if isinstance(value, re.Pattern)]
+    assert compiled == []
 
 
 def test_the_cli_and_lint_load_no_compiler():
