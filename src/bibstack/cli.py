@@ -5,7 +5,14 @@ one citation pass over <base>.tex, `bibtex` turns <base>.aux plus the
 named style and databases into <base>.bbl/<base>.blg, `pipeline` scans
 <base>.tex once, runs one pass and bibtex, then hands the new .bbl to
 latexpass.fixpoint until the labels settle, and `lint` runs the static
-checks over <base>.bst.
+checks over <base>.bst.  pipeline's bibtex stage takes the first pass's
+aux from memory: the pass has just written it to <base>.aux, and for any
+aux that unwritable lets through, parse_aux(write_aux(aux)) == aux.
+
+Each stage writes its stderr lines in one block, with one write, before
+its summary line on stdout.  A command runs with the cyclic garbage
+collector off, since it makes no garbage cycle; main restores the
+collector's state on every way out.
 
 The command line is `bibstack COMMAND BASE [options]`, read by
 _parse_args from two tables, _SUBCOMMANDS and _OPTIONS, which also give
@@ -21,12 +28,13 @@ traceback.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .auxfile import AuxError, parse_aux, unwritable, write_aux
+from .auxfile import AuxError, AuxFile, parse_aux, unwritable, write_aux
 from .bstparse import parse_bst
 from .database import parse_bib
 from .diagnostics import ERROR
@@ -53,38 +61,46 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _Usage as err:
-        _err(f"{_usage()}\nbibstack: error: {err}")
+        _err([_usage(), f"bibstack: error: {err}"])
         return 2
     if args is None:
         print(_help())
         return 0
     if args.max_passes < 1:
-        _err("--max-passes must be at least 1")
+        _err(["--max-passes must be at least 1"])
         return 2
     for ext in _KNOWN_EXTENSIONS:
         if args.base.endswith(ext):
             args.base = args.base[: -len(ext)]
             break
     if not args.base:
-        _err("BASE must not be empty")
+        _err(["BASE must not be empty"])
         return 2
+    # a command makes no garbage cycle, so the collector would only walk live objects
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except _Fail as err:
-        _err(str(err))
+        _err([str(err)])
     except Exception as err:  # a defect or an exhausted Python limit, e.g. RecursionError
-        _err(f"bibstack: internal error: {type(err).__name__}: {' '.join(str(err).split())}")
+        _err([f"bibstack: internal error: {type(err).__name__}: {' '.join(str(err).split())}"])
+    finally:
+        if collecting:
+            gc.enable()
     return 2
 
 
 # ---------------------------------------------------------------------------
 # bibtex
 
-def cmd_bibtex(cfg: SimpleNamespace) -> int:
+def cmd_bibtex(cfg: SimpleNamespace, aux: AuxFile | None = None) -> int:
+    """bibtex on aux, the contents of <base>.aux; None reads that file."""
     aux_path = Path(cfg.base + ".aux")
-    if not aux_path.exists():
-        raise _Fail(f"no aux file {aux_path}")
-    aux = _load(aux_path, parse_aux)
+    if aux is None:
+        if not aux_path.exists():
+            raise _Fail(f"no aux file {aux_path}")
+        aux = _load(aux_path, parse_aux)
     if aux.style is None:
         raise _Fail(f"no style declared in {aux_path}")
     if not aux.data:
@@ -109,8 +125,7 @@ def cmd_bibtex(cfg: SimpleNamespace) -> int:
         _atomic_write(Path(cfg.base + ".bbl"), doc.finalize())
     _atomic_write(Path(cfg.base + ".blg"), log.render())
 
-    for severity, message in log.records:
-        _err(message if severity == ERROR else f"warning: {message}")
+    _err(message if severity == ERROR else f"warning: {message}" for severity, message in log.records)
 
     n_errors = len(log.errors())
     n_warnings = len(log.warnings())
@@ -166,8 +181,7 @@ def _report_passes(cfg: SimpleNamespace, results: list[PassResult]) -> None:
     _atomic_write(aux_path, write_aux(results[-1].new_aux))
     _atomic_write(Path(cfg.base + ".rendered.txt"), results[-1].rendered)
     for result in results:
-        for warning in result.warnings:
-            _err(warning)
+        _err(result.warnings)
         state = "changed" if result.labels_changed else "stable"
         print(f"{cfg.base}: {len(result.new_aux.citations)} citation(s), "
               f"{result.resolved} resolved, labels {state}")
@@ -184,7 +198,8 @@ def cmd_pipeline(cfg: SimpleNamespace) -> int:
         raise _Fail("no database declared")
 
     first = _first_pass(cfg, tex)
-    bibtex_rc = cmd_bibtex(cfg)
+    # _report_passes wrote first.new_aux, which parse_aux reads back as it is
+    bibtex_rc = cmd_bibtex(cfg, first.new_aux)
     if bibtex_rc == 2:
         return 2
     # if the labels never settle, fixpoint adds the one message to the last pass's warnings
@@ -368,5 +383,8 @@ def _find_file(kind: str, name: str, base: str, extra_dir: Path | None) -> Path:
     raise _Fail(f"{kind} file {name} not found in {', '.join(str(d) for d in dirs)}")
 
 
-def _err(message: str) -> None:
-    print(message, file=sys.stderr)
+def _err(lines) -> None:
+    """Write lines to stderr, each ended by a newline, in one write."""
+    text = "".join(f"{line}\n" for line in lines)
+    if text:
+        sys.stderr.write(text)

@@ -63,7 +63,7 @@ class Entry(Record):
         # reached only for an unset slot: fields not yet built from _source
         if name != "fields":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        fields = _read_fields(*self._source)[0]
+        fields = _read_fields(re.compile(_FIELD).findall, *self._source)[0]
         # the span goes only once the dict is whole, so a cut-off build can be retried
         self.fields = fields
         del self._source
@@ -168,13 +168,14 @@ def parse_bib(text: str, source_name: str = "<bib>",
         diags.append(Diagnostic(severity, message, line_at(pos), source_name))
 
     match_entry = re.compile(_ENTRY).match
+    find_fields = re.compile(_FIELD).findall
     patterns = SimpleNamespace(space=re.compile(_SPACE), type=re.compile(_TYPE), key=re.compile(_KEY),
                                field_name=re.compile(_FIELD_NAME), bare_word=re.compile(_BARE_WORD),
                                quoted_stop=re.compile(_QUOTED_STOP))
     pos = text.find("@")
     while pos >= 0:
         m = match_entry(text, pos + 1)
-        if m is not None and (entry := _unread_entry(text, m, cited)) is not None:
+        if m is not None and (entry := _unread_entry(text, m, cited, find_fields)) is not None:
             _check_key(db, entry.key, m.start(2), diag)
             db.add(entry)
             pos = m.end()
@@ -188,27 +189,29 @@ def parse_bib(text: str, source_name: str = "<bib>",
     return db, diags
 
 
-def _unread_entry(text: str, m: re.Match, cited) -> Entry | None:
+def _unread_entry(text: str, m: re.Match, cited, find_fields) -> Entry | None:
     """The entry _ENTRY matched, unless its type is special or a field of a
     cited entry repeats; those take _parse_entry.  A cited entry's fields
-    are built here, an uncited one's on first read."""
+    are built here, with find_fields, _FIELD's findall; an uncited one's on
+    first read."""
     etype = m[1].lower()
     if etype in _SPECIAL_TYPES:
         return None
     # the end stays at the `}', so that the last field's lookahead sees it
     start, end, key = m.end(2), m.end(), m[2]
     if cited is None or key in cited:
-        fields, repeated = _read_fields(text, start, end)
+        fields, repeated = _read_fields(find_fields, text, start, end)
         return None if repeated else Entry(key, etype, fields)
     entry = Entry.__new__(Entry)
     entry.key, entry.entry_type, entry._source = key, etype, (text, start, end)
     return entry
 
 
-def _read_fields(text: str, start: int, end: int) -> tuple[dict[str, str], bool]:
-    """The fields of the run of well-formed fields text[start:end], each
-    name with its first value, and whether a name repeats."""
-    found = re.compile(_FIELD).findall(text, start, end)
+def _read_fields(find_fields, text: str, start: int, end: int) -> tuple[dict[str, str], bool]:
+    """The fields of the run of well-formed fields text[start:end], found
+    by find_fields (_FIELD's findall), each name with its first value, and
+    whether a name repeats."""
+    found = find_fields(text, start, end)
     # at most one of the three value groups is not empty
     fields = {
         field.lower(): normalize_value(braced + quoted + digits)

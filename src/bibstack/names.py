@@ -31,7 +31,7 @@ abbreviates as in BibTeX instead: to its first letter (str.isalpha), or
 to a special character, a whole {\\...} group, met before it, or to
 nothing if it has neither.
 
-name_parts and parse_name return a NameParts NamedTuple of word lists and
+name_parts and parse_name return a NameParts named tuple of word lists and
 parse_template a list of (NameParts index, full, prefix, suffix) pieces.
 Only parse_template keeps a cache, of 64 entries, since a style passes the
 same few templates on every format.name$; its results are shared and must
@@ -43,8 +43,8 @@ patterns are sources, compiled as database's docstring says.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .database import _GROUP, group_end
 
@@ -64,11 +64,9 @@ class TemplateError(ValueError):
     pass
 
 
-class NameParts(NamedTuple):
-    first: list[str]
-    von: list[str]
-    last: list[str]
-    jr: list[str]
+# a name's four parts, each a list of words; collections.namedtuple builds
+# the class in half the time typing.NamedTuple takes, at every import
+NameParts = namedtuple("NameParts", ("first", "von", "last", "jr"))
 
 
 _LETTERS = "".join(name[0] for name in NameParts._fields)

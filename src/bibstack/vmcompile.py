@@ -32,18 +32,19 @@ block has its ops compiled there, one indentation deeper, up to
 INLINE_DEPTH blocks deep; a 'skip$ is its level's check alone; any other
 ref is a call.  A block in place counts one call level: it raises the
 too-deep error at the line of its if$ or while$, as Vm._call does, and a
-call or a fallback inside it sets vm.depth to its level first.  Each
-block starts with no slot, as every slot goes on vm.stack before the
-if$ or while$ runs, and puts the slots it leaves there at its end.
+call inside it sets vm.depth to its level first.  Each block starts with
+no slot, as every slot goes on vm.stack before the if$ or while$ runs,
+and puts the slots it leaves there at its end.
 
 A guard that fails (an underflow, a wrong type, no current entry) puts
 the live slots, and any value the op took from vm.stack, back on
-vm.stack, sets vm.depth to the level of the block in place it is in, if
-any, and runs the op's handler there, which raises the same error at the
-same line as a body that never compiled; should the handler return, the
-function raises an internal error.  Each guard is a check that the op's
-handler makes, so the handler raises and no op after it runs: there is
-nothing to resume.  An op runs whole in the function or not at all.
+vm.stack and runs the op's handler there, which raises the same error at
+the same line as a body that never compiled.  The handler raises at its
+check, before it could read vm.depth, and Vm._call puts the depth back
+on the way out, so a fallback leaves vm.depth as it is.  Should the
+handler return, the function raises an internal error.  Each guard is a
+check that the op's handler makes, so the handler raises and no op after
+it runs: there is nothing to resume.  An op runs whole in the function or not at all.
 Every op _OPS does not compile is a call (a body, an if$ or while$ that
 is not bound, call.type$, skip$, := that is not bound, = of two values
 of unknown type, a read of an entry variable, an unknown or unsupported
@@ -159,18 +160,12 @@ class _Gen:
             self.slots = []
 
     def back(self) -> str:
-        """The statement that falls back at this op: its state back on vm.stack and,
-        inside a block compiled in place, vm.depth at the block's level; then its
-        handler run there, which raises."""
+        """The statement that falls back at this op: its state back on vm.stack,
+        then its handler run there, which raises."""
         restore = self.taken + [expr for expr, _ in self.before]
         push = self.push_all(restore) + "; " if restore else ""
-        level = f"{self.at_level()}; " if self.blocks else ""
         handler, operand = (self.const(part) for part in self.failing)
-        return f"{push}{level}{handler}(vm, {operand}); raise returned({handler})"
-
-    def at_level(self) -> str:
-        """The statement that sets vm.depth to the level of the block being compiled."""
-        return f"vm.depth = {self.uses('depth')} + {self.blocks}"
+        return f"{push}{handler}(vm, {operand}); raise returned({handler})"
 
     def take(self, n: int) -> list[tuple[str, int]]:
         """The op's n operands, bottom first: the top slots, and below them, if
@@ -233,8 +228,8 @@ class _Gen:
     def call(self, handler, operand) -> None:
         self.flush()
         call = f"{self.const(handler)}(vm, {self.const(operand)})"
-        if self.blocks:  # a body or builtin it runs reads vm.depth
-            call = f"{self.at_level()}; {call}; vm.depth = depth"
+        if self.blocks:  # a body or builtin it runs reads vm.depth, at this block's level
+            call = f"vm.depth = {self.uses('depth')} + {self.blocks}; {call}; vm.depth = depth"
         self.emit(call)
 
     def push(self, value) -> None:

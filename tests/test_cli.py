@@ -1,7 +1,9 @@
 """Tests for the command-line front end."""
 
 import contextlib
+import gc
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -12,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibstack.auxfile import parse_aux
+from bibstack.bstparse import parse_bst
 from bibstack.cli import _OPTIONS, _SUBCOMMANDS, main
 from bibstack.vm import CALL_DEPTH_LIMIT
 
@@ -35,6 +39,18 @@ from fixtures import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+class _Recorder(io.StringIO):
+    """A stream that logs each write as (tag, text) in a log it may share."""
+
+    def __init__(self, tag, log):
+        super().__init__()
+        self.tag, self.log = tag, log
+
+    def write(self, text):
+        self.log.append((self.tag, text))
+        return super().write(text)
 
 
 class TestBibtex:
@@ -297,6 +313,52 @@ class TestPipeline:
             "test2: 2 citation(s), 2 resolved, labels stable\n"
         )
 
+    def test_each_stage_writes_its_stderr_lines_at_once(self, workdir, monkeypatch):
+        files = self.files()
+        files["test2.tex"] = EXTERNAL_TEX.replace("the book", "the book \\cite{Nowhere} and")
+        write_files(workdir, files)
+        writes = []  # (stream, text) of every write to either stream, in order
+        monkeypatch.setattr(sys, "stdout", _Recorder("out", writes))
+        monkeypatch.setattr(sys, "stderr", _Recorder("err", writes))
+        assert main(["pipeline", "test2"]) == 0
+        undefined = "".join(f"Citation `{key}' on page 1 undefined on input line 3.\n"
+                            for key in ("Ulam-1964", "Nowhere", "Poincare"))
+        # the first pass, bibtex and the two fixpoint passes: the lines the
+        # command printed one at a time before, each stage's in one write
+        assert [text for stream, text in writes if stream == "err"] == [
+            "No file test2.aux.\n" + undefined,
+            "warning: no database entry for citation `Nowhere'\n",
+            undefined + "Label(s) may have changed. Rerun to get cross-references right.\n",
+            "Citation `Nowhere' on page 1 undefined on input line 3.\n",
+        ]
+        # and each stage's block comes just before its summary line
+        assert [stream for stream, _ in itertools.groupby(writes, lambda w: w[0])] == ["err", "out"] * 4
+        assert "".join(text for stream, text in writes if stream == "out") == (
+            "test2: 3 citation(s), 0 resolved, labels stable\n"
+            "test2: wrote test2.bbl (1 warning(s), 0 error(s))\n"
+            "test2: 3 citation(s), 0 resolved, labels changed\n"
+            "test2: 3 citation(s), 2 resolved, labels stable\n"
+        )
+
+    def test_bibtex_stage_takes_the_aux_from_memory(self, workdir, monkeypatch):
+        write_files(workdir, self.files())
+        read = []  # the text of each .aux parse_aux reads
+
+        def counted(text):
+            read.append(text)
+            return parse_aux(text)
+
+        monkeypatch.setattr("bibstack.cli.parse_aux", counted)
+        assert main(["pipeline", "test2"]) == 0
+        assert read == []  # no .aux before the first pass, and none read after it
+        written = (workdir / "test2.aux").read_text()
+        assert main(["pipeline", "test2"]) == 0
+        assert read == [written]  # the first pass's old .aux only
+        assert (workdir / "test2.aux").read_text() == written
+        # the bibtex command still reads BASE.aux
+        assert main(["bibtex", "test2"]) == 0
+        assert read == [written, written]
+
     def test_unsettled_labels_exit_2_with_one_message(self, workdir, capsys):
         write_files(workdir, self.files())
         assert main(["pipeline", "test2", "--max-passes", "1"]) == 2
@@ -491,6 +553,50 @@ class TestCrash:
         err = capsys.readouterr().err
         assert err.splitlines() == ["bibstack: internal error: RuntimeError: boom twice"]
         assert "Traceback" not in err
+
+
+class TestCollector:
+    """A command runs with the cyclic collector off, and main leaves it as it found it."""
+
+    @staticmethod
+    def _crash(*args):
+        raise RuntimeError("boom")
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["pipeline", "test2"], 0),
+        (["bibtex", "nothing"], 2),  # a _Fail
+        (["pipeline"], 2),  # a usage error
+        (["lint", "helloword"], 2),  # an internal error, from the crash below
+    ], ids=["success", "fail", "usage", "internal"])
+    def test_main_restores_the_collector(self, workdir, monkeypatch, capsys, enabled, argv, code):
+        write_files(workdir, TestPipeline().files())
+        monkeypatch.setattr("bibstack.cli.lint_program", self._crash)
+        states = []  # the collector's state while the command runs
+
+        def watched(*args):
+            states.append(gc.isenabled())
+            return parse_bst(*args)
+
+        monkeypatch.setattr("bibstack.cli.parse_bst", watched)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert not any(states)
+
+    def test_a_command_makes_no_garbage_cycle(self, workdir):
+        # the premise of running without the collector: it would find nothing
+        write_files(workdir, TestPipeline().files())
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["pipeline", "test2"]) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFileErrors:
