@@ -37,22 +37,26 @@ tokenize each distinct name list once per run into its names, and
 format.name$ parses each name of it at its first use: the Vm keeps one
 dict of lists, so it lives and dies with the Vm and holds the run's input.
 
-The compiled tier: after COMPILE_AFTER runs through its ops, a body
-compiles, on its next entry, into one Python function that keeps the
-values its ops push in local variables (vmcompile says how).  The {...}
-blocks that a bound if$ or while$ runs compile into that function in
-place, as a Python if/else and a Python loop, and num.names$ and
-format.name$ call the Vm with values (_names_of, _format_name).  Bodies
-that compile to the same source share one code object.  The function
-checks a value wherever an op needs a type that no op of the body gave
-it.  Where a check fails (an underflow, a wrong type, no current entry),
-it puts the live values back on the stack and runs the op's handler
-there, at the level of the block compiled in place it is in, if any;
-the handler raises the same error at the same line as a body that never
-compiled, so no op after it runs.  A FUNCTION, call.type$, an if$ or
-while$ that is not bound and any other call runs after the function has
-put every value on the stack, as the handlers run it.  Either tier gives
-the same output, records, stack, variables and call depth.
+The compiled tier: after COMPILE_AFTER runs through its ops, a FUNCTION
+(any body but a {...} block) compiles, on its next entry, into one
+Python function that keeps the values its ops push in local variables
+(vmcompile says how).  The {...} blocks that a bound if$ or while$ runs
+compile into that function in place, as a Python if/else and a Python
+loop.  A block compiles only there: _ref_op, where a block becomes an
+op, records it in _blocks, and a block entered through _call (nested
+past the inline depth, or run by an if$ or while$ that is not bound)
+runs through its ops.  num.names$ and format.name$ call the Vm with
+values (_names_of, _format_name).  Bodies that compile to the same
+source share one code object.  The function checks a value wherever an
+op needs a type that no op of the body gave it.  Where a check fails
+(an underflow, a wrong type, no current entry), it puts the live values
+back on the stack and runs the op's handler there, at the level of the
+block compiled in place it is in, if any; the handler raises the same
+error at the same line as a body that never compiled, so no op after it
+runs.  A FUNCTION, call.type$, an if$ or while$ that is not bound and
+any other call runs after the function has put every value on the
+stack, as the handlers run it.  Either tier gives the same output,
+records, stack, variables and call depth.
 Every body entered counts one call level, up to CALL_DEPTH_LIMIT, a block
 compiled in place among them, and a quoted name that if$ or while$ runs
 and that enters no body counts one as _level runs it.  _call restores on
@@ -90,14 +94,16 @@ WHILE_LIMIT = 1_000_000  # iterations of one while$
 # well inside Python's default recursion limit of 1000 frames, leaving
 # room for the caller and the builtins.
 CALL_DEPTH_LIMIT = 200
-# A body runs through its ops this many times; on its next entry it compiles
-# into one Python function (see vmcompile).  A compile costs about 0.1 to
-# 0.5 ms, and a body entered this often is mostly entered far more often.  In
-# process, against 20 in 12 rounds of interleaved runs, 0 ran sort-names and
-# cite-dense 6% and 10% faster but big-bib 16% slower (74 bodies compiled
-# where 20 compiles 37), and 10 and 40 each ran one workload faster and two
-# slower, by 2 to 5%.  Tests set it to 0, to compile each body at its first
-# entry, or to infinity, to compile none.
+# A FUNCTION runs through its ops this many times; on its next entry it
+# compiles into one Python function (see vmcompile).  A {...} block never
+# does: it compiles only in place, in its FUNCTION.  A compile costs about
+# 0.1 to 0.5 ms, and a body entered this often is mostly entered far more
+# often.  In process, against 20 in two passes of 30 interleaved rounds of
+# vm.run on the seed-1 corpora, 0 ran sort-names and cite-dense 8 to 10%
+# and 6 to 9% faster but big-bib 18% slower (74 compiles where 20 makes 33);
+# 10 ran sort-names 6 to 7% faster and the others within 3% (42 compiles on
+# big-bib); 40 ran all three 1 to 8% slower.  Tests set it to 0, to compile
+# each body at its first entry, or to infinity, to compile none.
 COMPILE_AFTER = 20
 
 
@@ -158,6 +164,8 @@ class Vm:
         self.depth = 0
         # id(body) -> the body resolved; holding its tokens keeps their id unique
         self._resolved: dict[int, _Body] = {}
+        # the id of every {...} block a ref has run or bound: it compiles only in its FUNCTION
+        self._blocks: set[int] = set()
         # generated source -> its code, shared by every body compiled to that source
         self._codes: dict[str, CodeType] = {}
         # name list -> its names, for every list num.names$ or format.name$ has read in this
@@ -232,7 +240,8 @@ class Vm:
         tokens, line = body_line
         body = self._resolved.get(id(tokens))
         if body is None:
-            body = self._resolved[id(tokens)] = _Body(tokens, self._resolve_body(tokens))
+            runs_left = float("inf") if id(tokens) in self._blocks else COMPILE_AFTER
+            body = self._resolved[id(tokens)] = _Body(tokens, self._resolve_body(tokens), runs_left)
         depth = self.depth
         if depth >= CALL_DEPTH_LIMIT:
             raise self._too_deep(line)
@@ -250,8 +259,8 @@ class Vm:
                 handler(self, operand)
         finally:
             # the depth on entry: inside a block compiled in place, the function
-            # sets vm.depth to the block's level before a call or a fallback,
-            # and an error there leaves it so
+            # sets vm.depth to the block's level before a call, and an error in
+            # the call leaves it so
             self.depth = depth
 
     def _resolve_body(self, tokens: list[Token]) -> list[tuple]:
@@ -324,6 +333,7 @@ class Vm:
         """The (handler, operand) op that runs a {...} block, or a quoted name
         as it resolves now (as self.kinds stands), as one call level."""
         if ref.body is not None:
+            self._blocks.add(id(ref.body))
             return Vm._call, (ref.body, line)
         handler, operand = self._resolve_name(ref.name, line)
         if handler is Vm._call:  # entering the body counts the level
@@ -408,12 +418,14 @@ class Vm:
 
 class _Body:
     """A body as resolved: its tokens, its ops, the runs through its ops
-    left before it compiles, and the function it compiled to, if it has."""
+    left before it compiles (infinitely many for a {...} block, which
+    compiles only in place, in its FUNCTION), and the function it compiled
+    to, if it has."""
 
     __slots__ = ("tokens", "ops", "runs_left", "run")
 
-    def __init__(self, tokens: list[Token], ops: list[tuple]):
-        self.tokens, self.ops, self.runs_left, self.run = tokens, ops, COMPILE_AFTER, None
+    def __init__(self, tokens: list[Token], ops: list[tuple], runs_left: float):
+        self.tokens, self.ops, self.runs_left, self.run = tokens, ops, runs_left, None
 
 
 # ---------------------------------------------------------------------------

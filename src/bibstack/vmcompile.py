@@ -1,12 +1,13 @@
 """The compiled tier: a resolved body as one Python function whose stack slots are locals.
 
 compile_body(vm, ops) takes the (handler, operand) ops that Vm._resolve_body
-built for a body and returns a function body(vm) that runs them, as
-closure generation does (Feeley and Lapalme, 1987) with the stack-slot
-superoperators of Proebsting (1995).  Each value an op makes goes into a
-local variable of its own, which the ops after it read, so that
-`nameptr #1 + 'nameptr :=' is three assignments that touch no stack, and
-no generated expression nests deeper than one op.  _OPS is the one table
+built for a FUNCTION (any body but a {...} block) and returns a function
+body(vm) that runs them, as closure generation does (Feeley and Lapalme,
+1987) with the stack-slot superoperators of Proebsting (1995).  Each
+value an op makes goes into a local variable of its own, which the ops
+after it read, so that `nameptr #1 + 'nameptr :=' is three assignments
+that touch no stack, and no generated expression nests deeper than one
+op.  _OPS is the one table
 of the ops that compile inline, and so of the results of a known kind: a
 builtin that computes a value from values (+ - < > * empty$ num.names$
 format.name$, and = once an operand's kind is known) is a row giving its
@@ -28,13 +29,16 @@ Control flow compiles in place.  A bound `{..} {..} if$' is a Python
 if/else, and a bound `{..} {..} while$' a Python loop of WHILE_LIMIT
 iterations whose `else' raises the iteration-limit error; the top slot
 its predicate leaves is the loop's condition.  A ref that is a {...}
-block has its ops compiled there, one indentation deeper, up to
-INLINE_DEPTH blocks deep; a 'skip$ is its level's check alone; any other
-ref is a call.  A block in place counts one call level: it raises the
-too-deep error at the line of its if$ or while$, as Vm._call does, and a
-call inside it sets vm.depth to its level first.  Each block starts with
-no slot, as every slot goes on vm.stack before the if$ or while$ runs,
-and puts the slots it leaves there at its end.
+block (one in vm._blocks) has its ops compiled there, one indentation
+deeper, up to INLINE_DEPTH blocks deep; a 'skip$ is its level's check
+alone; any other ref is a call.  That is the one place a block compiles:
+a block deeper, or one that an if$ or while$ that is not bound runs,
+enters Vm._call and runs through its ops.  A block in place counts one
+call level: it raises the too-deep error at the line of its if$ or
+while$, as Vm._call does, and a call inside it sets vm.depth to its
+level first.  Each block starts with no slot, as every slot goes on
+vm.stack before the if$ or while$ runs, and puts the slots it leaves
+there at its end.
 
 A guard that fails (an underflow, a wrong type, no current entry) puts
 the live slots, and any value the op took from vm.stack, back on
@@ -71,9 +75,9 @@ from .vm import BUILTINS, MissingField, Vm
 INT, STR, FIELD, ANY = range(4)  # FIELD: a str or a MissingField; ANY: any value
 
 # Blocks compile in place at most this many deep; a block deeper runs as a
-# call.  Each block in place adds at most one indentation level and one loop
-# to the source, so this keeps it well inside Python's limits of 100
-# indentation levels and 20 nested loops.
+# call, through its ops.  Each block in place adds at most one indentation
+# level and one loop to the source, so this keeps it well inside Python's
+# limits of 100 indentation levels and 20 nested loops.
 INLINE_DEPTH = 8
 
 
@@ -124,8 +128,6 @@ class _Gen:
         self.entry_checked = False  # cur is known not to be None
         self.indent = "    "
         self.blocks = 0  # the blocks compiled in place around the op being compiled
-        # the bodies that are FUNCTIONs: every other body an op enters is a {...} block
-        self.functions = {id(body) for body in vm.program.functions.values()}
         # the op being compiled: the slots before it, what it took from vm.stack,
         # and the (handler, operand) that a failed check runs in place
         self.before, self.taken, self.failing = [], [], None
@@ -290,10 +292,11 @@ class _Gen:
 
     def ref(self, op: tuple, keep_top: bool = False) -> None:
         """Run the (handler, operand) op of a bound ref in place: a {...} block's ops
-        as one more call level, a 'skip$ as that level's check alone; any other op
-        is a call.  With keep_top, a block's top slot stays a slot."""
+        as one more call level, up to INLINE_DEPTH deep, a 'skip$ as that level's
+        check alone; any other op is a call.  With keep_top, a block's top slot
+        stays a slot."""
         handler, operand = op
-        if handler is Vm._call and id(operand[0]) not in self.functions and self.blocks < INLINE_DEPTH:
+        if handler is Vm._call and id(operand[0]) in self.vm._blocks and self.blocks < INLINE_DEPTH:
             self.block(*operand, keep_top)
         elif handler is _vm._level and operand[0] is _vm._bi_skip:
             self.level_check(operand[2])

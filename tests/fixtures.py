@@ -124,6 +124,14 @@ TEMPLATE_TEXT = st.one_of(
 # one three deep and one never closed
 _DEEP_NAMES = '"{{{D}}}oe, J. and {R}oe, {Jane"'
 
+
+def _in_blocks(levels: int, phrase: str) -> str:
+    """phrase inside `levels' blocks, one inside the other, each run by a bound if$."""
+    for _ in range(levels):
+        phrase = f"#1 {{ {phrase} }} 'skip$ if$"
+    return phrase
+
+
 # styles that parse and run: ENTRY, STRINGS and INTEGERS declarations
 # (some giving a name a second kind), six FUNCTIONs (default.type among
 # them, which call.type$ runs for a @misc entry) and a seventh, out, that
@@ -159,6 +167,11 @@ _STYLE_PHRASES = st.sampled_from([
     '#1 #2 < #2 #1 > + #2 = { "eq" } { "ne" } if$ write$',
     '#2 #3 + #6 = { "eq" } { "ne" } if$ write$',
     '#2 \'gi := { gi #0 > } { gi #1 - \'gi := gi { "+" write$ } { #1 { "-" write$ } \'skip$ if$ } if$ } while$',
+    # a loop and an if$ that no ref pair binds, so that their blocks are entered
+    # as calls, and blocks nested past the compiled tier's INLINE_DEPTH (8)
+    '#2 \'gi := { gi #0 > } { gi #1 - \'gi := } skip$ while$',
+    '#1 { "y" write$ } { "n" write$ } skip$ if$',
+    _in_blocks(10, '"deep" write$'),
 ])
 # phrases that each leave one string, the result of their ops (an integer
 # result chooses a string through if$), for out to write; title is not
@@ -184,6 +197,10 @@ _STYLE_RESULTS = st.sampled_from([
     '#5 #2 - #3 = { "eq" } { "ne" } if$',
     '#1 #2 < #2 #1 > + #2 = { "eq" } { "ne" } if$',
     '#2 #3 + #6 = { "eq" } { "ne" } if$',
+    # an if$ that no ref pair binds, and blocks nested past the compiled tier's
+    # INLINE_DEPTH (8), so that the deepest blocks are entered as calls
+    'author empty$ { "anonymous" } { author } skip$ if$',
+    _in_blocks(10, "cite$"),
 ])
 # a while$ limit for runs of STYLE_TEXT: the countdown above ends in 4
 # iterations, where a wrong - or > would run it to vm.WHILE_LIMIT (1,000,000)

@@ -250,6 +250,47 @@ def test_many_generated_vm_inputs_run_blocks_and_loops_compiled_in_place(parentd
     assert {depth for _, depth in runs} == {0}
 
 
+def test_generated_vm_inputs_run_blocks_in_place_and_as_calls(parentdiff, monkeypatch):
+    # with every body compiled, a {...} block compiles in place in its FUNCTION; a block
+    # nested past INLINE_DEPTH, or one that an if$ or while$ that is not bound runs, is
+    # entered through Vm._call, which makes its _Body, and runs through its ops
+    from bibstack import vmcompile
+
+    in_place, entered, runs = [], set(), []
+    block, body = vmcompile._Gen.block, bibstack.vm._Body
+
+    def counted_block(gen, *operands):
+        in_place.append(operands)
+        block(gen, *operands)
+
+    class Body(body):
+        __slots__ = ()
+
+        def __init__(self, tokens, *rest):
+            entered.add(id(tokens))
+            super().__init__(tokens, *rest)
+
+    monkeypatch.setattr(vmcompile._Gen, "block", counted_block)
+    monkeypatch.setattr(bibstack.vm, "_Body", Body)
+    monkeypatch.setattr(bibstack.vm, "COMPILE_AFTER", 0)
+    monkeypatch.setattr(bibstack.vm, "WHILE_LIMIT", STYLE_WHILE_LIMIT)
+
+    def run(given):
+        style, bibs, aux = given
+        in_place.clear()
+        entered.clear()
+        vm = bibstack.vm.Vm(bstparse.parse_bst(style)[0], [database.parse_bib(b)[0] for b in bibs])
+        vm.execute(bibstack.auxfile.parse_aux(aux))
+        runs.append((bool(in_place), bool(entered & vm._blocks)))
+
+    # the inputs of the vm.compiled check at --budget 300; measured: 262 runs compile a
+    # block in place, and 52 enter one through Vm._call
+    parentdiff.each_input(VM_INPUTS, 300, run)
+    assert len(runs) == 300
+    assert sum(compiled for compiled, _ in runs) >= 130
+    assert sum(called for _, called in runs) >= 26
+
+
 # database.Entry and bstparse.Token as dataclasses, as an older package has them
 @dataclasses.dataclass
 class Entry:

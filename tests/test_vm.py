@@ -25,7 +25,7 @@ from bibstack.vm import (
     declare,
     run,
 )
-from bibstack.vmcompile import compile_body
+from bibstack.vmcompile import INLINE_DEPTH, compile_body
 
 from fixtures import (
     AUTHOR_SORT_FRAGMENT,
@@ -1269,7 +1269,60 @@ class TestBlocksInPlace(Tiered):
                                                                              CALL_DEPTH_LIMIT - 1)
 
 
+def _block_bodies(vm: Vm) -> list:
+    """The _Body of every {...} block of vm's program that Vm._call has entered."""
+    blocks, tokens = set(), [tok for body in vm.program.functions.values() for tok in body]
+    while tokens:
+        tok = tokens.pop()
+        if tok.kind == "block":
+            blocks.add(id(tok.value))
+            tokens += tok.value
+    return [body for key, body in vm._resolved.items() if key in blocks]
+
+
+# a FUNCTION whose loop runs its two blocks more than COMPILE_AFTER times at each entry
+_LOOPING = (f"INTEGERS {{n}}\nFUNCTION {{f}} {{ #0 'n := {{ n #{vm_module.COMPILE_AFTER + 5} < }} "
+            "{ n #1 + 'n := } while$ }\nEXECUTE {f}\n")
+
+
 class TestCompiledTier:
+    def test_a_block_run_more_than_compile_after_times_does_not_compile(self):
+        vm = make_vm(_LOOPING)
+        vm.execute(AuxFile())
+        blocks = _block_bodies(vm)
+        assert len(blocks) == 2 and [body.run for body in blocks] == [None, None]
+        assert vm._codes == {}
+        assert vm.globals_int["n"] == vm_module.COMPILE_AFTER + 5
+
+    def test_a_function_compiles_with_its_loop_in_place(self):
+        vm = make_vm(_LOOPING)
+        vm.execute(AuxFile())  # its first entry
+        f = vm.program.functions["f"]
+        for _ in range(vm_module.COMPILE_AFTER):
+            vm.exec_tokens(f)
+        assert vm._resolved[id(f)].run is not None
+        [source] = vm._codes
+        assert "for _ in range(" in source
+        assert [body.run for body in _block_bodies(vm)] == [None, None]
+        assert vm.globals_int["n"] == vm_module.COMPILE_AFTER + 5
+
+    @pytest.mark.parametrize("style", [
+        _nested(INLINE_DEPTH + 2, "#1 { {} } 'skip$ if$", '"bottom" write$ newline$'),
+        'FUNCTION {main} { #1 { "then" write$ } { "else" write$ } skip$ if$ newline$ }\nEXECUTE {main}\n',
+    ], ids=["nested-past-the-inline-depth", "if-not-bound"])
+    def test_a_block_entered_as_a_call_never_compiles(self, monkeypatch, style):
+        outcomes = []
+        for compile_after in (NEVER, 0):
+            monkeypatch.setattr(vm_module, "COMPILE_AFTER", compile_after)
+            vm = make_vm(style)
+            vm.execute(AuxFile())
+            outcomes.append((vm.stack, vm.doc.finalize(), vm.log.records, vm.depth))
+        assert outcomes[0] == outcomes[1]
+        # main compiled at its first entry, and its blocks entered as calls did not
+        assert vm._resolved[id(vm.program.functions["main"])].run is not None
+        blocks = _block_bodies(vm)
+        assert blocks and {body.run for body in blocks} == {None}
+
     def test_a_body_compiles_on_the_entry_after_compile_after(self, monkeypatch):
         monkeypatch.setattr(vm_module, "COMPILE_AFTER", 2)
         vm = make_vm("INTEGERS {n}\nFUNCTION {f} { n #1 + 'n := }\n")

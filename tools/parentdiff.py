@@ -220,10 +220,9 @@ def vm_run_compiled(pkg, *inputs):
     return vm_run(pkg, *inputs, compile_after=0)
 
 
-# the COMPILE_AFTER of each tier the tiers check runs: the generic tier; every body
-# compiled at its first entry; and every body compiled at its third, so that bodies
-# compile mid-run and a block run on its own compiles before the FUNCTION that holds
-# it compiles it in place
+# the COMPILE_AFTER of each tier the tiers check runs: the generic tier; every
+# FUNCTION compiled at its first entry; and every FUNCTION compiled at its third, so
+# that FUNCTIONs compile mid-run, after their blocks have run through their ops
 TIERS = {"generic": float("inf"), "compiled": 0, "compiled after 2": 2}
 
 
